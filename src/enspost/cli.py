@@ -25,6 +25,7 @@ Config keys (defaults in parentheses):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import hashlib
@@ -44,6 +45,19 @@ METHODS_ALL = ("raw",) + METHODS_FIT
 
 class CliError(RuntimeError):
     pass
+
+
+# Failures of a fit or a mesh on valid input; reported as one line, exit 1.
+MODEL_ERRORS = (memos.McmcError, emos.FitError, mesh_mod.MeshRefinementError)
+
+
+@contextlib.contextmanager
+def _naming(*where):
+    """Re-raise a model failure as a CliError that names where it happened."""
+    try:
+        yield
+    except MODEL_ERRORS as exc:
+        raise CliError(f"{' '.join(where)}: {exc}") from exc
 
 
 @dataclass
@@ -234,7 +248,8 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     if method == "global":
         fits = {}
         for day in days:
-            params = emos.fit_global(table, day, length=window, min_cases=min_train)
+            with _naming("fit global", day.isoformat()):
+                params = emos.fit_global(table, day, length=window, min_cases=min_train)
             fits[day.isoformat()] = {"a": params.a, "b": params.b, "sigma": params.sigma}
         path = out / "params_global.json"
         path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
@@ -244,8 +259,9 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         for day in days:
             per_station = {}
             for station in table.stations:
-                params = emos.fit_local(table, day, station, length=window,
-                                        min_cases=min_train)
+                with _naming("fit local", day.isoformat(), "station", station):
+                    params = emos.fit_local(table, day, station, length=window,
+                                            min_cases=min_train)
                 per_station[station] = {"a": params.a, "b": params.b, "sigma": params.sigma}
             fits[day.isoformat()] = per_station
         path = out / "params_local.json"
@@ -263,16 +279,16 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
             merged = dict(training.locations)
             for loc in sites:
                 merged[loc.id] = loc
-            msh = cache.get(merged)
-            draws = memos.sample_posterior(
-                training,
-                sites,
-                n=cfg.get("n", 100, int),
-                seed=subseed(cfg.seed, "memos-fit", day.isoformat()).generate_state(1)[0],
-                mesh=msh,
-                priors=cfg.priors(),
-                config=cfg.mcmc(),
-            )
+            with _naming("fit memos", day.isoformat()):
+                draws = memos.sample_posterior(
+                    training,
+                    sites,
+                    n=cfg.get("n", 100, int),
+                    seed=subseed(cfg.seed, "memos-fit", day.isoformat()).generate_state(1)[0],
+                    mesh=cache.get(merged),
+                    priors=cfg.priors(),
+                    config=cfg.mcmc(),
+                )
             path = draws_dir / f"{day.isoformat()}.csv"
             draws.to_csv(path)
             outputs.append(path)
@@ -635,7 +651,7 @@ def main(argv=None) -> int:
             outputs = cmd_verify(cfg, out, compare=args.compare, score=args.score,
                                  daily_mean=args.daily_mean, lag=args.lag)
         _write_manifest(out, args.command, cfg, [args.config], outputs)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) + MODEL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -9,14 +9,12 @@ window only.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .data import CaseTable, TrainingSet, rolling_window
 
@@ -34,12 +32,6 @@ class EmosParams:
     def __post_init__(self):
         if self.sigma < SIGMA_FLOOR:
             object.__setattr__(self, "sigma", SIGMA_FLOOR)
-
-    def to_json(self, window: str = None) -> str:
-        payload = {"a": self.a, "b": self.b, "sigma": self.sigma}
-        if window is not None:
-            payload["window"] = window
-        return json.dumps(payload, sort_keys=True)
 
 
 class FitError(RuntimeError):
@@ -141,10 +133,7 @@ class GaussianForecast:
     sigma: float
 
     def cdf(self, x):
-        return norm.cdf(x, loc=self.mu, scale=self.sigma)
-
-    def crps(self, y) -> float:
-        return crps_gaussian(self.mu, self.sigma, y)
+        return ndtr((x - self.mu) / self.sigma)
 
     def quantile_sample(self, m: int) -> np.ndarray:
         """The m equally spaced quantiles at levels (2j−1)/(2m), ascending."""

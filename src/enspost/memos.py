@@ -23,15 +23,16 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import TrainingSet
 from .mesh import Mesh, build_mesh, projector
 from .spde import (
-    SparseCholesky,
+    BandPattern,
+    NonFiniteError,
     SpdeOperators,
     assemble_fem,
-    precision,
+    precision_weights,
     spde_logdet_factory,
 )
 
@@ -145,17 +146,17 @@ class _WindowModel:
     """Precomputed quantities for repeated marginal-likelihood evaluation
     on one training window.
 
-    For the default smoothness setting the posterior precision pattern is
-    fixed across hyperparameters, so the banded factorization inputs are
-    assembled by direct index scatter instead of scipy sparse arithmetic
-    (the Metropolis chain evaluates this thousands of times per window).
+    For either smoothness setting the posterior precision
+    Q_post = blockdiag(fixed, Q_a, Q_b) + XᵀX/σ² is a weighted sum of fixed
+    sparse terms: the fixed-effect diagonal, the SPDE terms of each field
+    block (C, G, and GC⁻¹G for alpha=2) and XᵀX.  Its pattern is analysed
+    once, so each of the Metropolis chain's thousands of evaluations only
+    scatters one weight per term and refactors the band (LAPACK
+    dpbtrf/dtbtrs).
     """
 
     def __init__(self, training: TrainingSet, mesh: Mesh, ops: SpdeOperators,
                  priors: Priors, alpha: int = 1):
-        self.training = training
-        self.mesh = mesh
-        self.ops = ops
         self.priors = priors
         self.alpha = alpha
         self.layout = build_design(training, mesh)
@@ -166,112 +167,28 @@ class _WindowModel:
         self.Xty = X.T @ self.y
         self.yty = float(self.y @ self.y)
         self.spde_logdet = spde_logdet_factory(ops)
-        self._perm = None
-        if alpha == 1:
-            self._build_fast_path()
-
-    def prior_precision(self, theta: Hyperparameters) -> sp.csc_matrix:
-        q_a = precision(self.ops, theta.kappa_a, theta.tau_a, alpha=self.alpha)
-        q_b = precision(self.ops, theta.kappa_b, theta.tau_b, alpha=self.alpha)
-        fixed = sp.diags([1.0 / self.priors.v_fix, 1.0 / self.priors.v_fix])
-        return sp.block_diag([fixed, q_a.Q, q_b.Q], format="csc")
-
-    def _build_fast_path(self):
-        """Index maps from the hyperparameter-independent sparsity pattern
-        into banded/border storage of the posterior precision."""
         K = self.layout.K
         p = self.layout.dim
-        G = sp.coo_matrix(self.ops.G)
-        G.sum_duplicates()
-        XtX = sp.coo_matrix(self.XtX)
-        XtX.sum_duplicates()
-        self._g_data = G.data.copy()
-        self._c_diag = self.ops.c_diag.copy()
-        self._xtx_data = XtX.data.copy()
-
-        diag_k = np.arange(K)
-        contrib_keys = [
-            np.array([0, p + 1], dtype=np.int64),                       # fixed effects
-            (G.row.astype(np.int64) + 2) * p + (G.col + 2),             # G in a-block
-            (G.row.astype(np.int64) + 2 + K) * p + (G.col + 2 + K),     # G in b-block
-            (diag_k + 2).astype(np.int64) * p + (diag_k + 2),           # C diag a-block
-            (diag_k + 2 + K).astype(np.int64) * p + (diag_k + 2 + K),   # C diag b-block
-            XtX.row.astype(np.int64) * p + XtX.col,                     # data term
-        ]
-        union = np.unique(np.concatenate(contrib_keys))
-        self._maps = [np.searchsorted(union, keys) for keys in contrib_keys]
-        self._nnz = len(union)
-
-        rows = union // p
-        cols = union % p
-        sparse_mask = (rows >= 2) & (cols >= 2)
-        ns = p - 2
-        pat = sp.csr_matrix(
-            (np.ones(int(sparse_mask.sum())), (rows[sparse_mask] - 2, cols[sparse_mask] - 2)),
-            shape=(ns, ns),
-        )
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-        perm = np.asarray(reverse_cuthill_mckee(pat, symmetric_mode=True))
-        invperm = np.empty(ns, dtype=np.int64)
-        invperm[perm] = np.arange(ns)
-        self._perm = perm
-
-        pr = invperm[rows[sparse_mask] - 2]
-        pc = invperm[cols[sparse_mask] - 2]
-        self._bw = int(np.max(pr - pc)) if len(pr) else 0
-        lower = pr >= pc
-        self._band_src = np.nonzero(sparse_mask)[0][lower]
-        self._band_pos = (pr[lower] - pc[lower]) * ns + pc[lower]
-
-        border_mask = rows < 2
-        bcols = cols[border_mask]
-        brows = rows[border_mask]
-        in_f = bcols < 2
-        self._f_src = np.nonzero(border_mask)[0][in_f]
-        self._f_pos = brows[in_f] * 2 + bcols[in_f]
-        self._b_src = np.nonzero(border_mask)[0][~in_f]
-        self._b_pos = brows[~in_f] * ns + invperm[bcols[~in_f] - 2]
-        self._ns = ns
-
-    def _fast_factor(self, theta: Hyperparameters) -> SparseCholesky:
-        ta2, tb2 = theta.tau_a**2, theta.tau_b**2
-        noise_prec = theta.sigma**-2
-        dat = np.zeros(self._nnz)
-        m_fix, m_ga, m_gb, m_ca, m_cb, m_xtx = self._maps
-        dat[m_fix] += 1.0 / self.priors.v_fix
-        np.add.at(dat, m_ga, ta2 * self._g_data)
-        np.add.at(dat, m_gb, tb2 * self._g_data)
-        dat[m_ca] += ta2 * theta.kappa_a**2 * self._c_diag
-        dat[m_cb] += tb2 * theta.kappa_b**2 * self._c_diag
-        np.add.at(dat, m_xtx, noise_prec * self._xtx_data)
-
-        ns = self._ns
-        ab = np.zeros((self._bw + 1) * ns)
-        ab[self._band_pos] = dat[self._band_src]
-        B = np.zeros(2 * ns)
-        B[self._b_pos] = dat[self._b_src]
-        F = np.zeros(4)
-        F[self._f_pos] = dat[self._f_src]
-        return SparseCholesky.from_parts(
-            ab.reshape(self._bw + 1, ns),
-            B.reshape(2, ns),
-            F.reshape(2, 2),
-            self._perm,
-            np.arange(2, self.layout.dim),
-            np.array([0, 1]),
-            self.layout.dim,
+        fixed = sp.coo_matrix(([1.0, 1.0], ([0, 1], [0, 1])), shape=(p, p))
+        zero2, zero_k = sp.csr_matrix((2, 2)), sp.csr_matrix((K, K))
+        terms = ops.terms(alpha)
+        self._pattern = BandPattern(
+            [fixed]
+            + [sp.block_diag([zero2, T, zero_k]) for T in terms]
+            + [sp.block_diag([zero2, zero_k, T]) for T in terms]
+            + [self.XtX],
+            dense=(0, 1),
         )
 
     def posterior_factor(self, theta: Hyperparameters):
         """Cholesky of Q_post = Q_prior + (1/σ²)XᵀX plus posterior mean."""
         noise_prec = theta.sigma**-2
-        if self.alpha == 1:
-            chol = self._fast_factor(theta)
-        else:
-            Q_post = sp.csc_matrix(self.prior_precision(theta) + noise_prec * self.XtX)
-            chol = SparseCholesky(Q_post, dense=(0, 1), perm=self._perm)
-            self._perm = chol.perm
+        chol = self._pattern.factor(
+            (1.0 / self.priors.v_fix,
+             *precision_weights(theta.kappa_a, theta.tau_a, self.alpha),
+             *precision_weights(theta.kappa_b, theta.tau_b, self.alpha),
+             noise_prec)
+        )
         mu = chol.solve(noise_prec * self.Xty)
         return chol, mu
 
@@ -336,6 +253,7 @@ class PosteriorDraws:
     seed: int
     acceptance: float
     final_step: float = float("nan")
+    invalid_proposals: int = 0
 
     @property
     def n(self) -> int:
@@ -382,6 +300,13 @@ class McmcError(RuntimeError):
     pass
 
 
+# A proposal the target cannot evaluate in floating point: a hyperparameter
+# or weight that overflows or underflows (FloatingPointError under the
+# target's errstate, OverflowError from Python floats), a non-finite
+# assembly, or a precision that is not positive definite.
+_INVALID_PROPOSAL = (ArithmeticError, NonFiniteError, np.linalg.LinAlgError)
+
+
 def sample_posterior(
     training: TrainingSet,
     sites: list,
@@ -398,8 +323,10 @@ def sample_posterior(
     log_prior + log_marginal, with the proposal scale adapted toward
     20-40% acceptance during burn-in only.  Each kept state contributes one
     exact draw of the latent vector from its Gaussian conditional,
-    evaluated at the sites through the basis projector.  Deterministic for
-    fixed (inputs, seed).
+    evaluated at the sites through the basis projector.  A proposal whose
+    posterior cannot be factored counts as a rejection (target −∞) and in
+    `invalid_proposals`; an invalid initial state raises.  Deterministic
+    for fixed (inputs, seed).
     """
     sites = list(sites)
     if mesh is None:
@@ -420,9 +347,10 @@ def sample_posterior(
         x = np.asarray(init, dtype=float).copy()
 
     def target(xv):
-        theta = Hyperparameters.from_log_vector(xv)
-        chol, mu = model.posterior_factor(theta)
-        lp = log_prior(theta, priors) + model._log_marginal_from(theta, chol, mu)
+        with np.errstate(over="raise", under="raise"):
+            theta = Hyperparameters.from_log_vector(xv)
+            chol, mu = model.posterior_factor(theta)
+            lp = log_prior(theta, priors) + model._log_marginal_from(theta, chol, mu)
         return lp, (chol, mu, theta)
 
     lp, state = target(x)
@@ -438,12 +366,17 @@ def sample_posterior(
     total_steps = config.burn_in + n * config.thin
     accepted = 0
     accepted_post = 0
+    invalid = 0
     window_accepts = 0
     kept = 0
     half_burn = config.burn_in // 2
     for it in range(total_steps):
         prop = x + step * rng.standard_normal(5)
-        lp_prop, state_prop = target(prop)
+        try:
+            lp_prop, state_prop = target(prop)
+        except _INVALID_PROPOSAL:
+            lp_prop, state_prop = -math.inf, None
+            invalid += 1
         if math.log(rng.uniform()) < lp_prop - lp:
             x, lp, state = prop, lp_prop, state_prop
             accepted += 1
@@ -485,6 +418,7 @@ def sample_posterior(
         seed=int(seed),
         acceptance=accepted / total_steps,
         final_step=step,
+        invalid_proposals=invalid,
     )
 
 
@@ -538,7 +472,7 @@ class PredictiveSample:
 def predictive_sample(draws: PosteriorDraws, fbar, m: int = 50) -> PredictiveSample:
     """Quantile-structured sample from the posterior predictive mixture."""
     fvec = _fbar_vector(draws, fbar)
-    z = norm.ppf((2 * np.arange(1, m + 1) - 1) / (2 * m))
+    z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
     mean = draws.a + draws.b * fvec[None, :]            # (n, S)
     values = mean[:, None, :] + draws.sigma[:, None, None] * z[None, :, None]
     return PredictiveSample(sites=list(draws.sites), values=values)
@@ -553,7 +487,7 @@ def mixture_cdf(draws: PosteriorDraws, fbar, x) -> np.ndarray:
     mean = draws.a + draws.b * fvec[None, :]            # (n, S)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     z = (xs[:, None, None] - mean[None, :, :]) / draws.sigma[None, :, None]
-    out = norm.cdf(z).mean(axis=1)
+    out = ndtr(z).mean(axis=1)
     return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

@@ -40,9 +40,6 @@ class Mesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def triangle_points(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]]
-
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))

@@ -1,11 +1,16 @@
 """Finite-element operators and Markov random field machinery on a mesh.
 
 The random field X(s) = Σ_k w_k ψ_k(s) over piecewise-linear basis
-functions has jointly Gaussian weights whose precision, for the default
-smoothness setting, is Q = τ²(κ²C + G) with C the lumped mass matrix and G
-the stiffness matrix.  κ > 0 is an inverse length scale (1/km) and τ > 0
-scales the field.  The smoother alternative (alpha=2) uses
-Q = τ²(κ²C+G)C⁻¹(κ²C+G).
+functions has jointly Gaussian weights with sparse precision Q(κ, τ), a
+weighted sum of fixed matrices built from the lumped mass matrix C and the
+stiffness matrix G: Q = τ²(κ²C + G) for the default smoothness α = 1 and
+Q = τ²(κ⁴C + 2κ²G + GC⁻¹G) for α = 2 (Lindgren, Rue & Lindström 2011).
+κ > 0 is an inverse length scale (1/km) and τ > 0 scales the field.
+
+Because the sparsity pattern does not depend on (κ, τ), factorization is
+split into a symbolic step (`BandPattern`: fill-reducing permutation and
+banded storage maps, done once) and a numeric step (LAPACK dpbtrf/dtbtrs
+on the band, `SparseCholesky`) that every caller shares.
 
 Neumann boundary conditions are implicit in the assembly; the usual
 variance inflation near the hull is accepted since the domain is not
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, cholesky_banded, solve_banded, solve_triangular
+from scipy.linalg.lapack import dpbtrf, dpotrf, dtbtrs, dtrtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import Mesh
@@ -35,6 +40,13 @@ class SpdeOperators:
     @property
     def c_diag(self) -> np.ndarray:
         return self.C.diagonal()
+
+    def terms(self, alpha: int = 1) -> tuple:
+        """The fixed matrices that `precision_weights` combine into Q:
+        (C, G) for alpha=1 and (C, G, GC⁻¹G) for alpha=2."""
+        if alpha == 1:
+            return (self.C, self.G)
+        return (self.C, self.G, self.G @ sp.diags(1.0 / self.c_diag) @ self.G)
 
 
 @dataclass
@@ -89,157 +101,182 @@ def assemble_fem(mesh: Mesh) -> SpdeOperators:
     return SpdeOperators(C=C, G=G, K=K)
 
 
+def precision_weights(kappa: float, tau: float, alpha: int = 1) -> tuple:
+    """Weights of `SpdeOperators.terms(alpha)` in Q(κ, τ): (τ²κ², τ²) for
+    alpha=1 and (τ²κ⁴, 2τ²κ², τ²) for alpha=2."""
+    t2, k2 = tau**2, kappa**2
+    if alpha == 1:
+        return (t2 * k2, t2)
+    if alpha == 2:
+        return (t2 * k2 * k2, 2.0 * t2 * k2, t2)
+    raise ValueError("alpha must be 1 or 2")
+
+
 def precision(ops: SpdeOperators, kappa: float, tau: float, alpha: int = 1) -> Precision:
     """Precision matrix Q(κ, τ) of the field weights."""
     if kappa <= 0 or tau <= 0:
         raise ValueError("kappa and tau must be > 0")
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    B = (kappa**2) * ops.C + ops.G
-    if alpha == 1:
-        Q = (tau**2) * B
-    else:
-        Cinv = sp.diags(1.0 / ops.c_diag)
-        Q = (tau**2) * (B @ Cinv @ B)
+    weights = precision_weights(kappa, tau, alpha)
+    Q = sum(w * T for w, T in zip(weights, ops.terms(alpha)))
     return Precision(Q=sp.csc_matrix(Q), kappa=kappa, tau=tau, alpha=alpha)
 
 
-class SparseCholesky:
-    """Cholesky factorization of a sparse SPD matrix.
+class NonFiniteError(ValueError):
+    """A matrix handed to the factorization holds inf or NaN."""
 
-    The matrix is reordered with a deterministic fill-reducing (reverse
-    Cuthill-McKee) permutation and factored in banded storage.  Columns
-    listed in `dense` (e.g. fixed effects coupled to everything) are
-    pivoted to the end and eliminated as a dense border block so they do
-    not blow up the bandwidth.
+
+class BandPattern:
+    """Symbolic analysis of a fixed sparsity pattern, done once for any
+    number of numeric factorizations (Rue & Held 2005, ch. 2.4).
+
+    The matrix is a weighted sum Σ_t w_t T_t of fixed sparse symmetric
+    terms.  The union of their patterns is reordered with a deterministic
+    fill-reducing (reverse Cuthill-McKee) permutation and mapped into lower
+    banded storage.  Rows and columns listed in `dense` (e.g. fixed effects
+    coupled to everything) are pivoted to the end and eliminated as a dense
+    border block so they do not blow up the bandwidth.
     """
 
-    def __init__(self, Q, dense=(), perm=None):
-        Q = sp.csr_matrix(Q)
-        n = Q.shape[0]
-        if Q.shape[1] != n:
+    def __init__(self, terms, dense=()):
+        terms = [sp.coo_matrix(t) for t in terms]
+        n = terms[0].shape[0]
+        if any(t.shape != (n, n) for t in terms):
             raise ValueError("matrix must be square")
-        dense = np.asarray(sorted(set(int(i) for i in dense)), dtype=int)
-        sparse_idx = np.setdiff1d(np.arange(n), dense)
+        for t in terms:
+            t.sum_duplicates()
+        keys = [t.row.astype(np.int64) * n + t.col for t in terms]
+        union = np.unique(np.concatenate(keys))
+        # unique positions within each term, so scatter-adds need no np.add.at
+        self._maps = [np.searchsorted(union, k) for k in keys]
+        self._values = [t.data for t in terms]
+        self._nnz = len(union)
+
+        is_dense = np.zeros(n, dtype=bool)
+        is_dense[list(dense)] = True
         self.n = n
-        self._dense = dense
-        self._sparse_idx = sparse_idx
-        ns = len(sparse_idx)
+        sparse_idx = np.flatnonzero(~is_dense)
+        self.dense_idx = np.flatnonzero(is_dense)
+        ns, nd = len(sparse_idx), len(self.dense_idx)
+        local = np.empty(n, dtype=np.int64)
+        local[sparse_idx] = np.arange(ns)
+        local[self.dense_idx] = np.arange(nd)
+        row_dense, col_dense = is_dense[union // n], is_dense[union % n]
+        rows, cols = local[union // n], local[union % n]
 
-        Qs = sp.csr_matrix(Q[sparse_idx][:, sparse_idx])
-        if perm is None:
-            perm = np.asarray(reverse_cuthill_mckee(Qs, symmetric_mode=True))
-        self.perm = perm
-        Qp = sp.coo_matrix(Qs[perm][:, perm])
-        bw = int(np.max(np.abs(Qp.row - Qp.col))) if Qp.nnz else 0
-        ab = np.zeros((bw + 1, ns))
-        mask = Qp.row >= Qp.col
-        ab[Qp.row[mask] - Qp.col[mask], Qp.col[mask]] = Qp.data[mask]
-        if len(dense):
-            B = Q[dense][:, sparse_idx].toarray()[:, perm]  # (t, ns) permuted cols
-            F = Q[dense][:, dense].toarray()
-        else:
-            B = np.zeros((0, ns))
-            F = np.zeros((0, 0))
-        self._factor(ab, B, F)
+        in_band = ~row_dense & ~col_dense
+        pattern = sp.csr_matrix(
+            (np.ones(int(in_band.sum())), (rows[in_band], cols[in_band])), shape=(ns, ns)
+        )
+        perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True))
+        # row of the original matrix held by each band row
+        self.band_rows = sparse_idx[perm]
+        invperm = np.empty(ns, dtype=np.int64)
+        invperm[perm] = np.arange(ns)
+        pr, pc = invperm[rows[in_band]], invperm[cols[in_band]]
+        self.bw = int(np.max(np.abs(pr - pc))) if len(pr) else 0
+        lower = pr >= pc
+        self._band_src = np.flatnonzero(in_band)[lower]
+        # column-major (Fortran) positions, the layout LAPACK works in
+        self._band_pos = pc[lower] * (self.bw + 1) + (pr - pc)[lower]
+        border = row_dense & ~col_dense
+        self._b_src = np.flatnonzero(border)
+        self._b_pos = rows[border] * ns + invperm[cols[border]]
+        corner = row_dense & col_dense
+        self._f_src = np.flatnonzero(corner)
+        self._f_pos = rows[corner] * nd + cols[corner]
 
-    @classmethod
-    def from_parts(cls, ab, B, F, perm, sparse_idx, dense_idx, n):
-        """Factor from prebuilt banded storage of the permuted sparse block
-        plus dense border blocks (B already column-permuted)."""
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj._dense = np.asarray(dense_idx, dtype=int)
-        obj._sparse_idx = np.asarray(sparse_idx, dtype=int)
-        obj.perm = perm
-        obj._factor(ab, B, F)
-        return obj
+    def scatter(self, weights):
+        """Band, border and corner blocks of Σ_t weights[t]·terms[t]."""
+        values = np.zeros(self._nnz)
+        for idx, data, w in zip(self._maps, self._values, weights):
+            values[idx] += w * data
+        ns, nd = len(self.band_rows), len(self.dense_idx)
+        ab = np.zeros((self.bw + 1) * ns)
+        ab[self._band_pos] = values[self._band_src]
+        B = np.zeros(nd * ns)
+        B[self._b_pos] = values[self._b_src]
+        F = np.zeros(nd * nd)
+        F[self._f_pos] = values[self._f_src]
+        return ab.reshape((self.bw + 1, ns), order="F"), B.reshape(nd, ns), F.reshape(nd, nd)
 
-    def _factor(self, ab, B, F):
-        ns = ab.shape[1]
-        bw = ab.shape[0] - 1
-        try:
-            self._cab = cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"precision not positive definite ({exc})") from None
-        if np.any(self._cab[0] <= 0):
+    def factor(self, weights) -> "SparseCholesky":
+        """Numeric Cholesky factor of Σ_t weights[t]·terms[t]."""
+        chol = SparseCholesky.__new__(SparseCholesky)
+        chol._factor(self, *self.scatter(weights))
+        return chol
+
+
+class SparseCholesky:
+    """Cholesky factorization Q = P L Lᵀ Pᵀ of a sparse SPD matrix.
+
+    P and the storage layout come from a `BandPattern`; the band is factored
+    with LAPACK dpbtrf and both triangular solves use dtbtrs on that same
+    lower band.  Non-finite input raises `NonFiniteError` (a ValueError);
+    a matrix that is not positive definite raises LinAlgError.
+    """
+
+    def __init__(self, Q, dense=()):
+        pattern = BandPattern([Q], dense)
+        self._factor(pattern, *pattern.scatter((1.0,)))
+
+    def _factor(self, pattern, ab, B, F):
+        if not (np.isfinite(ab).all() and np.isfinite(B).all() and np.isfinite(F).all()):
+            raise NonFiniteError("array must not contain infs or NaNs")
+        self.n = pattern.n
+        self._pattern = pattern
+        self._cab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0 or np.any(self._cab[0] <= 0):
             raise np.linalg.LinAlgError("precision not positive definite")
-        self._bw = bw
-        # upper-banded storage of L^T for back substitution
-        ab_up = np.zeros((bw + 1, ns))
-        for r in range(bw + 1):
-            ab_up[bw - r, r:] = self._cab[r, : ns - r]
-        self._ab_up = ab_up
-
-        if B.shape[0]:
-            W = self._solve_L_sparse(B.T)  # (ns, t): L_s W = B^T
-            S = F - W.T @ W
-            try:
-                self._Lf = cholesky(S, lower=True)
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError("precision not positive definite") from None
-            self._W = W
-        else:
-            self._Lf = np.zeros((0, 0))
-            self._W = np.zeros((ns, 0))
+        # dense border: L_s W = Bᵀ, then the Schur complement S = F − WᵀW;
+        # LAPACK is not called on an empty border (zero-size operands)
+        self._W = np.zeros((ab.shape[1], 0))
+        self._Lf = np.zeros((0, 0))
+        if F.size:
+            self._W = self._solve_L_sparse(B.T)
+            self._Lf, info = dpotrf(F - self._W.T @ self._W, lower=1, clean=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("precision not positive definite")
 
     @property
     def logdet(self) -> float:
-        ld = 2.0 * float(np.sum(np.log(self._cab[0])))
-        if self._Lf.size:
-            ld += 2.0 * float(np.sum(np.log(np.diag(self._Lf))))
-        return ld
+        return 2.0 * float(np.sum(np.log(self._cab[0])) + np.sum(np.log(np.diag(self._Lf))))
 
     def _solve_L_sparse(self, y):
-        return solve_banded((self._bw, 0), self._cab, y)
+        return dtbtrs(self._cab, y, uplo="L")[0]
 
     def _solve_Lt_sparse(self, z):
-        return solve_banded((0, self._bw), self._ab_up, z)
+        return dtbtrs(self._cab, z, uplo="L", trans="T")[0]
+
+    def _solve_dense(self, y, trans=0):
+        return dtrtrs(self._Lf, y, lower=1, trans=trans)[0] if self._Lf.size else y
+
+    def _unpermute(self, x1, x2):
+        out = np.empty((self.n, x1.shape[1]))
+        out[self._pattern.band_rows] = x1
+        out[self._pattern.dense_idx] = x2
+        return out
 
     def solve(self, b):
         """Solve Q x = b (vector or matrix right-hand side)."""
         b = np.asarray(b, dtype=float)
-        one_d = b.ndim == 1
         B = b.reshape(self.n, -1)
-        bs = B[self._sparse_idx][self.perm]
-        bd = B[self._dense]
+        p = self._pattern
         # forward: L [y1; y2] = [bs; bd]
-        y1 = self._solve_L_sparse(bs)
-        if self._Lf.size:
-            y2 = solve_triangular(self._Lf, bd - self._W.T @ y1, lower=True)
-        else:
-            y2 = bd
-        # backward: L^T [x1; x2] = [y1; y2]
-        if self._Lf.size:
-            x2 = solve_triangular(self._Lf.T, y2, lower=False)
-        else:
-            x2 = y2
-        x1 = self._solve_Lt_sparse(y1 - self._W @ x2)
-        out = np.empty_like(B)
-        tmp = np.empty_like(x1)
-        tmp[self.perm] = x1
-        out[self._sparse_idx] = tmp
-        out[self._dense] = x2
-        return out[:, 0] if one_d else out
+        y1 = self._solve_L_sparse(B[p.band_rows])
+        y2 = self._solve_dense(B[p.dense_idx] - self._W.T @ y1)
+        # backward: Lᵀ [x1; x2] = [y1; y2]
+        x2 = self._solve_dense(y2, trans=1)
+        out = self._unpermute(self._solve_Lt_sparse(y1 - self._W @ x2), x2)
+        return out[:, 0] if b.ndim == 1 else out
 
     def solve_Lt(self, z):
         """Solve Lᵀ x = z where Q = P L Lᵀ Pᵀ; maps N(0, I) draws to N(0, Q⁻¹)."""
         z = np.asarray(z, dtype=float)
-        one_d = z.ndim == 1
         Z = z.reshape(self.n, -1)
-        zs = Z[: len(self._sparse_idx)]
-        zd = Z[len(self._sparse_idx):]
-        if self._Lf.size:
-            x2 = solve_triangular(self._Lf.T, zd, lower=False)
-        else:
-            x2 = zd
-        x1 = self._solve_Lt_sparse(zs - self._W @ x2)
-        out = np.empty_like(Z)
-        tmp = np.empty_like(x1)
-        tmp[self.perm] = x1
-        out[self._sparse_idx] = tmp
-        out[self._dense] = x2
-        return out[:, 0] if one_d else out
+        ns = len(self._pattern.band_rows)
+        x2 = self._solve_dense(Z[ns:], trans=1)
+        out = self._unpermute(self._solve_Lt_sparse(Z[:ns] - self._W @ x2), x2)
+        return out[:, 0] if z.ndim == 1 else out
 
 
 def sample_gmrf(Q: Precision, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,16 +34,6 @@ def crps_empirical(sample, y: float) -> float:
     return term1 - term2
 
 
-def crps_empirical_naive(sample, y: float) -> float:
-    """Quadratic-cost double sum; the independent cross-check of
-    `crps_empirical`."""
-    x = np.asarray(sample, dtype=float)
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty forecast sample")
-    return float(np.mean(np.abs(x - y)) - np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n))
-
-
 def sample_median(sample) -> float:
     """Lower-middle median: element (N−1)//2 of the sorted sample."""
     x = np.sort(np.asarray(sample, dtype=float))
@@ -245,14 +235,6 @@ class ScoreSeries:
             raise KeyError(f"no entries for ({method}, {score})")
         dates = sorted(grouped)
         return dates, np.array([np.mean(grouped[d]) for d in dates])
-
-    def series(self, method: str, score: str, site: str):
-        """Date-ordered score series at a single site."""
-        items = sorted(
-            (d, v) for (d, s, m, sc), v in self._entries.items()
-            if m == method and sc == score and s == site
-        )
-        return [d for d, _ in items], np.array([v for _, v in items])
 
     def rows(self):
         for (d, s, m, sc), v in sorted(self._entries.items(), key=lambda kv: (

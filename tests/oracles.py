@@ -25,14 +25,24 @@ def crps_by_quadrature(mu, sigma, y, points_per_side=40_000):
     return np.trapezoid(f_left, left) + np.trapezoid(f_right, right)
 
 
-def dense_log_marginal(theta, training, msh, ops, priors):
+def crps_empirical_naive(sample, y: float) -> float:
+    """Quadratic-cost double sum (1/N)Σ|x_i−y| − (1/(2N²))ΣΣ|x_i−x_j|; the
+    independent cross-check of `verify.crps_empirical`."""
+    x = np.asarray(sample, dtype=float)
+    n = len(x)
+    if n == 0:
+        raise ValueError("empty forecast sample")
+    return float(np.mean(np.abs(x - y)) - np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n))
+
+
+def dense_log_marginal(theta, training, msh, ops, priors, alpha=1):
     """Covariance-side oracle: log N(y; 0, X Σ_prior Xᵀ + σ²I) with dense
     linear algebra."""
     layout = memos.build_design(training, msh)
     X = layout.X.toarray()
     K = msh.n_vertices
-    q_a = spde.precision(ops, theta.kappa_a, theta.tau_a).Q.toarray()
-    q_b = spde.precision(ops, theta.kappa_b, theta.tau_b).Q.toarray()
+    q_a = spde.precision(ops, theta.kappa_a, theta.tau_a, alpha).Q.toarray()
+    q_b = spde.precision(ops, theta.kappa_b, theta.tau_b, alpha).Q.toarray()
     Sig = np.zeros((layout.dim, layout.dim))
     Sig[0, 0] = Sig[1, 1] = priors.v_fix
     Sig[2 : 2 + K, 2 : 2 + K] = np.linalg.inv(q_a)

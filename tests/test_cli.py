@@ -208,6 +208,23 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"])
         assert code == 1
 
+    def test_failed_chain_is_one_line_naming_the_day(self, tmp_path, monkeypatch, capsys):
+        from enspost import memos
+
+        def fail(*args, **kwargs):
+            raise memos.McmcError("acceptance collapsed")
+
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        monkeypatch.setattr(memos, "sample_posterior", fail)
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "fit", "--method", "memos"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: fit memos 2010-06-16: acceptance collapsed\n"
+
     def test_console_entry_point(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(CONFIG)

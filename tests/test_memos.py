@@ -79,10 +79,11 @@ class TestLogPrior:
 
 
 class TestLogMarginal:
-    def test_matches_dense_oracle(self, small_problem):
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_dense_oracle(self, small_problem, alpha):
         locs, msh, ops, training = small_problem
         priors = memos.Priors(v_fix=50.0)
-        model = memos._WindowModel(training, msh, ops, priors)
+        model = memos._WindowModel(training, msh, ops, priors, alpha=alpha)
         rng = np.random.default_rng(10)
         assert model.layout.dim <= 40
         for _ in range(20):
@@ -94,7 +95,7 @@ class TestLogMarginal:
                 math.exp(rng.normal(0.0, 0.5)),
             )
             sparse_val = model.log_marginal(theta)
-            dense_val = dense_log_marginal(theta, training, msh, ops, priors)
+            dense_val = dense_log_marginal(theta, training, msh, ops, priors, alpha)
             assert abs(sparse_val - dense_val) <= 1e-8
 
     def test_duplicate_row_changes_value(self, small_problem):
@@ -112,16 +113,22 @@ class TestLogMarginal:
         v2 = memos.log_marginal(theta, doubled, msh, ops)
         assert v1 != v2
 
-    def test_fast_path_equals_generic_assembly(self, small_problem):
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_fast_path_equals_generic_assembly(self, small_problem, alpha):
+        """The fixed-pattern factor equals a factor of Q_post assembled with
+        scipy sparse arithmetic from `spde.precision` blocks."""
         import scipy.sparse as sp
 
         locs, msh, ops, training = small_problem
         priors = memos.Priors()
-        model = memos._WindowModel(training, msh, ops, priors)
+        model = memos._WindowModel(training, msh, ops, priors, alpha=alpha)
         theta = memos.Hyperparameters(1.1, 0.5, 0.7, 0.9, 1.3)
         fast = model.log_marginal(theta)
+        q_a = spde.precision(ops, theta.kappa_a, theta.tau_a, alpha).Q
+        q_b = spde.precision(ops, theta.kappa_b, theta.tau_b, alpha).Q
+        fixed = sp.diags([1.0 / priors.v_fix] * 2)
         Q_post = sp.csc_matrix(
-            model.prior_precision(theta) + theta.sigma**-2 * model.XtX
+            sp.block_diag([fixed, q_a, q_b]) + theta.sigma**-2 * model.XtX
         )
         chol = spde.SparseCholesky(Q_post, dense=(0, 1))
         mu = chol.solve(theta.sigma**-2 * model.Xty)
@@ -194,6 +201,26 @@ class TestSamplePosterior:
         ols = np.polyfit(fbar, y, 1)
         ols_pred = ols[1] + ols[0] * f_new
         assert abs(post.mean() - ols_pred) < 2 * post.std()
+
+    def test_invalid_proposals_count_as_rejections(self, small_problem):
+        """A huge proposal scale overflows or makes the precision singular
+        on many proposals; the chain rejects them and still completes."""
+        locs, msh, ops, training = small_problem
+        draws = memos.sample_posterior(
+            training, locs, n=10, seed=4, mesh=msh,
+            config=memos.McmcConfig(burn_in=100, thin=1, initial_step=500.0),
+        )
+        assert draws.invalid_proposals > 0
+        assert np.all(np.isfinite(draws.a)) and np.all(np.isfinite(draws.sigma))
+
+    def test_invalid_initial_state_raises(self, small_problem):
+        locs, msh, ops, training = small_problem
+        with pytest.raises(FloatingPointError):
+            memos.sample_posterior(
+                training, locs, n=2, seed=4, mesh=msh,
+                config=memos.McmcConfig(burn_in=2, thin=1),
+                init=np.array([0.0, 0.0, 0.0, 0.0, 1000.0]),
+            )
 
     def test_reproducible_given_seed(self, small_problem):
         locs, msh, ops, training = small_problem

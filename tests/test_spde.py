@@ -215,6 +215,12 @@ class TestSparseCholesky:
         b = rng.standard_normal(25)
         assert np.allclose(Qd @ chol.solve(b), b, atol=1e-8)
 
+    def test_non_finite_input_error(self):
+        Qd = 2.0 * np.eye(4)
+        Qd[2, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spde.SparseCholesky(sp.csc_matrix(Qd))
+
     def test_solve_lt_covariance_identity(self):
         # w = solve_Lt(z) for standard normal z must have covariance Q^{-1}
         rng = np.random.default_rng(9)
