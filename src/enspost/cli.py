@@ -6,6 +6,14 @@ manifest recording the config hash and seed, and is deterministic given
 (config, seed).  Evaluation days are processed in date order and only ever
 read data strictly before each valid date.
 
+Artifacts: ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
+``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
+one row per component N(mu, sigma²) of an equally weighted Gaussian
+mixture, so one row per (date, site) for global and local EMOS and n rows,
+in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
+grouped m-quantile sample of each day from those rows with
+``memos.quantile_sample``.
+
 Config keys (defaults in parentheses):
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                bins (17)
@@ -177,8 +185,9 @@ def _eval_days(cfg: RunConfig, table: data.CaseTable) -> list:
     dates = table.dates
     start = cfg.date("eval_start", dates[0] + dt.timedelta(days=window))
     n_days = cfg.get("eval_days", max(1, (dates[-1] - start).days + 1), int)
+    present = set(dates)
     return [start + dt.timedelta(days=i) for i in range(n_days)
-            if start + dt.timedelta(days=i) in set(dates)]
+            if start + dt.timedelta(days=i) in present]
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> list:
@@ -217,25 +226,6 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
     return [path]
 
 
-class _MeshCache:
-    """One mesh per distinct station set within a run."""
-
-    def __init__(self, min_angle: float, max_edge):
-        self.min_angle = min_angle
-        self.max_edge = max_edge
-        self._cache = {}
-
-    def get(self, locations: dict):
-        key = frozenset(locations)
-        if key not in self._cache:
-            self._cache[key] = mesh_mod.build_mesh(
-                [locations[k] for k in sorted(locations)],
-                min_angle=self.min_angle,
-                max_edge=self.max_edge,
-            )
-        return self._cache[key]
-
-
 def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
@@ -268,24 +258,23 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
         outputs.append(path)
     else:
+        mesh_path = out / "mesh.json"
+        if not mesh_path.exists():
+            raise CliError(f"missing upstream file: {mesh_path} (run `mesh` first?)")
+        msh = mesh_mod.Mesh.from_json(mesh_path.read_text())
         draws_dir = out / "draws_memos"
         draws_dir.mkdir(exist_ok=True)
-        cache = _MeshCache(cfg.get("mesh_min_angle", 20.0, float),
-                           cfg.get("mesh_max_edge", None, float))
         sites = [table.locations[s] for s in table.stations]
         for day in days:
             training = data.rolling_window(table, day, length=window, mode="global",
                                            min_cases=min_train)
-            merged = dict(training.locations)
-            for loc in sites:
-                merged[loc.id] = loc
             with _naming("fit memos", day.isoformat()):
                 draws = memos.sample_posterior(
                     training,
                     sites,
                     n=cfg.get("n", 100, int),
                     seed=subseed(cfg.seed, "memos-fit", day.isoformat()).generate_state(1)[0],
-                    mesh=cache.get(merged),
+                    mesh=msh,
                     priors=cfg.priors(),
                     config=cfg.mcmc(),
                 )
@@ -299,86 +288,70 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
 def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    m = cfg.get("m", 50, int)
-    outputs = []
-
-    if method in ("global", "local"):
+    if method != "memos":
         params_path = out / f"params_{method}.json"
         if not params_path.exists():
             raise CliError(f"missing upstream file: {params_path} (run `fit` first?)")
         fits = json.loads(params_path.read_text())
-        path = out / f"predict_{method}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "site", "mu", "sigma"])
-            for day in days:
-                key = day.isoformat()
-                if key not in fits:
-                    raise CliError(f"no fitted parameters for {key} in {params_path}")
-                for station, case in sorted(table.on(day).items()):
-                    entry = fits[key] if method == "global" else fits[key][station]
-                    params = emos.EmosParams(entry["a"], entry["b"], entry["sigma"])
-                    forecast = emos.predict(params, case.fbar)
-                    writer.writerow([key, station, repr(forecast.mu), repr(forecast.sigma)])
-        outputs.append(path)
-    else:
-        pred_dir = out / "predict_memos"
-        pred_dir.mkdir(exist_ok=True)
-        for day in days:
-            draws_path = out / "draws_memos" / f"{day.isoformat()}.csv"
+
+    def components(key, cases):
+        """(site, mu, sigma) for each site with a case on the day."""
+        if method == "memos":
+            draws_path = out / "draws_memos" / f"{key}.csv"
             if not draws_path.exists():
                 raise CliError(f"missing upstream file: {draws_path} (run `fit` first?)")
             draws = memos.PosteriorDraws.from_csv(draws_path)
-            cases = table.on(day)
-            sites = [s for s in draws.sites if s in cases]
-            idx = [draws.sites.index(s) for s in sites]
-            sub = memos.PosteriorDraws(
-                sites=sites, a=draws.a[:, idx], b=draws.b[:, idx],
-                sigma=draws.sigma, theta=draws.theta, seed=draws.seed,
-                acceptance=draws.acceptance,
-            )
-            fbar = {s: cases[s].fbar for s in sites}
-            sample = memos.predictive_sample(sub, fbar, m=m)
-            path = pred_dir / f"{day.isoformat()}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["date", "site", "subsample", "member", "value"])
-                for j, site in enumerate(sites):
-                    grouped = sample.values[:, :, j]
-                    for i in range(grouped.shape[0]):
-                        for k in range(grouped.shape[1]):
-                            writer.writerow(
-                                [day.isoformat(), site, i + 1, k + 1, repr(float(grouped[i, k]))]
-                            )
-            outputs.append(path)
+            for j, site in enumerate(draws.sites):
+                if site in cases:
+                    yield site, draws.a[:, j] + draws.b[:, j] * cases[site].fbar, draws.sigma
+            return
+        if key not in fits:
+            raise CliError(f"no fitted parameters for {key} in {params_path}")
+        for site, case in sorted(cases.items()):
+            entry = fits[key] if method == "global" else fits[key][site]
+            params = emos.EmosParams(entry["a"], entry["b"], entry["sigma"])
+            forecast = emos.predict(params, case.fbar)
+            yield site, [forecast.mu], [forecast.sigma]
+
+    path = out / f"predict_{method}.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "site", "mu", "sigma"])
+        for day in days:
+            key = day.isoformat()
+            for site, mu, sigma in components(key, table.on(day)):
+                writer.writerows([key, site, repr(float(u)), repr(float(v))]
+                                 for u, v in zip(mu, sigma))
     print(f"predict[{method}]: {len(days)} day(s)")
-    return outputs
+    return [path]
 
 
-def _load_memos_sample(path) -> dict:
-    """predict_memos CSV -> {site: (n, m) array} preserving subsample order."""
-    per_site: dict = {}
+def _load_predictions(out: Path, method: str) -> dict:
+    """predict_<method>.csv -> {date: {site: (mu, sigma)}}, components in row order."""
+    path = out / f"predict_{method}.csv"
+    if not path.exists():
+        raise CliError(f"missing upstream file: {path} (run `predict` first?)")
+    by_day: dict = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            per_site.setdefault(row["site"], {}).setdefault(int(row["subsample"]), {})[
-                int(row["member"])
-            ] = float(row["value"])
-    out = {}
-    for site, subs in per_site.items():
-        n = max(subs)
-        m = max(len(v) for v in subs.values())
-        arr = np.empty((n, m))
-        for i in range(1, n + 1):
-            for k in range(1, m + 1):
-                arr[i - 1, k - 1] = subs[i][k]
-        out[site] = arr
-    return out
+            mu, sigma = by_day.setdefault(row["date"], {}).setdefault(row["site"], ([], []))
+            mu.append(float(row["mu"]))
+            sigma.append(float(row["sigma"]))
+    return by_day
+
+
+def _day_sample(components: dict, m: int) -> memos.PredictiveSample:
+    """Grouped m-quantile sample of one day's {site: (mu, sigma)} components."""
+    sites = sorted(components)
+    mu, sigma = (np.array([components[s][k] for s in sites]).T for k in (0, 1))
+    return memos.quantile_sample(sites, mu, sigma, m)
 
 
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
     m = cfg.get("m", 50, int)
+    preds = None if method == "raw" else _load_predictions(out, method)
     path = out / f"ens_{method}_{structure}.csv"
 
     with open(path, "w", newline="") as fh:
@@ -386,58 +359,27 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
         writer.writerow(["date", "site", "member", "value"])
         for day in days:
             key = day.isoformat()
-            cases = table.on(day)
-            raw_by_site = {s: np.asarray(c.members) for s, c in cases.items()}
-
+            raw_by_site = {s: np.asarray(c.members) for s, c in table.on(day).items()}
             if method == "raw":
-                sample_by_site = {
-                    s: np.sort(v) for s, v in raw_by_site.items()
-                }
-            elif method in ("global", "local"):
-                pred_path = out / f"predict_{method}.csv"
-                if not pred_path.exists():
-                    raise CliError(f"missing upstream file: {pred_path} (run `predict` first?)")
-                sample_by_site = {}
-                with open(pred_path, newline="") as pfh:
-                    for row in csv.DictReader(pfh):
-                        if row["date"] == key and row["site"] in cases:
-                            forecast = emos.GaussianForecast(float(row["mu"]), float(row["sigma"]))
-                            sample_by_site[row["site"]] = forecast.quantile_sample(m)
+                sites = sorted(raw_by_site)
+                sorted_raw = np.sort([raw_by_site[s] for s in sites], axis=1)
+                sample = memos.PredictiveSample(sites=sites, values=sorted_raw.T[None])
+            elif key in preds:
+                sample = _day_sample(preds[key], m)
             else:
-                pred_path = out / "predict_memos" / f"{key}.csv"
-                if not pred_path.exists():
-                    raise CliError(f"missing upstream file: {pred_path} (run `predict` first?)")
-                grouped_by_site = _load_memos_sample(pred_path)
-
-            if method == "memos":
-                sites = sorted(grouped_by_site)
-                sample = memos.PredictiveSample(
-                    sites=sites,
-                    values=np.stack([grouped_by_site[s] for s in sites], axis=2),
+                raise CliError(f"no predictions for {key} in predict_{method}.csv "
+                               "(run `predict` first?)")
+            if structure == "ecc":
+                rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
+                merged = ecc.ecc_memos(raw_by_site, sample, rng)
+            else:
+                rng = np.random.default_rng(subseed(cfg.seed, "independence", key))
+                merged = ecc.independence_shuffle(
+                    {s: sample.pooled(s) for s in sample.sites}, rng
                 )
-                if structure == "ecc":
-                    rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-                    merged = ecc.ecc_memos(raw_by_site, sample, rng)
-                else:
-                    rng = np.random.default_rng(subseed(cfg.seed, "independence", key))
-                    merged = ecc.independence_shuffle(
-                        {s: sample.pooled(s) for s in sites}, rng
-                    )
-            else:
-                sites = sorted(sample_by_site)
-                if structure == "ecc":
-                    rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-                    merged = {
-                        s: ecc.ecc_q(raw_by_site[s], np.sort(sample_by_site[s]), rng)
-                        for s in sites
-                    }
-                else:
-                    rng = np.random.default_rng(subseed(cfg.seed, "independence", key))
-                    merged = ecc.independence_shuffle(sample_by_site, rng)
-
             for site in sorted(merged):
-                for k, value in enumerate(merged[site], start=1):
-                    writer.writerow([key, site, k, repr(float(value))])
+                writer.writerows([key, site, k, repr(float(value))]
+                                 for k, value in enumerate(merged[site], start=1))
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
@@ -445,22 +387,14 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
 def _univariate_scores(cfg: RunConfig, out: Path, table, days, scores: verify.ScoreSeries,
                        pit_values: dict) -> None:
     m = cfg.get("m", 50, int)
-    have_global = (out / "predict_global.csv").exists()
-    have_local = (out / "predict_local.csv").exists()
-    preds = {}
-    for method in ("global", "local"):
-        if (out / f"predict_{method}.csv").exists():
-            lookup = {}
-            with open(out / f"predict_{method}.csv", newline="") as fh:
-                for row in csv.DictReader(fh):
-                    lookup[(row["date"], row["site"])] = (float(row["mu"]), float(row["sigma"]))
-            preds[method] = lookup
+    preds = {method: _load_predictions(out, method) for method in METHODS_FIT
+             if (out / f"predict_{method}.csv").exists()}
 
     for day in days:
         key = day.isoformat()
         cases = table.on(day)
-        memos_path = out / "predict_memos" / f"{key}.csv"
-        memos_sample = _load_memos_sample(memos_path) if memos_path.exists() else None
+        on_day = {method: p.get(key, {}) for method, p in preds.items()}
+        memos_sample = _day_sample(on_day["memos"], m) if on_day.get("memos") else None
         for station in sorted(cases):
             case = cases[station]
             if case.observation is None:
@@ -474,15 +408,15 @@ def _univariate_scores(cfg: RunConfig, out: Path, table, days, scores: verify.Sc
                 verify.verification_rank(members, y, rng)
             )
             for method in ("global", "local"):
-                if method in preds and (key, station) in preds[method]:
-                    mu, sigma = preds[method][(key, station)]
+                if station in on_day.get(method, {}):
+                    (mu,), (sigma,) = on_day[method][station]
                     scores.add(key, station, method, "crps",
                                emos.crps_gaussian(mu, sigma, y))
                     scores.add(key, station, method, "ae", abs(mu - y))
                     forecast = emos.GaussianForecast(mu, sigma)
                     pit_values.setdefault(method, []).append(verify.pit(forecast.cdf, y))
-            if memos_sample is not None and station in memos_sample:
-                pooled = memos_sample[station].reshape(-1)
+            if memos_sample is not None and station in memos_sample.sites:
+                pooled = memos_sample.pooled(station)
                 scores.add(key, station, "memos", "crps", verify.crps_empirical(pooled, y))
                 scores.add(key, station, "memos", "ae", verify.abs_error(pooled, y))
                 pit_values.setdefault("memos", []).append(

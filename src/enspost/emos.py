@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .data import CaseTable, TrainingSet, rolling_window
 
@@ -134,11 +134,6 @@ class GaussianForecast:
 
     def cdf(self, x):
         return ndtr((x - self.mu) / self.sigma)
-
-    def quantile_sample(self, m: int) -> np.ndarray:
-        """The m equally spaced quantiles at levels (2j−1)/(2m), ascending."""
-        levels = (2 * np.arange(1, m + 1) - 1) / (2 * m)
-        return self.mu + self.sigma * ndtri(levels)
 
 
 def predict(params: EmosParams, fbar: float) -> GaussianForecast:

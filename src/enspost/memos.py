@@ -8,10 +8,12 @@ exactly and inference reduces to a 5-dimensional random-walk Metropolis
 chain over (log κ_a, log τ_a, log κ_b, log τ_b, log σ), with exact
 Gaussian conditional draws of the latent vector for each kept state.
 
-Posterior draws feed a Gaussian mixture predictive; its working sample
-x_ij(s) = a_i(s) + b_i(s) f̄(s) + σ_i z_j uses the standard normal
-quantiles z_j at levels (2j−1)/(2m) and stays grouped by posterior draw i
-so that downstream reordering can operate per subsample.
+Posterior draws feed an equally weighted Gaussian mixture predictive with
+components N(a_i(s) + b_i(s) f̄(s), σ_i²).  `quantile_sample` turns any such
+components (one for EMOS, n for MEMOS) into the working sample
+x_ij(s) = μ_i(s) + σ_i z_j with the standard normal quantiles z_j at levels
+(2j−1)/(2m), grouped by component i so that downstream reordering can
+operate per subsample.
 """
 
 from __future__ import annotations
@@ -259,9 +261,6 @@ class PosteriorDraws:
     def n(self) -> int:
         return len(self.sigma)
 
-    def site_index(self, site: str) -> int:
-        return self.sites.index(site)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -442,11 +441,9 @@ def _initial_state(training: TrainingSet, priors: Priors) -> np.ndarray:
 
 @dataclass
 class PredictiveSample:
-    """Per-site samples of size N = m·n, grouped by posterior draw.
-
-    values[i, j, s] = a_i(s) + b_i(s)·f̄(s) + σ_i·z_j with z_j the standard
-    normal quantile at level (2j−1)/(2m); nondecreasing in j within each
-    subsample i.
+    """Per-site samples of size N = m·n, grouped into n subsamples of m
+    values that are nondecreasing in j: one mixture component's quantiles
+    (see `quantile_sample`), or a sorted raw ensemble with n = 1.
     """
 
     sites: list
@@ -469,13 +466,23 @@ class PredictiveSample:
         return self.at_site(site).reshape(-1)
 
 
+def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
+    """Grouped m-quantile sample of an equally weighted Gaussian mixture.
+
+    mu is (n, S) and sigma broadcasts to it; values[i, j, s] =
+    mu[i, s] + sigma[i, s]·z_j with z_j the standard normal quantile at
+    level (2j−1)/(2m).
+    """
+    z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
+    values = mu[:, None, :] + sigma[:, None, :] * z[None, :, None]
+    return PredictiveSample(sites=list(sites), values=values)
+
+
 def predictive_sample(draws: PosteriorDraws, fbar, m: int = 50) -> PredictiveSample:
     """Quantile-structured sample from the posterior predictive mixture."""
-    fvec = _fbar_vector(draws, fbar)
-    z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
-    mean = draws.a + draws.b * fvec[None, :]            # (n, S)
-    values = mean[:, None, :] + draws.sigma[:, None, None] * z[None, :, None]
-    return PredictiveSample(sites=list(draws.sites), values=values)
+    return quantile_sample(draws.sites, _mixture_means(draws, fbar), draws.sigma[:, None], m)
 
 
 def mixture_cdf(draws: PosteriorDraws, fbar, x) -> np.ndarray:
@@ -483,21 +490,22 @@ def mixture_cdf(draws: PosteriorDraws, fbar, x) -> np.ndarray:
 
     Returns an array over sites for scalar x, or (len(x), S) for vector x.
     """
-    fvec = _fbar_vector(draws, fbar)
-    mean = draws.a + draws.b * fvec[None, :]            # (n, S)
+    mean = _mixture_means(draws, fbar)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     z = (xs[:, None, None] - mean[None, :, :]) / draws.sigma[None, :, None]
     out = ndtr(z).mean(axis=1)
     return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def _fbar_vector(draws: PosteriorDraws, fbar) -> np.ndarray:
+def _mixture_means(draws: PosteriorDraws, fbar) -> np.ndarray:
+    """Component means a_i(s) + b_i(s)·f̄(s), shape (n, S)."""
     if isinstance(fbar, dict):
         missing = [s for s in draws.sites if s not in fbar]
         if missing:
             raise ValueError(f"fbar missing for sites {missing}")
-        return np.array([float(fbar[s]) for s in draws.sites])
-    fvec = np.asarray(fbar, dtype=float)
-    if fvec.shape != (len(draws.sites),):
-        raise ValueError("fbar must map every site in the draws")
-    return fvec
+        fvec = np.array([float(fbar[s]) for s in draws.sites])
+    else:
+        fvec = np.asarray(fbar, dtype=float)
+        if fvec.shape != (len(draws.sites),):
+            raise ValueError("fbar must map every site in the draws")
+    return draws.a + draws.b * fvec[None, :]

@@ -303,6 +303,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         out = tmp_path / name
         for args in (
             ["simulate"],
+            ["mesh"],
             ["fit", "--method", "memos"],
             ["predict", "--method", "memos"],
             ["ecc", "--method", "memos"],

@@ -1,12 +1,15 @@
 """End-to-end tests of the command line pipeline."""
 
+import csv
+import datetime as dt
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from enspost import cli, verify
+from enspost import cli, data, memos, verify
 
 CONFIG = """\
 seed = 11
@@ -103,6 +106,29 @@ class TestPipelineContract:
         hashes = {json.loads(m.read_text())["config_hash"] for m in manifests}
         assert len(hashes) == 1
 
+    def test_predict_memos_rows_rebuild_the_predictive_sample(self, pipeline):
+        """predict_memos.csv holds the n mixture components of each site with
+        a case, in draw order; their quantile sample is predictive_sample's."""
+        config, out = pipeline
+        assert not (out / "predict_memos").exists()
+        day = "2010-06-18"
+        components = {}
+        with open(out / "predict_memos.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["date"] == day:
+                    components.setdefault(row["site"], []).append(
+                        (float(row["mu"]), float(row["sigma"])))
+        cases = data.load_cases(out / "cases.csv").on(dt.date.fromisoformat(day))
+        draws = memos.PosteriorDraws.from_csv(out / "draws_memos" / f"{day}.csv")
+        sites = sorted(components)
+        assert sites == sorted(cases) == draws.sites
+        assert all(len(rows) == draws.n == 20 for rows in components.values())
+        mu, sigma = (np.array([[c[k] for c in components[s]] for s in sites]).T
+                     for k in (0, 1))
+        rebuilt = memos.quantile_sample(sites, mu, sigma, 8)
+        expected = memos.predictive_sample(draws, {s: cases[s].fbar for s in sites}, 8)
+        assert np.array_equal(rebuilt.values, expected.values)
+
     def test_raw_ecc_equals_sorted_raw_reordered(self, pipeline):
         """The raw ensemble is invariant under the reordering."""
         import csv as csv_mod
@@ -137,6 +163,7 @@ class TestDeterminism:
         for name in ("a", "b"):
             out = tmp_path / name
             run_cli(config, out, "simulate")
+            run_cli(config, out, "mesh")
             run_cli(config, out, "fit", "--method", "memos")
             run_cli(config, out, "predict", "--method", "memos")
             run_cli(config, out, "ecc", "--method", "memos")
@@ -188,14 +215,23 @@ class TestNoLookAhead:
 
 
 class TestErrors:
-    def test_missing_upstream_file(self, tmp_path):
+    @pytest.mark.parametrize("method, upstream, missing, hint", [
+        ("global", [], "cases.csv", "simulate"),
+        ("memos", ["simulate"], "mesh.json", "mesh"),
+    ], ids=["global", "memos-no-mesh"])
+    def test_missing_upstream_file(self, tmp_path, capsys, method, upstream, missing, hint):
         config = tmp_path / "run.cfg"
         config.write_text(CONFIG)
         out = tmp_path / "out"
         out.mkdir()
+        for command in upstream:
+            run_cli(config, out, command)
+        capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
-                         "fit", "--method", "global"])
+                         "fit", "--method", method])
+        err = capsys.readouterr().err
         assert code == 1
+        assert err == f"error: missing upstream file: {out / missing} (run `{hint}` first?)\n"
 
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",
@@ -218,6 +254,7 @@ class TestErrors:
         config.write_text(CONFIG)
         out = tmp_path / "out"
         run_cli(config, out, "simulate")
+        run_cli(config, out, "mesh")
         monkeypatch.setattr(memos, "sample_posterior", fail)
         code = cli.main(["--config", str(config), "--out", str(out),
                          "fit", "--method", "memos"])

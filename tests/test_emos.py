@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from oracles import crps_by_quadrature
 
-from enspost import data, emos
+from enspost import data, emos, memos
 
 
 class TestCrpsGaussian:
@@ -166,8 +166,12 @@ class TestPredict:
         assert forecast.mu == pytest.approx(-1.0)
 
     def test_quantile_sample_sorted_symmetric(self):
+        """A Gaussian forecast is the one-component case of the shared
+        mixture quantile sample."""
         forecast = emos.GaussianForecast(1.0, 2.0)
-        q = forecast.quantile_sample(50)
+        sample = memos.quantile_sample(["s"], [[forecast.mu]], [[forecast.sigma]], 50)
+        assert sample.values.shape == (1, 50, 1)
+        q = sample.pooled("s")
         assert np.all(np.diff(q) > 0)
         assert q[0] + q[-1] == pytest.approx(2.0, abs=1e-9)  # symmetry about mu
         assert q[0] == pytest.approx(1.0 + 2.0 * norm.ppf(0.01), abs=1e-9)
