@@ -5,6 +5,15 @@ The mesh uses the input sites as initial nodes and inserts circumcenters
 maximum-edge constraints.  The domain is never extended: refinement points
 stay inside the convex hull of the inputs, with hull-edge midpoints used
 when a circumcenter would fall outside.
+
+Each refinement step is one array scan: encroachment is a (points ×
+segments) broadcast and the worst triangle comes from one pass giving every
+triangle's minimum angle and longest edge.  All dot products and norms go
+through `np.vecdot`, which reduces each 2-vector with the same BLAS `ddot`
+as `np.dot` on a single pair, so every comparison (and every near-tie
+between equal angles) is decided on the same bits as the point-by-point
+loop in `tests/oracles.ruppert_reference`.  An elementwise u0*v0 + u1*v1
+rounds differently and would flip near-ties.
 """
 
 from __future__ import annotations
@@ -45,18 +54,14 @@ class Mesh:
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
     def min_angles_deg(self) -> np.ndarray:
-        return np.array([triangle_min_angle(self.vertices[t]) for t in self.triangles])
+        return _triangle_quality(self.vertices, self.triangles)[0]
 
     def bary_transform(self) -> np.ndarray:
         """Per-triangle 3x3 maps from (x, y, 1) to barycentric weights."""
         if self._bary_transform is None:
-            T = len(self.triangles)
-            mats = np.empty((T, 3, 3))
-            for t, tri in enumerate(self.triangles):
-                a, b, c = self.vertices[tri]
-                M = np.array([[a[0], b[0], c[0]], [a[1], b[1], c[1]], [1.0, 1.0, 1.0]])
-                mats[t] = np.linalg.inv(M)
-            self._bary_transform = mats
+            M = np.ones((len(self.triangles), 3, 3))
+            M[:, :2, :] = self.vertices[self.triangles].transpose(0, 2, 1)
+            self._bary_transform = np.linalg.inv(M)
         return self._bary_transform
 
     def to_json(self) -> str:
@@ -96,15 +101,25 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def triangle_min_angle(pts: np.ndarray) -> float:
-    """Smallest interior angle of a triangle in degrees."""
-    angles = []
-    for i in range(3):
-        u = pts[(i + 1) % 3] - pts[i]
-        v = pts[(i + 2) % 3] - pts[i]
-        cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return float(min(angles))
+def _triangle_quality(vertices: np.ndarray, triangles: np.ndarray):
+    """Smallest interior angle (degrees) and longest edge of every triangle."""
+    p = vertices[triangles]
+    u = p[:, [1, 2, 0]] - p
+    v = p[:, [2, 0, 1]] - p
+    nu = np.sqrt(np.vecdot(u, u))
+    cosang = np.vecdot(u, v) / (nu * np.sqrt(np.vecdot(v, v)))
+    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return angles.min(axis=1), nu.max(axis=1)
+
+
+def _encroached(points: np.ndarray, segments: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """(P, S) mask: point p lies strictly inside the diametral circle of
+    segment s (vertex indices into vertices)."""
+    u, v = vertices[segments[:, 0]], vertices[segments[:, 1]]
+    mid = 0.5 * (u + v)
+    r2 = 0.25 * np.vecdot(v - u, v - u)
+    d = points[:, None, :] - mid[None, :, :]
+    return np.vecdot(d, d) < r2 * (1.0 - 1e-12)
 
 
 def _circumcenter(pts: np.ndarray) -> np.ndarray:
@@ -118,13 +133,9 @@ def _circumcenter(pts: np.ndarray) -> np.ndarray:
 
 
 def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    seen: dict = {}
-    for tri in triangles:
-        for i in range(3):
-            e = (int(tri[i]), int(tri[(i + 1) % 3]))
-            key = (min(e), max(e))
-            seen[key] = seen.get(key, 0) + 1
-    return np.array(sorted(k for k, count in seen.items() if count == 1), dtype=int).reshape(-1, 2)
+    edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    unique, counts = np.unique(edges, axis=0, return_counts=True)
+    return unique[counts == 1].astype(int)
 
 
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -136,15 +147,14 @@ def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _point_on_segment(p, u, v, tol=1e-9):
+    """Does p (one point, or each of a stack) lie inside the segment u-v?"""
     uv = v - u
     length2 = float(uv @ uv)
     if length2 == 0.0:
-        return False
-    cross = abs(_cross2(p - u, uv))
-    if cross > tol * np.sqrt(length2):
-        return False
-    t = float((p - u) @ uv) / length2
-    return 1e-12 < t < 1.0 - 1e-12
+        return np.zeros(np.shape(p)[:-1], dtype=bool)
+    cross = np.abs(_cross2(p - u, uv))
+    t = np.vecdot(p - u, uv) / length2
+    return (cross <= tol * np.sqrt(length2)) & (1e-12 < t) & (t < 1.0 - 1e-12)
 
 
 def _attach_hanging(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -198,20 +208,23 @@ def delaunay_triangulation(points: np.ndarray) -> np.ndarray:
 
 
 def _dedup(coords: np.ndarray, tol: float) -> np.ndarray:
-    kept: list = []
-    for p in coords:
-        if not any(np.hypot(*(p - q)) <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    """Drop every point within tol of an earlier kept point."""
+    close = np.hypot(*(coords[:, None] - coords[None]).T) <= tol
+    keep = np.ones(len(coords), dtype=bool)
+    for j in np.nonzero(np.triu(close, 1).any(axis=0))[0]:
+        keep[j] = not np.any(close[:j, j] & keep[:j])
+    return coords[keep]
 
 
-def _segment_crossing(g: np.ndarray, c: np.ndarray, va: np.ndarray, vb: np.ndarray) -> bool:
-    """Does segment g->c cross segment va->vb (proper or touching)?"""
-    d1 = _cross2(c - g, va - g)
-    d2 = _cross2(c - g, vb - g)
-    d3 = _cross2(vb - va, g - va)
-    d4 = _cross2(vb - va, c - va)
-    return (d1 * d2 <= 0) and (d3 * d4 <= 0)
+def _hull_segments(points: np.ndarray, hull_order) -> np.ndarray:
+    """Boundary segments in hull order.  A site inside a hull edge ends a
+    segment too: left inside one, it would encroach every half the segment
+    is split into."""
+    chain = []
+    for a, b in zip(hull_order, np.roll(hull_order, -1)):
+        on = np.flatnonzero(_point_on_segment(points, points[a], points[b]))
+        chain += [a, *on[np.argsort(np.vecdot(points[on] - points[a], points[b] - points[a]))]]
+    return np.stack([chain, np.roll(chain, -1)], axis=1)
 
 
 def build_mesh(
@@ -248,34 +261,27 @@ def build_mesh(
     hull_eq = hull.equations  # rows: [a, b, offset], a*x + b*y + offset <= 0 inside
 
     budget = node_budget_factor * len(points)
-    pts = [p for p in points]
-    hull_order = list(hull.vertices)
-    segments = [
-        (hull_order[i], hull_order[(i + 1) % len(hull_order)])
-        for i in range(len(hull_order))
-    ]
+    pts = points
+    segments = _hull_segments(points, hull.vertices)
 
     def inside_hull(p, tol=1e-9):
         return bool(np.all(hull_eq[:, :2] @ p + hull_eq[:, 2] <= tol))
 
-    def encroaches(p, seg, arr):
-        u, v = arr[seg[0]], arr[seg[1]]
-        mid = 0.5 * (u + v)
-        r2 = 0.25 * float((v - u) @ (v - u))
-        d2 = float((p - mid) @ (p - mid))
-        return d2 < r2 * (1.0 - 1e-12)
-
-    def split_segment(k):
-        u, v = segments[k]
-        mid = 0.5 * (np.asarray(pts[u]) + np.asarray(pts[v]))
-        if any(np.hypot(*(mid - q)) <= _DEDUP_TOL_KM for q in pts):
+    def insert(p):
+        nonlocal pts
+        if np.any(np.hypot(*(p - pts).T) <= _DEDUP_TOL_KM):
             raise MeshRefinementError(
                 "refinement produced a duplicate node; relax min_angle or max_edge"
             )
-        new = len(pts)
-        pts.append(mid)
-        segments[k] = (u, new)
-        segments.append((new, v))
+        pts = np.vstack([pts, p])
+
+    def split_segment(k):
+        nonlocal segments
+        u, v = segments[k]
+        insert(0.5 * (pts[u] + pts[v]))
+        new = len(pts) - 1
+        segments = np.vstack([segments, [new, v]])
+        segments[k, 1] = new
 
     def check_budget():
         if len(pts) >= budget:
@@ -284,70 +290,58 @@ def build_mesh(
                 "relax min_angle or max_edge"
             )
 
-    triangles = delaunay_triangulation(np.array(pts))
+    triangles = delaunay_triangulation(pts)
     while True:
-        arr = np.array(pts)
-        # Ruppert priority 1: split any boundary segment whose diametral
-        # circle strictly contains another vertex
-        encroached = None
-        for k, (u, v) in enumerate(segments):
-            for w in range(len(arr)):
-                if w != u and w != v and encroaches(arr[w], (u, v), arr):
-                    encroached = k
-                    break
-            if encroached is not None:
-                break
-        if encroached is not None:
+        # Ruppert priority 1: split the first boundary segment whose
+        # diametral circle strictly contains another vertex
+        enc = _encroached(pts, segments, pts)
+        cols = np.arange(len(segments))
+        enc[segments[:, 0], cols] = False
+        enc[segments[:, 1], cols] = False
+        encroached = np.flatnonzero(enc.any(axis=0))
+        if len(encroached):
             check_budget()
-            split_segment(encroached)
-            triangles = delaunay_triangulation(np.array(pts))
+            split_segment(encroached[0])
+            triangles = delaunay_triangulation(pts)
             continue
 
-        # priority 2: fix the worst bad triangle
-        worst = None
-        worst_key = None
-        for t, tri in enumerate(triangles):
-            p = arr[tri]
-            ang = triangle_min_angle(p)
-            edges = [np.linalg.norm(p[(i + 1) % 3] - p[i]) for i in range(3)]
-            bad_angle = ang < min_angle - 1e-9
-            bad_edge = max_edge is not None and max(edges) > max_edge * (1 + 1e-12)
-            if bad_angle or bad_edge:
-                key = (ang if bad_angle else min_angle, -max(edges))
-                if worst_key is None or key < worst_key:
-                    worst_key = key
-                    worst = t
-        if worst is None:
+        # priority 2: fix the worst bad triangle, keyed by
+        # (angle if bad else min_angle, -longest edge), first index on ties
+        ang, longest = _triangle_quality(pts, triangles)
+        bad_angle = ang < min_angle - 1e-9
+        bad = bad_angle
+        if max_edge is not None:
+            bad = bad | (longest > max_edge * (1 + 1e-12))
+        candidates = np.flatnonzero(bad)
+        if not len(candidates):
             break
+        primary = np.where(bad_angle, ang, min_angle)[candidates]
+        worst = candidates[np.lexsort((-longest[candidates], primary))[0]]
         check_budget()
-        tri_pts = arr[triangles[worst]]
+        tri_pts = pts[triangles[worst]]
         c = _circumcenter(tri_pts)
-        hit = [k for k in range(len(segments)) if encroaches(c, segments[k], arr)]
-        if not hit and not inside_hull(c):
-            # grazing case: fall back to the boundary segment crossed by the
-            # centroid-to-circumcenter ray
+        hit = np.flatnonzero(_encroached(c[None], segments, pts)[0])
+        if not len(hit) and not inside_hull(c):
+            # grazing case: fall back to the boundary segments crossed by
+            # the centroid-to-circumcenter segment
             g = tri_pts.mean(axis=0)
-            hit = [
-                k
-                for k, (i, j) in enumerate(segments)
-                if _segment_crossing(g, c, arr[i], arr[j])
-            ]
-        if hit:
+            va, vb = pts[segments[:, 0]], pts[segments[:, 1]]
+            d1 = _cross2(c - g, va - g)
+            d2 = _cross2(c - g, vb - g)
+            d3 = _cross2(vb - va, g - va)
+            d4 = _cross2(vb - va, c - va)
+            hit = np.flatnonzero((d1 * d2 <= 0) & (d3 * d4 <= 0))
+        if len(hit):
             # the circumcenter would encroach (or escape) the boundary:
             # split those segments instead of inserting it
-            for k in sorted(hit, reverse=True):
+            for k in hit[::-1]:
                 check_budget()
                 split_segment(k)
         else:
-            if any(np.hypot(*(c - q)) <= _DEDUP_TOL_KM for q in pts):
-                raise MeshRefinementError(
-                    "refinement produced a duplicate node; relax min_angle or max_edge"
-                )
-            pts.append(c)
-        triangles = delaunay_triangulation(np.array(pts))
+            insert(c)
+        triangles = delaunay_triangulation(pts)
 
-    vertices = np.array(pts)
-    return Mesh(vertices, triangles, _boundary_edges(triangles))
+    return Mesh(pts, triangles, _boundary_edges(triangles))
 
 
 def locate(mesh: Mesh, point) -> Optional[tuple]:
@@ -356,11 +350,15 @@ def locate(mesh: Mesh, point) -> Optional[tuple]:
     lowest triangle index."""
     p = np.asarray(point, dtype=float)
     w = mesh.bary_transform() @ np.array([p[0], p[1], 1.0])
-    ok = np.all(w >= -1e-12, axis=1)
-    hits = np.nonzero(ok)[0]
-    if len(hits) == 0:
-        return None
-    t = int(hits[0])
+    hits = np.nonzero(np.all(w >= -1e-12, axis=1))[0]
+    if len(hits):
+        t = int(hits[0])
+    else:
+        # the (x, y, 1) inverse of a small triangle far from the origin can
+        # round a point on its edge a little past -1e-12
+        t = int(np.argmax(w.min(axis=1)))
+        if w[t].min() < -1e-9:
+            return None
     weights = np.clip(w[t], 0.0, None)
     weights /= weights.sum()
     return t, weights
