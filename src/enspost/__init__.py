@@ -8,5 +8,3 @@ the ``enspost`` command line interface.
 """
 
 __version__ = "0.1.0"
-
-from . import data, ecc, emos, memos, mesh, spde, verify  # noqa: F401

@@ -7,6 +7,10 @@ manifest recording the config hash and seed, and is deterministic given
 read data strictly before each valid date.
 
 Artifacts: ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
+``fit --method memos`` writes the posterior draws of each day to
+draws_memos/<date>.csv and the chain's health next to them in
+draws_memos/<date>.json: seed, acceptance, final proposal step,
+invalid_proposals and the kept θ chain (n × 5 log hyperparameters).
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
@@ -38,12 +42,15 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
 import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+# Every factorization here is small and banded: one BLAS thread, unless set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 from . import data, ecc, emos, memos, mesh as mesh_mod, verify
 
@@ -280,7 +287,7 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
                 )
             path = draws_dir / f"{day.isoformat()}.csv"
             draws.to_csv(path)
-            outputs.append(path)
+            outputs += [path.with_suffix(".json"), path]
     print(f"fit[{method}]: {len(days)} day(s) -> {outputs[-1] if outputs else out}")
     return outputs
 

@@ -19,8 +19,10 @@ operate per subsample.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -262,6 +264,15 @@ class PosteriorDraws:
         return len(self.sigma)
 
     def to_csv(self, path) -> None:
+        """Write the draws to `path` and the chain's health (seed,
+        acceptance, final step, invalid proposals, kept θ chain) to the
+        sidecar `path` with suffix .json."""
+        health = {"seed": self.seed, "acceptance": float(self.acceptance),
+                  "final_step": float(self.final_step),
+                  "invalid_proposals": int(self.invalid_proposals),
+                  "theta": self.theta.tolist()}
+        Path(path).with_suffix(".json").write_text(
+            json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["draw", "site", "a", "b", "sigma"])
@@ -291,8 +302,12 @@ class PosteriorDraws:
             a[didx[d], sidx[s]] = av
             b[didx[d], sidx[s]] = bv
             sigma[didx[d]] = sv
+        health = json.loads(Path(path).with_suffix(".json").read_text())
         return cls(sites=sites, a=a, b=b, sigma=sigma,
-                   theta=np.zeros((len(draws), 5)), seed=-1, acceptance=float("nan"))
+                   theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
+                   seed=health["seed"], acceptance=health["acceptance"],
+                   final_step=health["final_step"],
+                   invalid_proposals=health["invalid_proposals"])
 
 
 class McmcError(RuntimeError):

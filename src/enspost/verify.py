@@ -197,7 +197,7 @@ def dm_test(scores_a, scores_b, lag: int = 0) -> DmResult:
         stat = math.copysign(float("inf"), dbar)
         return DmResult(stat, 0.0, dbar, degenerate_variance=True)
     stat = dbar / math.sqrt(variance / n)
-    pvalue = 2.0 * (1.0 - float(ndtr(abs(stat))))
+    pvalue = 2.0 * float(ndtr(-abs(stat)))
     return DmResult(stat, pvalue, dbar)
 
 

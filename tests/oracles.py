@@ -2,15 +2,16 @@
 
 These deliberately take different computational routes from the library
 code they check: quadrature instead of closed forms, dense covariance-side
-linear algebra instead of sparse precision-side identities, and a
-point-by-point refinement loop instead of whole-array scans.
+linear algebra instead of sparse precision-side identities, a
+point-by-point refinement loop instead of whole-array scans, and a
+closed-form mixture CRPS instead of the score of a quantile sample.
 """
 
 import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from enspost import memos, mesh, spde
 
@@ -35,6 +36,41 @@ def crps_empirical_naive(sample, y: float) -> float:
     if n == 0:
         raise ValueError("empty forecast sample")
     return float(np.mean(np.abs(x - y)) - np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n))
+
+
+def _normal_pdf(x):
+    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+
+def _expected_abs(mean, var):
+    """E|X| for X ~ N(mean, var): A(mean, var) of Grimit et al. (2006)."""
+    sd = np.sqrt(var)
+    t = mean / sd
+    return 2.0 * sd * _normal_pdf(t) + mean * (2.0 * ndtr(t) - 1.0)
+
+
+def crps_gaussian_mixture(weights, mu, sigma, y) -> float:
+    """Closed-form CRPS of Σ wᵢ N(μᵢ, σᵢ²) at y (Grimit et al. 2006, QJRMS):
+    Σ wᵢ A(y−μᵢ, σᵢ²) − ½ ΣΣ wᵢwⱼ A(μᵢ−μⱼ, σᵢ²+σⱼ²), A(μ, σ²) = E|N(μ, σ²)|."""
+    w, mu, var = (np.asarray(v, dtype=float) for v in (weights, mu, np.square(sigma)))
+    spread = _expected_abs(mu[:, None] - mu[None, :], var[:, None] + var[None, :])
+    return float(w @ _expected_abs(y - mu, var) - 0.5 * w @ spread @ w)
+
+
+def midpoint_quantile_w1(m: int) -> float:
+    """Wasserstein-1 distance between N(0, 1) and the uniform distribution on
+    its m quantiles z_j at levels (2j−1)/(2m), in closed form.
+
+    Quantile j stands for the probability slice between a_j = Φ⁻¹((j−1)/m)
+    and b_j = Φ⁻¹(j/m), so W₁ = Σ_j ∫_{a_j}^{b_j} |x − z_j| φ(x) dx.  With
+    ∫ x φ(x) dx = −φ(x) one slice is
+    2φ(z_j) − φ(a_j) − φ(b_j) + z_j (2Φ(z_j) − Φ(a_j) − Φ(b_j)), and the last
+    term vanishes because Φ(z_j) is the slice's middle level.  Each inner
+    edge bounds two slices and φ(±∞) = 0, so
+    W₁ = 2 Σ_j φ(z_j) − 2 Σ_{k=1}^{m−1} φ(Φ⁻¹(k/m))."""
+    z = ndtri((2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
+    edges = ndtri(np.arange(1, m) / m)
+    return float(2.0 * _normal_pdf(z).sum() - 2.0 * _normal_pdf(edges).sum())
 
 
 def dense_log_marginal(theta, training, msh, ops, priors, alpha=1):

@@ -3,11 +3,15 @@
 import csv
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from oracles import crps_gaussian_mixture, midpoint_quantile_w1
 
 from enspost import cli, data, memos, verify
 
@@ -129,6 +133,17 @@ class TestPipelineContract:
         expected = memos.predictive_sample(draws, {s: cases[s].fbar for s in sites}, 8)
         assert np.array_equal(rebuilt.values, expected.values)
 
+    def test_fit_manifest_lists_the_draws_sidecars(self, pipeline):
+        config, out = pipeline
+        outputs = json.loads((out / "manifest_fit.json").read_text())["outputs"]
+        days = [f"2010-06-{d}" for d in range(16, 22)]
+        assert outputs == sorted(f"draws_memos/{d}.{ext}" for d in days
+                                 for ext in ("csv", "json"))
+        health = json.loads((out / "draws_memos" / f"{days[0]}.json").read_text())
+        assert sorted(health) == ["acceptance", "final_step", "invalid_proposals",
+                                  "seed", "theta"]
+        assert np.shape(health["theta"]) == (20, 5)
+
     def test_raw_ecc_equals_sorted_raw_reordered(self, pipeline):
         """The raw ensemble is invariant under the reordering."""
         import csv as csv_mod
@@ -152,6 +167,47 @@ class TestPipelineContract:
                 assert values == pytest.approx(cases[key])
                 checked += 1
         assert checked > 0
+
+
+class TestMixtureCrpsOracle:
+    def test_memos_crps_matches_the_closed_form_mixture_crps(self, tmp_path):
+        """Each memos crps row of scores.csv is the sample CRPS of the grouped
+        m-quantile sample of the day's mixture (1/n)Σ N(μᵢ, σᵢ²) from
+        predict_memos.csv; the closed form (Grimit et al. 2006) scores the
+        mixture itself.  Their gap is bounded by 2·W₁(sample, mixture):
+        CRPS(F, y) = E|X − y| − ½E|X − X'|, and both |x − y| and |x − x'|
+        are 1-Lipschitz in each argument, so under a W₁-optimal coupling the
+        two terms move by at most W₁ and ½·2W₁.  Coupling each component to
+        its own m quantiles gives W₁ ≤ (1/n)Σ σᵢ w_m, with w_m the W₁ distance
+        of N(0, 1) from its m midpoint quantiles (`midpoint_quantile_w1`).
+        So |gap| ≤ 2 w_m mean(σᵢ), plus float rounding.  The bound is not
+        tight, so the run uses m = 50 (2 w_m = 0.060) rather than the
+        module pipeline's m = 8 (2 w_m = 0.30)."""
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("\nm = 8\n", "\nm = 50\n"))
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        run_cli(config, out, "mesh")
+        run_cli(config, out, "fit", "--method", "memos")
+        run_cli(config, out, "predict", "--method", "memos")
+        run_cli(config, out, "verify")
+        components = {}
+        with open(out / "predict_memos.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                mu, sigma = components.setdefault((row["date"], row["site"]), ([], []))
+                mu.append(float(row["mu"]))
+                sigma.append(float(row["sigma"]))
+        table = data.load_cases(out / "cases.csv")
+        w_m = midpoint_quantile_w1(50)
+        scores = verify.ScoreSeries.from_csv(out / "scores.csv")
+        rows = [(d, s, v) for d, s, m, sc, v in scores.rows()
+                if m == "memos" and sc == "crps"]
+        assert len(rows) == 6 * 10
+        for date, site, value in rows:
+            mu, sigma = components[(date, site)]
+            y = table.on(dt.date.fromisoformat(date))[site].observation
+            exact = crps_gaussian_mixture(np.full(len(mu), 1.0 / len(mu)), mu, sigma, y)
+            assert abs(value - exact) <= 2.0 * w_m * np.mean(sigma) + 1e-9, (date, site)
 
 
 class TestDeterminism:
@@ -186,6 +242,24 @@ class TestDeterminism:
         assert (out1 / "cases.csv").read_bytes() != (out2 / "cases.csv").read_bytes()
 
 
+def corrupt_future_observations(src, dst, valid_date):
+    """Copy src/cases.csv to dst with every observation on or after the
+    valid date set to 9999.0."""
+    dst.mkdir()
+    lines = (src / "cases.csv").read_text().splitlines()
+    header, rows = lines[0], lines[1:]
+    cols = header.split(",")
+    obs_idx = cols.index("obs")
+    date_idx = cols.index("date")
+    corrupted = []
+    for row in rows:
+        fields = row.split(",")
+        if fields[date_idx] >= valid_date:
+            fields[obs_idx] = "9999.0"
+        corrupted.append(",".join(fields))
+    (dst / "cases.csv").write_text("\n".join([header] + corrupted) + "\n")
+
+
 class TestNoLookAhead:
     def test_fit_ignores_future_observations(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -195,23 +269,51 @@ class TestNoLookAhead:
         run_cli(config, out_clean, "fit", "--method", "global")
 
         out_corrupt = tmp_path / "corrupt"
-        out_corrupt.mkdir()
-        lines = (out_clean / "cases.csv").read_text().splitlines()
-        header, rows = lines[0], lines[1:]
-        cols = header.split(",")
-        obs_idx = cols.index("obs")
-        date_idx = cols.index("date")
-        corrupted = []
-        for row in rows:
-            fields = row.split(",")
-            if fields[date_idx] >= "2010-06-16":  # on/after the valid date
-                fields[obs_idx] = "9999.0"
-            corrupted.append(",".join(fields))
-        (out_corrupt / "cases.csv").write_text("\n".join([header] + corrupted) + "\n")
+        corrupt_future_observations(out_clean, out_corrupt, "2010-06-16")
         run_cli(config, out_corrupt, "fit", "--method", "global")
         assert (out_clean / "params_global.json").read_bytes() == (
             out_corrupt / "params_global.json"
         ).read_bytes()
+
+    def test_fit_memos_ignores_future_observations(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("eval_days = 6", "eval_days = 1"))
+        out_clean = tmp_path / "clean"
+        run_cli(config, out_clean, "simulate")
+        out_corrupt = tmp_path / "corrupt"
+        corrupt_future_observations(out_clean, out_corrupt, "2010-06-16")
+        for out in (out_clean, out_corrupt):
+            run_cli(config, out, "mesh")
+            run_cli(config, out, "fit", "--method", "memos")
+        for name in ("2010-06-16.csv", "2010-06-16.json"):
+            assert (out_clean / "draws_memos" / name).read_bytes() == (
+                out_corrupt / "draws_memos" / name
+            ).read_bytes(), name
+
+
+class TestBlasThreads:
+    """The CLI pins OpenBLAS to one thread before numpy loads, unless the
+    caller already chose a thread count."""
+
+    @staticmethod
+    def probe(env, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "")
+                                                     .split(os.pathsep) if p])
+        proc = subprocess.run([sys.executable, "-c", "import os, enspost.cli\n" + code],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_import_runs_one_thread(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert self.probe(env, "print(len(os.listdir('/proc/self/task')))") == "1"
+
+    def test_caller_setting_wins(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        assert self.probe(env, "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"
 
 
 class TestErrors:

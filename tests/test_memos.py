@@ -1,6 +1,7 @@
 """Tests for the latent-field Bayesian model: priors, marginal likelihood,
 posterior sampling and the predictive mixture."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -410,10 +411,19 @@ class TestDrawsCsvRoundtrip:
             training, locs, n=5, seed=3, mesh=msh,
             config=memos.McmcConfig(burn_in=30, thin=1),
         )
+        # a count the reader's default (0) cannot fake
+        draws = dataclasses.replace(draws, invalid_proposals=7)
         path = tmp_path / "draws.csv"
         draws.to_csv(path)
         back = memos.PosteriorDraws.from_csv(path)
         assert back.sites == sorted(draws.sites)
         idx = [back.sites.index(s) for s in draws.sites]
-        assert np.allclose(back.a[:, idx], draws.a)
-        assert np.allclose(back.sigma, draws.sigma)
+        assert np.array_equal(back.a[:, idx], draws.a)
+        assert np.array_equal(back.b[:, idx], draws.b)
+        assert np.array_equal(back.sigma, draws.sigma)
+        assert np.array_equal(back.theta, draws.theta)
+        assert back.theta.shape == (5, 5)
+        assert back.seed == draws.seed == 3
+        assert back.acceptance == draws.acceptance
+        assert back.final_step == draws.final_step
+        assert back.invalid_proposals == 7

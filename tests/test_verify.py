@@ -243,6 +243,15 @@ class TestDmTest:
         with pytest.raises(ValueError):
             verify.dm_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_pvalue_keeps_precision_at_large_statistics(self):
+        """2·Φ(−|t|), not 2·(1 − Φ(|t|)), which cancels to 0 from |t| ≈ 8.3."""
+        rng = np.random.default_rng(3)
+        d = 1.0 + 0.1 * rng.standard_normal(20)
+        res = verify.dm_test(d, np.zeros(20))
+        assert res.statistic > 20
+        assert res.pvalue > 0.0
+        assert res.pvalue == pytest.approx(2.0 * norm.sf(res.statistic), rel=1e-12)
+
 
 class TestScoreSeries:
     def test_duplicate_entry_rejected(self):
