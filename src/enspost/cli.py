@@ -16,7 +16,12 @@ one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
 in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
 grouped m-quantile sample of each day from those rows with
-``memos.quantile_sample``.
+``memos.quantile_sample`` (for raw: the sorted members, n = 1).  ``ecc``
+writes ens_<method>_<structure>.csv with columns date,site,ranks: one row
+per (date, site) holding L space-separated ranks, the raw ensemble's m
+ranks for ECC or a permutation of the N = m·n pooled values for
+independence.  ``verify`` rebuilds each ensemble by reordering every
+consecutive block of L pooled values by these ranks.
 
 Config keys (defaults in parentheses):
   seed (0)                 window (25)            min_train (10)
@@ -354,6 +359,17 @@ def _day_sample(components: dict, m: int) -> memos.PredictiveSample:
     return memos.quantile_sample(sites, mu, sigma, m)
 
 
+def _ensemble_sample(method: str, rows: dict, m: int) -> memos.PredictiveSample:
+    """The day's sample that ECC reorders: for raw, the sorted members of the
+    day's cases as one subsample (n = 1); else the grouped m-quantile sample
+    of the day's {site: (mu, sigma)} components."""
+    if method != "raw":
+        return _day_sample(rows, m)
+    sites = sorted(rows)
+    sorted_raw = np.sort([rows[s].members for s in sites], axis=1)
+    return memos.PredictiveSample(sites=sites, values=sorted_raw.T[None])
+
+
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
@@ -363,39 +379,62 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "site", "member", "value"])
+        writer.writerow(["date", "site", "ranks"])
         for day in days:
             key = day.isoformat()
-            raw_by_site = {s: np.asarray(c.members) for s, c in table.on(day).items()}
-            if method == "raw":
-                sites = sorted(raw_by_site)
-                sorted_raw = np.sort([raw_by_site[s] for s in sites], axis=1)
-                sample = memos.PredictiveSample(sites=sites, values=sorted_raw.T[None])
-            elif key in preds:
-                sample = _day_sample(preds[key], m)
-            else:
+            cases = table.on(day)
+            rows = cases if preds is None else preds.get(key)
+            if rows is None:
                 raise CliError(f"no predictions for {key} in predict_{method}.csv "
                                "(run `predict` first?)")
+            sample = _ensemble_sample(method, rows, m)
             if structure == "ecc":
                 rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-                merged = ecc.ecc_memos(raw_by_site, sample, rng)
+                ranks = ecc.ecc_ranks({s: c.members for s, c in cases.items()}, sample, rng)
             else:
                 rng = np.random.default_rng(subseed(cfg.seed, "independence", key))
-                merged = ecc.independence_shuffle(
-                    {s: sample.pooled(s) for s in sample.sites}, rng
-                )
-            for site in sorted(merged):
-                writer.writerows([key, site, k, repr(float(value))]
-                                 for k, value in enumerate(merged[site], start=1))
+                ranks = ecc.shuffle_ranks({s: sample.n * sample.m for s in sample.sites}, rng)
+            writer.writerows([key, site, " ".join(map(str, pi.pi))]
+                             for site, pi in sorted(ranks.items()))
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
 
-def _univariate_scores(cfg: RunConfig, out: Path, table, days, scores: verify.ScoreSeries,
+def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
+    """Rebuild ens_<label>.csv as {date: {site: N members}}: each row's ranks
+    reorder the site's pooled `_ensemble_sample` block by block
+    (`ecc.apply_permutation`).  ECC rows hold m ranks, independence rows N."""
+    method, structure = label.rsplit("_", 1)
+    path = out / f"ens_{label}.csv"
+    source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
+    by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
+    ensembles, samples = {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["date", "site", "ranks"]:
+            raise CliError(f"{path}: expected the header date,site,ranks (rerun `ecc`?)")
+        for row in reader:
+            try:
+                key, site, text = row
+                pi = ecc.RankPermutation(tuple(map(int, text.split())))
+                rows = (table.on(dt.date.fromisoformat(key)) if by_day is None
+                        else by_day.get(key, {}))
+                if site not in rows:
+                    raise ValueError(f"{key} site {site} has no row in {source}")
+                if key not in samples:
+                    samples[key] = _ensemble_sample(method, rows, m)
+                if structure == "ecc" and len(pi) != samples[key].m:
+                    raise ValueError(f"{len(pi)} ranks for ensemble size {samples[key].m}")
+                ensembles.setdefault(key, {})[site] = ecc.apply_permutation(
+                    pi, samples[key].pooled(site))
+            except ValueError as exc:
+                raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
+    return ensembles
+
+
+def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.ScoreSeries,
                        pit_values: dict) -> None:
     m = cfg.get("m", 50, int)
-    preds = {method: _load_predictions(out, method) for method in METHODS_FIT
-             if (out / f"predict_{method}.csv").exists()}
 
     for day in days:
         key = day.isoformat()
@@ -431,18 +470,12 @@ def _univariate_scores(cfg: RunConfig, out: Path, table, days, scores: verify.Sc
                 )
 
 
-def _multivariate_scores(cfg: RunConfig, out: Path, table, days,
+def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
                          scores: verify.ScoreSeries, mv_ranks: dict) -> None:
+    m = cfg.get("m", 50, int)
     for ens_path in sorted(out.glob("ens_*_*.csv")):
-        stem = ens_path.stem[len("ens_"):]
-        method, structure = stem.rsplit("_", 1)
-        label = f"{method}_{structure}"
-        per_day: dict = {}
-        with open(ens_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                per_day.setdefault(row["date"], {}).setdefault(row["site"], []).append(
-                    float(row["value"])
-                )
+        label = ens_path.stem[len("ens_"):]
+        per_day = _load_ensembles(out, label, table, preds, m)
         for day in days:
             key = day.isoformat()
             if key not in per_day:
@@ -468,41 +501,38 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     bins = verify.HistogramSpec(cfg.get("bins", 17, int))
     outputs = []
 
+    preds = {method: _load_predictions(out, method) for method in METHODS_FIT
+             if (out / f"predict_{method}.csv").exists()}
     scores = verify.ScoreSeries()
     pit_values: dict = {}
-    _univariate_scores(cfg, out, table, days, scores, pit_values)
+    _univariate_scores(cfg, table, days, preds, scores, pit_values)
     mv_ranks: dict = {}
-    _multivariate_scores(cfg, out, table, days, scores, mv_ranks)
+    _multivariate_scores(cfg, out, table, days, preds, scores, mv_ranks)
 
     scores_path = out / "scores.csv"
     scores.to_csv(scores_path)
     outputs.append(scores_path)
 
+    histograms = {}
     for method, values in sorted(pit_values.items()):
-        hist_path = out / f"hist_{method}.csv"
         if method == "raw":
             spec = verify.HistogramSpec(min(bins.bins, table.m + 1))
             counts = verify.histogram(np.asarray(values), spec, rank_max=table.m + 1)
         else:
             counts = verify.histogram(np.asarray(values), bins)
-        with open(hist_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "bin", "frequency"])
-            for b, freq in enumerate(counts, start=1):
-                writer.writerow([method, b, repr(float(freq))])
-        outputs.append(hist_path)
-
+        histograms[f"hist_{method}"] = (method, counts)
     for label, ranked in sorted(mv_ranks.items()):
         rank_max = ranked[0][1]
         spec = verify.HistogramSpec(min(bins.bins, rank_max))
-        counts = verify.histogram(np.asarray([r for r, _ in ranked]), spec,
-                                  rank_max=rank_max)
-        hist_path = out / f"mvhist_{label}.csv"
+        histograms[f"mvhist_{label}"] = (label, verify.histogram(
+            np.asarray([r for r, _ in ranked]), spec, rank_max=rank_max))
+    for name, (label, counts) in histograms.items():
+        hist_path = out / f"{name}.csv"
         with open(hist_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "bin", "frequency"])
-            for b, freq in enumerate(counts, start=1):
-                writer.writerow([label, b, repr(float(freq))])
+            writer.writerows([label, b, repr(float(freq))]
+                             for b, freq in enumerate(counts, start=1))
         outputs.append(hist_path)
 
     for method in METHODS_ALL:
@@ -515,11 +545,10 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     if compare:
         method_a, method_b = compare
         if daily_mean:
-            dates_a, series_a = scores.daily_mean(method_a, score)
-            dates_b, series_b = scores.daily_mean(method_b, score)
+            _, series_a = scores.daily_mean(method_a, score)
+            _, series_b = scores.daily_mean(method_b, score)
         else:
-            rows_a = {}
-            rows_b = {}
+            rows_a, rows_b = {}, {}
             for d, s, meth, sc, v in scores.rows():
                 if sc != score:
                     continue
@@ -528,7 +557,6 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
                 elif meth == method_b:
                     rows_b[(d, s)] = v
             keys = sorted(set(rows_a) & set(rows_b))
-            dates_a = keys
             series_a = np.array([rows_a[k] for k in keys])
             series_b = np.array([rows_b[k] for k in keys])
         result = verify.dm_test(series_a, series_b, lag=lag)

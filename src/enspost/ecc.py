@@ -6,6 +6,12 @@ postprocessed margins.  The per-subsample variant applies the same
 raw-derived permutation independently to each of the n posterior
 subsamples, merging them into one N = m·n member ensemble.  Independence
 shuffling destroys dependence on purpose and serves as a baseline.
+
+Both reorderings are a RankPermutation per site, and one rule applies
+either: ranks of length L reorder each consecutive block of L values of
+the site's pooled sample (see `apply_permutation`).  ECC draws L = m ranks
+from the raw members; the independence shuffle draws one permutation of
+L = N.  The CLI stores these ranks, not the reordered values.
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ from .memos import PredictiveSample
 
 @dataclass(frozen=True)
 class RankPermutation:
-    """Ranks of the raw members: pi[k] is the rank (1..m) of member k,
-    with ties broken at random."""
+    """A permutation of 1..L: pi[k] is the rank of member k within its
+    block (for ECC, the raw members' ranks with ties broken at random)."""
 
     pi: tuple
 
     def __post_init__(self):
-        if sorted(self.pi) != list(range(1, len(self.pi) + 1)):
-            raise ValueError("pi must be a permutation of 1..m")
+        if not self.pi or sorted(self.pi) != list(range(1, len(self.pi) + 1)):
+            raise ValueError("pi must be a permutation of 1..L")
 
     def __len__(self):
         return len(self.pi)
@@ -46,14 +52,15 @@ def rank_permutation(raw, rng: np.random.Generator = None) -> RankPermutation:
     return RankPermutation(pi=tuple(int(r) for r in pi))
 
 
-def apply_permutation(pi: RankPermutation, sorted_sample) -> np.ndarray:
-    """Member k of the output takes the sorted sample's value at rank pi[k]."""
-    sorted_sample = np.asarray(sorted_sample, dtype=float)
-    if len(sorted_sample) != len(pi):
+def apply_permutation(pi: RankPermutation, sample) -> np.ndarray:
+    """Reorder each consecutive block of len(pi) values: member k of a block
+    takes that block's value at rank pi[k]."""
+    sample = np.asarray(sample, dtype=float)
+    if len(sample) % len(pi):
         raise ValueError(
-            f"sample size {len(sorted_sample)} does not match ensemble size {len(pi)}"
+            f"sample size {len(sample)} is not a multiple of ensemble size {len(pi)}"
         )
-    return sorted_sample[np.asarray(pi.pi) - 1]
+    return sample.reshape(-1, len(pi))[:, np.asarray(pi.pi) - 1].reshape(-1)
 
 
 def ecc_q(raw, post_sample, rng: np.random.Generator = None) -> np.ndarray:
@@ -74,23 +81,20 @@ def ecc_q(raw, post_sample, rng: np.random.Generator = None) -> np.ndarray:
     return apply_permutation(rank_permutation(raw, rng), post_sample)
 
 
-def ecc_memos(raw_by_site: dict, sample: PredictiveSample,
+def ecc_ranks(raw_by_site: dict, sample: PredictiveSample,
               rng: np.random.Generator = None) -> dict:
-    """Per-subsample reordering of a grouped posterior predictive sample.
+    """One rank permutation per site of a grouped sample, from its raw members.
 
-    One rank permutation is derived per site from its raw members and
-    applied to each of the n subsamples, which must arrive sorted within
-    subsample (as the quantile construction produces them).  Returns the
-    merged N = m·n values per site, subsample-major.
+    The n subsamples must arrive sorted (as the quantile construction
+    produces them) with one value per raw member.  Ranks are drawn in
+    sample.sites order from the one stream.
     """
     if not isinstance(sample, PredictiveSample):
         raise ValueError("subsample grouping metadata missing: expected a PredictiveSample")
-    if rng is None:
-        rng = np.random.default_rng()
     missing = [s for s in sample.sites if s not in raw_by_site]
     if missing:
         raise ValueError(f"raw ensemble missing for sites {missing}")
-    out = {}
+    ranks = {}
     for site in sample.sites:
         raw = np.asarray(raw_by_site[site], dtype=float)
         grouped = sample.at_site(site)  # (n, m)
@@ -101,16 +105,28 @@ def ecc_memos(raw_by_site: dict, sample: PredictiveSample,
             )
         if np.any(np.diff(grouped, axis=1) < 0):
             raise ValueError(f"site {site}: subsamples must be sorted ascending")
-        pi = rank_permutation(raw, rng)
-        cols = np.asarray(pi.pi) - 1
-        out[site] = grouped[:, cols].reshape(-1)
-    return out
+        ranks[site] = rank_permutation(raw, rng)
+    return ranks
+
+
+def shuffle_ranks(sizes: dict, rng: np.random.Generator) -> dict:
+    """A uniform random permutation of 1..sizes[site] per site, drawn in
+    sorted site order."""
+    return {site: RankPermutation(pi=tuple((rng.permutation(sizes[site]) + 1).tolist()))
+            for site in sorted(sizes)}
+
+
+def ecc_memos(raw_by_site: dict, sample: PredictiveSample,
+              rng: np.random.Generator = None) -> dict:
+    """Per-subsample reordering of a grouped posterior predictive sample:
+    each site's `ecc_ranks` permutation reorders each of its n subsamples.
+    Returns the merged N = m·n values per site, subsample-major."""
+    return {site: apply_permutation(pi, sample.pooled(site))
+            for site, pi in ecc_ranks(raw_by_site, sample, rng).items()}
 
 
 def independence_shuffle(sample_by_site: dict, rng: np.random.Generator) -> dict:
     """Independent uniform random permutation of the values at each site."""
-    out = {}
-    for site in sorted(sample_by_site):
-        values = np.asarray(sample_by_site[site], dtype=float)
-        out[site] = values[rng.permutation(len(values))]
-    return out
+    values = {site: np.asarray(v, dtype=float) for site, v in sample_by_site.items()}
+    ranks = shuffle_ranks({site: len(v) for site, v in values.items()}, rng)
+    return {site: apply_permutation(pi, values[site]) for site, pi in ranks.items()}

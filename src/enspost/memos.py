@@ -54,9 +54,6 @@ class Hyperparameters:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
-    def log_vector(self) -> np.ndarray:
-        return np.log([self.kappa_a, self.tau_a, self.kappa_b, self.tau_b, self.sigma])
-
     @classmethod
     def from_log_vector(cls, x) -> "Hyperparameters":
         k_a, t_a, k_b, t_b, s = np.exp(np.asarray(x, dtype=float))

@@ -291,40 +291,6 @@ def sample_gmrf(Q: Precision, count: int, rng: np.random.Generator) -> np.ndarra
     return np.ascontiguousarray(w.T)
 
 
-def conditional_gaussian(Q_prior, A, noise_prec: float, y):
-    """Gaussian conditioning of a GMRF prior on linear observations.
-
-    Posterior precision Q_post = Q_prior + noise_prec·AᵀA and mean μ
-    solving Q_post μ = noise_prec·Aᵀy.  An empty A returns the prior.
-    """
-    Qp = Q_prior.Q if isinstance(Q_prior, Precision) else sp.csc_matrix(Q_prior)
-    n = Qp.shape[0]
-    A = sp.csr_matrix(A) if A is not None else sp.csr_matrix((0, n))
-    if A.shape[0] == 0:
-        return np.zeros(n), Qp
-    if A.shape[1] != n:
-        raise ValueError(f"design has {A.shape[1]} columns, expected {n}")
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != A.shape[0]:
-        raise ValueError("observation vector length does not match design rows")
-    Q_post = sp.csc_matrix(Qp + noise_prec * (A.T @ A))
-    chol = SparseCholesky(Q_post)
-    mean = chol.solve(noise_prec * (A.T @ y))
-    return mean, Q_post
-
-
-def to_coo_text(matrix) -> str:
-    """Coordinate-triplet dump (`row col value` per line, 0-based, sorted)
-    for eyeballing sparse operators."""
-    coo = sp.coo_matrix(matrix)
-    coo.sum_duplicates()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}" for k in order
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def spde_logdet_factory(ops: SpdeOperators):
     """Fast log-determinant of Q(κ, τ) for repeated hyperparameter sweeps.
 

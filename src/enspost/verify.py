@@ -43,17 +43,9 @@ def sample_median(sample) -> float:
 
 
 def abs_error(predictive, y: float) -> float:
-    """Absolute error of the predictive median.
-
-    `predictive` is either a sample (array-like) or an object with a
-    `median` attribute/method (a Gaussian forecast's median is its mean).
-    """
-    if hasattr(predictive, "mu"):
-        med = float(predictive.mu)
-    elif hasattr(predictive, "median"):
-        med = predictive.median() if callable(predictive.median) else float(predictive.median)
-    else:
-        med = sample_median(predictive)
+    """Absolute error of the predictive median: the sample median of an
+    array-like, or the mean `mu` of a Gaussian forecast."""
+    med = float(predictive.mu) if hasattr(predictive, "mu") else sample_median(predictive)
     return abs(med - float(y))
 
 

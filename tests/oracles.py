@@ -5,11 +5,14 @@ code they check: quadrature instead of closed forms, dense covariance-side
 linear algebra instead of sparse precision-side identities, a
 point-by-point refinement loop instead of whole-array scans, and a
 closed-form mixture CRPS instead of the score of a quantile sample.
+The last two helpers, dense-design Gaussian conditioning of a GMRF and a
+sparse-matrix triplet dump, are used only by the tests.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 from scipy.special import ndtr, ndtri
 
@@ -218,3 +221,37 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
         triangles = mesh.delaunay_triangulation(np.array(pts))
 
     return mesh.Mesh(np.array(pts), triangles, boundary_edges_by_count(triangles))
+
+
+def conditional_gaussian(Q_prior, A, noise_prec: float, y):
+    """Gaussian conditioning of a GMRF prior on linear observations.
+
+    Posterior precision Q_post = Q_prior + noise_prec·AᵀA and mean μ
+    solving Q_post μ = noise_prec·Aᵀy.  An empty A returns the prior.
+    """
+    Qp = Q_prior.Q if isinstance(Q_prior, spde.Precision) else sp.csc_matrix(Q_prior)
+    n = Qp.shape[0]
+    A = sp.csr_matrix(A) if A is not None else sp.csr_matrix((0, n))
+    if A.shape[0] == 0:
+        return np.zeros(n), Qp
+    if A.shape[1] != n:
+        raise ValueError(f"design has {A.shape[1]} columns, expected {n}")
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] != A.shape[0]:
+        raise ValueError("observation vector length does not match design rows")
+    Q_post = sp.csc_matrix(Qp + noise_prec * (A.T @ A))
+    chol = spde.SparseCholesky(Q_post)
+    mean = chol.solve(noise_prec * (A.T @ y))
+    return mean, Q_post
+
+
+def to_coo_text(matrix) -> str:
+    """Coordinate-triplet dump (`row col value` per line, 0-based, sorted)
+    for eyeballing sparse operators."""
+    coo = sp.coo_matrix(matrix)
+    coo.sum_duplicates()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [
+        f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}" for k in order
+    ]
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,8 @@ import csv
 import datetime as dt
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 from oracles import crps_gaussian_mixture, midpoint_quantile_w1
 
-from enspost import cli, data, memos, verify
+from enspost import cli, data, ecc, memos, verify
 
 CONFIG = """\
 seed = 11
@@ -149,12 +151,10 @@ class TestPipelineContract:
         import csv as csv_mod
 
         config, out = pipeline
-        by_key = {}
-        with open(out / "ens_raw_ecc.csv", newline="") as fh:
-            for row in csv_mod.DictReader(fh):
-                by_key.setdefault((row["date"], row["site"]), []).append(
-                    float(row["value"])
-                )
+        table = data.load_cases(out / "cases.csv")
+        by_key = {(date, site): list(values)
+                  for date, by_site in cli._load_ensembles(out, "raw_ecc", table, {}, 8).items()
+                  for site, values in by_site.items()}
         cases = {}
         with open(out / "cases.csv", newline="") as fh:
             for row in csv_mod.DictReader(fh):
@@ -167,6 +167,43 @@ class TestPipelineContract:
                 assert values == pytest.approx(cases[key])
                 checked += 1
         assert checked > 0
+
+    def test_ecc_artifact_rebuilds_the_ecc_output(self, pipeline):
+        """The ensembles verify rebuilds from the rank rows equal ecc_memos and
+        independence_shuffle run on the day's sample with the ecc streams."""
+        config, out = pipeline
+        seed = cli.RunConfig.load(config).seed
+        table = data.load_cases(out / "cases.csv")
+        preds = {"memos": cli._load_predictions(out, "memos")}
+        for label in ("memos_ecc", "memos_independence", "raw_ecc"):
+            method, structure = label.rsplit("_", 1)
+            rebuilt = cli._load_ensembles(out, label, table, preds, 8)
+            assert sorted(rebuilt) == [f"2010-06-{d}" for d in range(16, 22)]
+            for key, by_site in rebuilt.items():
+                cases = table.on(dt.date.fromisoformat(key))
+                if method == "raw":
+                    sites = sorted(cases)
+                    members = np.sort([cases[s].members for s in sites], axis=1)
+                    sample = memos.PredictiveSample(sites=sites, values=members.T[None])
+                else:
+                    sample = cli._day_sample(preds[method][key], 8)
+                if structure == "ecc":
+                    rng = np.random.default_rng(cli.subseed(seed, "ecc-ties", key))
+                    raw = {s: c.members for s, c in cases.items()}
+                    expected = ecc.ecc_memos(raw, sample, rng)
+                else:
+                    rng = np.random.default_rng(cli.subseed(seed, "independence", key))
+                    expected = ecc.independence_shuffle(
+                        {s: sample.pooled(s) for s in sample.sites}, rng)
+                assert sorted(by_site) == sorted(expected) == sorted(cases)
+                for site, values in expected.items():
+                    assert np.array_equal(by_site[site], values)
+            with open(out / f"ens_{label}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["date", "site", "ranks"]
+            assert all(re.fullmatch(r"[0-9]+( [0-9]+)*", row[2]) for row in rows[1:])
+            assert len({tuple(row[:2]) for row in rows[1:]}) == len(rows) - 1 == sum(
+                len(by_site) for by_site in rebuilt.values())
 
 
 class TestMixtureCrpsOracle:
@@ -334,6 +371,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: missing upstream file: {out / missing} (run `{hint}` first?)\n"
+
+    @pytest.mark.parametrize("label, edit, message", [
+        ("memos_ecc", lambda row: row[:2] + ["1 1 2 3 4 5 6 7"],
+         "ens_memos_ecc.csv line 2: pi must be a permutation of 1..L"),
+        ("memos_independence", lambda row: row[:2] + ["1 2 3 4 5 6 7"],
+         "ens_memos_independence.csv line 2: sample size 160 "
+         "is not a multiple of ensemble size 7"),
+        ("memos_ecc", lambda row: row[:2] + ["2 1 4 3"],
+         "ens_memos_ecc.csv line 2: 4 ranks for ensemble size 8"),
+        ("memos_ecc", lambda row: [row[0], "nowhere", row[2]],
+         "ens_memos_ecc.csv line 2: {date} site nowhere has no row in predict_memos.csv"),
+    ], ids=["not-a-permutation", "length-not-a-divisor", "ecc-length-not-m",
+            "site-not-predicted"])
+    def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, edit, message):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / f"ens_{label}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        date = rows[1][0]
+        rows[1] = edit(rows[1])
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "verify"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: " + message.format(date=date) + "\n"
 
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",
