@@ -9,8 +9,9 @@ read data strictly before each valid date.
 Artifacts: ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
 ``fit --method memos`` writes the posterior draws of each day to
 draws_memos/<date>.csv and the chain's health next to them in
-draws_memos/<date>.json: seed, acceptance, final proposal step,
-invalid_proposals and the kept θ chain (n × 5 log hyperparameters).
+draws_memos/<date>.json: seed, acceptance overall and after burn-in
+(acceptance_post), final proposal step, invalid_proposals and the kept θ
+chain (n × 5 log hyperparameters).
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
@@ -50,7 +51,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 # Every factorization here is small and banded: one BLAS thread, unless set.
@@ -73,9 +74,12 @@ MODEL_ERRORS = (memos.McmcError, emos.FitError, mesh_mod.MeshRefinementError)
 
 @contextlib.contextmanager
 def _naming(*where):
-    """Re-raise a model failure as a CliError that names where it happened."""
+    """Re-raise a model failure, or any failure of one station inside a
+    batched local fit, as a CliError that names where it happened."""
     try:
         yield
+    except emos.StationError as exc:
+        raise CliError(f"{' '.join(where)} station {exc.station}: {exc}") from exc
     except MODEL_ERRORS as exc:
         raise CliError(f"{' '.join(where)}: {exc}") from exc
 
@@ -247,26 +251,18 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     min_train = cfg.get("min_train", 10, int)
     outputs = []
 
-    if method == "global":
+    if method in ("global", "local"):
         fits = {}
         for day in days:
-            with _naming("fit global", day.isoformat()):
-                params = emos.fit_global(table, day, length=window, min_cases=min_train)
-            fits[day.isoformat()] = {"a": params.a, "b": params.b, "sigma": params.sigma}
-        path = out / "params_global.json"
-        path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
-        outputs.append(path)
-    elif method == "local":
-        fits = {}
-        for day in days:
-            per_station = {}
-            for station in table.stations:
-                with _naming("fit local", day.isoformat(), "station", station):
-                    params = emos.fit_local(table, day, station, length=window,
-                                            min_cases=min_train)
-                per_station[station] = {"a": params.a, "b": params.b, "sigma": params.sigma}
-            fits[day.isoformat()] = per_station
-        path = out / "params_local.json"
+            with _naming(f"fit {method}", day.isoformat()):
+                if method == "global":
+                    params = asdict(emos.fit_global(table, day, length=window,
+                                                    min_cases=min_train))
+                else:
+                    params = {station: asdict(p) for station, p in emos.fit_local(
+                        table, day, table.stations, length=window, min_cases=min_train).items()}
+            fits[day.isoformat()] = params
+        path = out / f"params_{method}.json"
         path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
         outputs.append(path)
     else:

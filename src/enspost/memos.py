@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.special import ndtr, ndtri
 
 from .data import TrainingSet
-from .mesh import Mesh, build_mesh, projector
+from .mesh import Mesh, projector
 from .spde import (
     BandPattern,
     NonFiniteError,
@@ -255,6 +255,7 @@ class PosteriorDraws:
     acceptance: float
     final_step: float = float("nan")
     invalid_proposals: int = 0
+    acceptance_post: float = float("nan")   # over the kept (post-burn-in) steps
 
     @property
     def n(self) -> int:
@@ -262,9 +263,10 @@ class PosteriorDraws:
 
     def to_csv(self, path) -> None:
         """Write the draws to `path` and the chain's health (seed,
-        acceptance, final step, invalid proposals, kept θ chain) to the
-        sidecar `path` with suffix .json."""
+        acceptance overall and after burn-in, final step, invalid proposals,
+        kept θ chain) to the sidecar `path` with suffix .json."""
         health = {"seed": self.seed, "acceptance": float(self.acceptance),
+                  "acceptance_post": float(self.acceptance_post),
                   "final_step": float(self.final_step),
                   "invalid_proposals": int(self.invalid_proposals),
                   "theta": self.theta.tolist()}
@@ -299,12 +301,17 @@ class PosteriorDraws:
             a[didx[d], sidx[s]] = av
             b[didx[d], sidx[s]] = bv
             sigma[didx[d]] = sv
-        health = json.loads(Path(path).with_suffix(".json").read_text())
-        return cls(sites=sites, a=a, b=b, sigma=sigma,
-                   theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
-                   seed=health["seed"], acceptance=health["acceptance"],
-                   final_step=health["final_step"],
-                   invalid_proposals=health["invalid_proposals"])
+        sidecar = Path(path).with_suffix(".json")
+        health = json.loads(sidecar.read_text())
+        try:
+            return cls(sites=sites, a=a, b=b, sigma=sigma,
+                       theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
+                       seed=health["seed"], acceptance=health["acceptance"],
+                       final_step=health["final_step"],
+                       invalid_proposals=health["invalid_proposals"],
+                       acceptance_post=health["acceptance_post"])
+        except KeyError as exc:
+            raise ValueError(f"{sidecar} has no {exc} entry (rerun `fit --method memos`)") from exc
 
 
 class McmcError(RuntimeError):
@@ -323,7 +330,8 @@ def sample_posterior(
     sites: list,
     n: int = 100,
     seed: int = 0,
-    mesh: Optional[Mesh] = None,
+    *,
+    mesh: Mesh,
     priors: Priors = Priors(),
     config: McmcConfig = McmcConfig(),
     init: Optional[np.ndarray] = None,
@@ -340,11 +348,6 @@ def sample_posterior(
     for fixed (inputs, seed).
     """
     sites = list(sites)
-    if mesh is None:
-        merged = {loc.id: loc for loc in training.locations.values()}
-        for loc in sites:
-            merged[loc.id] = loc
-        mesh = build_mesh([merged[k] for k in sorted(merged)])
     site_coords = np.array([[loc.x, loc.y] for loc in sites])
     psi_sites = projector(mesh, site_coords).matrix
 
@@ -413,7 +416,8 @@ def sample_posterior(
             kept += 1
 
     post_steps = n * config.thin
-    if post_steps >= 50 and accepted_post / post_steps < config.min_acceptance:
+    acceptance_post = accepted_post / post_steps if post_steps else float("nan")
+    if post_steps >= 50 and acceptance_post < config.min_acceptance:
         raise McmcError(
             "Metropolis acceptance stayed below "
             f"{config.min_acceptance:.0%} after adaptation; review priors and "
@@ -430,6 +434,7 @@ def sample_posterior(
         acceptance=accepted / total_steps,
         final_step=step,
         invalid_proposals=invalid,
+        acceptance_post=acceptance_post,
     )
 
 

@@ -3,8 +3,9 @@
 These deliberately take different computational routes from the library
 code they check: quadrature instead of closed forms, dense covariance-side
 linear algebra instead of sparse precision-side identities, a
-point-by-point refinement loop instead of whole-array scans, and a
-closed-form mixture CRPS instead of the score of a quantile sample.
+point-by-point refinement loop instead of whole-array scans, a
+closed-form mixture CRPS instead of the score of a quantile sample, and a
+derivative-free simplex search instead of batched Newton steps.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -13,10 +14,11 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 from scipy.special import ndtr, ndtri
 
-from enspost import memos, mesh, spde
+from enspost import emos, memos, mesh, spde
 
 
 def crps_by_quadrature(mu, sigma, y, points_per_side=40_000):
@@ -74,6 +76,34 @@ def midpoint_quantile_w1(m: int) -> float:
     z = ndtri((2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
     edges = ndtri(np.arange(1, m) / m)
     return float(2.0 * _normal_pdf(z).sum() - 2.0 * _normal_pdf(edges).sum())
+
+
+def emos_fit_nelder_mead(training) -> "emos.EmosParams":
+    """Minimum-CRPS (a, b, σ) by one scalar Nelder–Mead run over
+    (a, b, log σ) from the ordinary-least-squares start, σ clamped at
+    SIGMA_FLOOR; constant-f̄ windows fix b = 0.  Returns the optimizer's
+    final point whether or not it reports convergence."""
+    fbar = np.asarray(training.fbar, dtype=float)
+    y = np.asarray(training.y, dtype=float)
+    var_f = float(np.var(fbar))
+    degenerate = var_f < 1e-12
+    if degenerate:
+        a0, b0 = float(np.mean(y)), 0.0
+    else:
+        b0 = float(np.cov(fbar, y, bias=True)[0, 1] / var_f)
+        a0 = float(np.mean(y) - b0 * np.mean(fbar))
+    s0 = max(float(np.std(y - a0 - b0 * fbar)), 10 * emos.SIGMA_FLOOR)
+
+    def objective(x):
+        a, b, logs = (x[0], 0.0, x[1]) if degenerate else x
+        sigma = max(math.exp(logs), emos.SIGMA_FLOOR)
+        return float(np.mean(emos.crps_gaussian(a + b * fbar, sigma, y)))
+
+    x0 = [a0, math.log(s0)] if degenerate else [a0, b0, math.log(s0)]
+    res = minimize(objective, np.array(x0), method="Nelder-Mead",
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 10000})
+    a, b, logs = (res.x[0], 0.0, res.x[1]) if degenerate else res.x
+    return emos.EmosParams(float(a), float(b), max(math.exp(logs), emos.SIGMA_FLOOR))
 
 
 def dense_log_marginal(theta, training, msh, ops, priors, alpha=1):

@@ -142,8 +142,9 @@ class TestPipelineContract:
         assert outputs == sorted(f"draws_memos/{d}.{ext}" for d in days
                                  for ext in ("csv", "json"))
         health = json.loads((out / "draws_memos" / f"{days[0]}.json").read_text())
-        assert sorted(health) == ["acceptance", "final_step", "invalid_proposals",
-                                  "seed", "theta"]
+        assert sorted(health) == ["acceptance", "acceptance_post", "final_step",
+                                  "invalid_proposals", "seed", "theta"]
+        assert 0.0 <= health["acceptance_post"] <= 1.0
         assert np.shape(health["theta"]) == (20, 5)
 
     def test_raw_ecc_equals_sorted_raw_reordered(self, pipeline):
@@ -353,6 +354,15 @@ class TestBlasThreads:
         assert self.probe(env, "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"
 
 
+class TestImports:
+    def test_cli_leaves_scipy_optimize_unloaded(self):
+        """No library module loads scipy.optimize: importing it costs every
+        CLI process about 0.13 s of CPU."""
+        probe = TestBlasThreads.probe(
+            dict(os.environ), "import sys\nprint('scipy.optimize' in sys.modules)")
+        assert probe == "False"
+
+
 class TestErrors:
     @pytest.mark.parametrize("method, upstream, missing, hint", [
         ("global", [], "cases.csv", "simulate"),
@@ -401,6 +411,21 @@ class TestErrors:
         assert code == 1
         assert err == "error: " + message.format(date=date) + "\n"
 
+    def test_draws_sidecar_without_post_burn_in_acceptance(self, pipeline, tmp_path, capsys):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        sidecar = out / "draws_memos" / "2010-06-16.json"
+        health = json.loads(sidecar.read_text())
+        del health["acceptance_post"]
+        sidecar.write_text(json.dumps(health))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {sidecar} has no 'acceptance_post' entry "
+                                           "(rerun `fit --method memos`)\n")
+
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",
                          str(tmp_path), "simulate"])
@@ -429,6 +454,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: fit memos 2010-06-16: acceptance collapsed\n"
+
+    @staticmethod
+    def fit_local_error(tmp_path, capsys, edit_cases=None):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        if edit_cases is not None:
+            path = out / "cases.csv"
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(edit_cases(row) for row in rows)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "fit", "--method", "local"])
+        assert code == 1
+        return capsys.readouterr().err
+
+    def test_station_with_too_few_observed_days(self, tmp_path, capsys):
+        """S03 keeps its observations on 2010-06-01..07 only: 7 training
+        cases before the first evaluation day, one short of min_train."""
+        def drop_obs(row):
+            if row["station"] == "S03" and row["date"] > "2010-06-07":
+                row["obs"] = ""
+            return row
+
+        err = self.fit_local_error(tmp_path, capsys, drop_obs)
+        assert err == ("error: fit local 2010-06-16 station S03: insufficient training data: "
+                       "7 cases before 2010-06-16 (minimum 8)\n")
+
+    def test_non_converging_station(self, tmp_path, capsys, monkeypatch):
+        from enspost import emos
+
+        monkeypatch.setattr(emos, "MAX_NEWTON_ITER", 1)
+        err = self.fit_local_error(tmp_path, capsys)
+        assert err == ("error: fit local 2010-06-16 station S01: minimum-CRPS Newton solver "
+                       "stopped at its iteration cap (1) before converging\n")
 
     def test_console_entry_point(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,11 +1,13 @@
 """Tests for the Gaussian predictive model and minimum-CRPS fitting."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from oracles import crps_by_quadrature
+from oracles import crps_by_quadrature, emos_fit_nelder_mead
 
 from enspost import data, emos, memos
 
@@ -129,7 +131,7 @@ class TestFitGlobalLocal:
         table = data.CaseTable(cases, [loc])
         valid = dt.date(2010, 6, 28)
         pg = emos.fit_global(table, valid)
-        pl = emos.fit_local(table, valid, "A")
+        pl = emos.fit_local(table, valid, ["A"])["A"]
         assert pg == pl
 
     def test_opposite_biases_split(self):
@@ -138,8 +140,8 @@ class TestFitGlobalLocal:
         table = self.two_station_table()
         valid = dt.date(2010, 7, 8)
         pg = emos.fit_global(table, valid)
-        pp = emos.fit_local(table, valid, "P")
-        pm = emos.fit_local(table, valid, "M")
+        fits = emos.fit_local(table, valid, ["P", "M"])
+        pp, pm = fits["P"], fits["M"]
         assert abs(pg.a) < 0.8
         assert pp.a == pytest.approx(2.0, abs=0.5)
         assert pm.a == pytest.approx(-2.0, abs=0.5)
@@ -149,7 +151,86 @@ class TestFitGlobalLocal:
 
         table = self.two_station_table()
         with pytest.raises(ValueError, match="unknown station"):
-            emos.fit_local(table, dt.date(2010, 7, 8), "NOPE")
+            emos.fit_local(table, dt.date(2010, 7, 8), ["NOPE"])
+
+
+def mean_crps(params, training):
+    fbar, y = np.asarray(training.fbar), np.asarray(training.y)
+    return float(np.mean(emos.crps_gaussian(params.a + params.b * fbar, params.sigma, y)))
+
+
+WINDOW_KINDS = ("random", "constant", "noise-free")
+
+
+def synthetic_window(kind, seed, length, a, b, sigma):
+    """f̄ spread over 0-20 (one value for constant), y = a + b·f̄ + N(0, σ²)
+    (no noise for noise-free; no slope for constant)."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        fbar = np.full(length, rng.uniform(0, 20))
+        y = a + sigma * rng.standard_normal(length)
+    else:
+        fbar = rng.uniform(0, 20, length)
+        y = a + b * fbar + (0.0 if kind == "noise-free" else sigma * rng.standard_normal(length))
+    return training_set(fbar, y)
+
+
+def random_table(seed, n_stations, n_days, missing):
+    """Stations of all three window kinds on consecutive days; each
+    observation after the first two days is missing with probability
+    `missing`, so the local windows differ in length."""
+    rng = np.random.default_rng(seed)
+    locs = [data.Location(f"S{i}", float(i), 0.0) for i in range(n_stations)]
+    cases = []
+    for i, loc in enumerate(locs):
+        kind = WINDOW_KINDS[i % 3]
+        a, b, sigma = rng.normal(0, 2), rng.uniform(0.5, 1.5), rng.uniform(0.3, 2.0)
+        for k in range(n_days):
+            day = dt.date(2010, 6, 1) + dt.timedelta(days=k)
+            if kind == "constant":
+                members = (5.0,) * 4
+            else:
+                members = tuple(rng.normal(10 + 3 * np.sin(k / 4), 2.0, 4))
+            fbar = float(np.mean(members))
+            noise = 0.0 if kind == "noise-free" else sigma * rng.standard_normal()
+            obs = None if k >= 2 and rng.uniform() < missing else a + b * fbar + noise
+            cases.append(data.ForecastCase(day, loc.id, members, obs))
+    return data.CaseTable(cases, locs)
+
+
+class TestNewtonAgainstNelderMead:
+    """The batched Newton solver against a scalar Nelder–Mead run, whose own
+    parameter tolerance is 1e-8 in (a, b, log σ)."""
+
+    @given(st.sampled_from(WINDOW_KINDS), st.integers(0, 2**32 - 1), st.integers(10, 60),
+           st.floats(-5, 5), st.floats(0.2, 1.8), st.floats(0.3, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_same_optimum(self, kind, seed, length, a, b, sigma):
+        training = synthetic_window(kind, seed, length, a, b, sigma)
+        params = emos.fit(training)
+        oracle = emos_fit_nelder_mead(training)
+        assert abs(params.a - oracle.a) < 1e-6
+        assert abs(params.b - oracle.b) < 1e-6
+        assert abs(params.sigma - oracle.sigma) < 1e-6
+        assert mean_crps(params, training) <= mean_crps(oracle, training) + 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.floats(0.0, 0.6))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_equals_alone_in_any_order(self, seed, n_stations, missing):
+        table = random_table(seed, n_stations, 30, missing)
+        valid = dt.date(2010, 6, 30)
+        stations = table.stations
+        batch = emos.fit_local(table, valid, stations, min_cases=2)
+        for station in stations:
+            window = data.rolling_window(table, valid, mode="local", station=station,
+                                         min_cases=2)
+            alone = emos.fit(window)
+            got = batch[station]
+            assert abs(got.a - alone.a) <= 1e-10
+            assert abs(got.b - alone.b) <= 1e-10
+            assert abs(got.sigma - alone.sigma) <= 1e-10
+        shuffled = [stations[k] for k in np.random.default_rng(seed).permutation(n_stations)]
+        assert emos.fit_local(table, valid, shuffled, min_cases=2) == batch
 
 
 class TestPredict:

@@ -13,6 +13,14 @@ from oracles import dense_log_marginal
 from enspost import data, memos, mesh as mesh_mod, spde
 
 
+def training_and_site_mesh(training, sites):
+    """Default mesh over the training and prediction locations, merged by
+    id and sorted."""
+    merged = {loc.id: loc for loc in training.locations.values()}
+    merged.update((loc.id, loc) for loc in sites)
+    return mesh_mod.build_mesh([merged[k] for k in sorted(merged)])
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     """8 stations, K=14 mesh, 40 training cases: latent dim 30 (<= 40)."""
@@ -270,7 +278,7 @@ class TestSamplePosterior:
         training = data.rolling_window(table, valid, length=39, mode="global")
         locs = [table.locations[s] for s in table.stations]
         draws = memos.sample_posterior(
-            training, locs, n=80, seed=3,
+            training, locs, n=80, seed=3, mesh=training_and_site_mesh(training, locs),
             config=memos.McmcConfig(burn_in=300, thin=2),
         )
         post_mean_b = draws.b.mean(axis=0)
@@ -291,11 +299,12 @@ class TestSamplePosterior:
         cases = table.on(day)
         fbar = {s: c.fbar for s, c in cases.items()}
 
+        msh = training_and_site_mesh(training, locs)
         means = []
         subset_ses = []
         for seed in (1, 2, 3):
             draws = memos.sample_posterior(
-                training, locs, n=100, seed=seed,
+                training, locs, n=100, seed=seed, mesh=msh,
                 config=memos.McmcConfig(burn_in=400, thin=3),
             )
             sample = memos.predictive_sample(draws, fbar, m=20)
@@ -413,6 +422,7 @@ class TestDrawsCsvRoundtrip:
         )
         # a count the reader's default (0) cannot fake
         draws = dataclasses.replace(draws, invalid_proposals=7)
+        assert 0.0 <= draws.acceptance_post <= 1.0
         path = tmp_path / "draws.csv"
         draws.to_csv(path)
         back = memos.PosteriorDraws.from_csv(path)
@@ -427,3 +437,4 @@ class TestDrawsCsvRoundtrip:
         assert back.acceptance == draws.acceptance
         assert back.final_step == draws.final_step
         assert back.invalid_proposals == 7
+        assert back.acceptance_post == draws.acceptance_post
