@@ -17,12 +17,23 @@ one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
 in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
 grouped m-quantile sample of each day from those rows with
-``memos.quantile_sample`` (for raw: the sorted members, n = 1).  ``ecc``
+``emos.quantile_sample`` (for raw: the sorted members, n = 1).  ``ecc``
 writes ens_<method>_<structure>.csv with columns date,site,ranks: one row
 per (date, site) holding L space-separated ranks, the raw ensemble's m
 ranks for ECC or a permutation of the N = m·n pooled values for
 independence.  ``verify`` rebuilds each ensemble by reordering every
 consecutive block of L pooled values by these ranks.
+
+Imports: each CLI run is one process, and most commands do less work than
+loading the whole library costs.  So this module imports only the standard
+library, numpy and ``data`` at module level, and each command imports the
+model modules it calls where it calls them: ``ecc --method raw`` runs on
+numpy alone, the EMOS commands and ``ecc`` add ``scipy.special`` through
+``emos``, and only ``mesh``, ``verify``, ``fit``/``predict --method memos``
+and ``simulate`` load ``scipy.sparse``/``scipy.spatial``.  A fit, chain or
+mesh that fails on valid input raises a subclass of ``data.ModelError``;
+``main`` reports it, a ValueError or an OSError as one ``error:`` line and
+exit 1.
 
 Config keys (defaults in parentheses):
   seed (0)                 window (25)            min_train (10)
@@ -53,12 +64,16 @@ import sys
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Every factorization here is small and banded: one BLAS thread, unless set.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
-from . import data, ecc, emos, memos, mesh as mesh_mod, verify
+from . import data  # noqa: E402
+
+if TYPE_CHECKING:
+    from . import ecc, memos, verify
 
 METHODS_FIT = ("global", "local", "memos")
 METHODS_ALL = ("raw",) + METHODS_FIT
@@ -68,19 +83,17 @@ class CliError(RuntimeError):
     pass
 
 
-# Failures of a fit or a mesh on valid input; reported as one line, exit 1.
-MODEL_ERRORS = (memos.McmcError, emos.FitError, mesh_mod.MeshRefinementError)
-
-
 @contextlib.contextmanager
 def _naming(*where):
     """Re-raise a model failure, or any failure of one station inside a
     batched local fit, as a CliError that names where it happened."""
+    from .emos import StationError  # every fit loads emos (memos samples through it)
+
     try:
         yield
-    except emos.StationError as exc:
+    except StationError as exc:
         raise CliError(f"{' '.join(where)} station {exc.station}: {exc}") from exc
-    except MODEL_ERRORS as exc:
+    except data.ModelError as exc:
         raise CliError(f"{' '.join(where)}: {exc}") from exc
 
 
@@ -145,6 +158,8 @@ class RunConfig:
         )
 
     def priors(self) -> memos.Priors:
+        from . import memos
+
         return memos.Priors(
             logkappa_mean=self.get("prior_logkappa_mean", -0.082, float),
             logkappa_var=self.get("prior_logkappa_var", 1.5, float),
@@ -156,6 +171,8 @@ class RunConfig:
         )
 
     def mcmc(self) -> memos.McmcConfig:
+        from . import memos
+
         return memos.McmcConfig(
             burn_in=self.get("memos_burnin", 1000, int),
             thin=self.get("memos_thin", 5, int),
@@ -229,6 +246,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list:
 
 
 def cmd_mesh(cfg: RunConfig, out: Path) -> list:
+    from . import mesh as mesh_mod
+
     table = _load_table(cfg, out)
     locs = [table.locations[s] for s in table.stations]
     msh = mesh_mod.build_mesh(
@@ -252,6 +271,8 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     outputs = []
 
     if method in ("global", "local"):
+        from . import emos
+
         fits = {}
         for day in days:
             with _naming(f"fit {method}", day.isoformat()):
@@ -266,6 +287,8 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
         outputs.append(path)
     else:
+        from . import memos, mesh as mesh_mod
+
         mesh_path = out / "mesh.json"
         if not mesh_path.exists():
             raise CliError(f"missing upstream file: {mesh_path} (run `mesh` first?)")
@@ -296,7 +319,11 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
 def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    if method != "memos":
+    if method == "memos":
+        from . import memos
+    else:
+        from . import emos
+
         params_path = out / f"params_{method}.json"
         if not params_path.exists():
             raise CliError(f"missing upstream file: {params_path} (run `fit` first?)")
@@ -335,38 +362,61 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
 
 
 def _load_predictions(out: Path, method: str) -> dict:
-    """predict_<method>.csv -> {date: {site: (mu, sigma)}}, components in row order."""
+    """predict_<method>.csv -> {date: {site: (mu, sigma)}}, components in row
+    order.  Every site of a day must have the same number of components."""
     path = out / f"predict_{method}.csv"
     if not path.exists():
         raise CliError(f"missing upstream file: {path} (run `predict` first?)")
     by_day: dict = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            mu, sigma = by_day.setdefault(row["date"], {}).setdefault(row["site"], ([], []))
-            mu.append(float(row["mu"]))
-            sigma.append(float(row["sigma"]))
+        reader = csv.reader(fh)
+        if next(reader, None) != ["date", "site", "mu", "sigma"]:
+            raise CliError(f"{path.name} line 1: expected the header date,site,mu,sigma "
+                           "(rerun `predict`?)")
+        for row in reader:
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                key, site, mu, sigma = row
+                components = by_day.setdefault(key, {}).setdefault(site, ([], []))
+                components[0].append(float(mu))
+                components[1].append(float(sigma))
+            except ValueError as exc:
+                raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
+    for key, by_site in by_day.items():
+        first, (mu, _) = next(iter(by_site.items()))
+        for site, (other, _) in by_site.items():
+            if len(other) != len(mu):
+                raise CliError(f"{path.name}: {key} has {len(mu)} components at site "
+                               f"{first} but {len(other)} at site {site}")
     return by_day
 
 
-def _day_sample(components: dict, m: int) -> memos.PredictiveSample:
+def _day_sample(components: dict, m: int) -> ecc.PredictiveSample:
     """Grouped m-quantile sample of one day's {site: (mu, sigma)} components."""
+    from . import emos
+
     sites = sorted(components)
     mu, sigma = (np.array([components[s][k] for s in sites]).T for k in (0, 1))
-    return memos.quantile_sample(sites, mu, sigma, m)
+    return emos.quantile_sample(sites, mu, sigma, m)
 
 
-def _ensemble_sample(method: str, rows: dict, m: int) -> memos.PredictiveSample:
+def _ensemble_sample(method: str, rows: dict, m: int) -> ecc.PredictiveSample:
     """The day's sample that ECC reorders: for raw, the sorted members of the
     day's cases as one subsample (n = 1); else the grouped m-quantile sample
     of the day's {site: (mu, sigma)} components."""
+    from . import ecc
+
     if method != "raw":
         return _day_sample(rows, m)
     sites = sorted(rows)
     sorted_raw = np.sort([rows[s].members for s in sites], axis=1)
-    return memos.PredictiveSample(sites=sites, values=sorted_raw.T[None])
+    return ecc.PredictiveSample(sites=sites, values=sorted_raw.T[None])
 
 
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
+    from . import ecc
+
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
     m = cfg.get("m", 50, int)
@@ -400,6 +450,8 @@ def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
     """Rebuild ens_<label>.csv as {date: {site: N members}}: each row's ranks
     reorder the site's pooled `_ensemble_sample` block by block
     (`ecc.apply_permutation`).  ECC rows hold m ranks, independence rows N."""
+    from . import ecc
+
     method, structure = label.rsplit("_", 1)
     path = out / f"ens_{label}.csv"
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
@@ -430,6 +482,8 @@ def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
 
 def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.ScoreSeries,
                        pit_values: dict) -> None:
+    from . import emos, verify
+
     m = cfg.get("m", 50, int)
 
     for day in days:
@@ -468,6 +522,8 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
 
 def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
                          scores: verify.ScoreSeries, mv_ranks: dict) -> None:
+    from . import verify
+
     m = cfg.get("m", 50, int)
     for ens_path in sorted(out.glob("ens_*_*.csv")):
         label = ens_path.stem[len("ens_"):]
@@ -492,6 +548,8 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
                daily_mean: bool = False, lag: int = 0) -> list:
+    from . import verify
+
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
     bins = verify.HistogramSpec(cfg.get("bins", 17, int))
@@ -616,7 +674,7 @@ def main(argv=None) -> int:
             outputs = cmd_verify(cfg, out, compare=args.compare, score=args.score,
                                  daily_mean=args.daily_mean, lag=args.lag)
         _write_manifest(out, args.command, cfg, [args.config], outputs)
-    except (CliError, ValueError, OSError) + MODEL_ERRORS as exc:
+    except (CliError, ValueError, OSError, data.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

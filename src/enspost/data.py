@@ -9,6 +9,7 @@ range parameters live in a metric space.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -18,6 +19,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
+
+
+class ModelError(RuntimeError):
+    """A fit, chain or mesh that fails on valid input (`emos.FitError`,
+    `memos.McmcError`, `mesh.MeshRefinementError`).  Defined here so that
+    callers can catch any of them without importing the model modules."""
 
 
 @dataclass(frozen=True)
@@ -88,11 +95,17 @@ class CaseTable:
         else:
             self.m = 0
         self._by_date: dict = {}
+        # each station's cases with an observation, in date order
+        self._observed: dict = {}
         for c in self.cases:
             day = self._by_date.setdefault(c.date, {})
             if c.station in day:
                 raise ValueError(f"duplicate case for {c.date} {c.station}")
             day[c.station] = c
+            if c.observation is not None:
+                self._observed.setdefault(c.station, []).append(c)
+        for observed in self._observed.values():
+            observed.sort(key=lambda c: c.date)
 
     def __eq__(self, other):
         return (
@@ -277,35 +290,28 @@ def rolling_window(
     if mode not in ("global", "local"):
         raise ValueError(f"unknown window mode {mode!r}")
 
-    selected = []
     if mode == "global":
         start = valid_date - dt.timedelta(days=length)
-        for c in table.cases:
-            if start <= c.date < valid_date and c.observation is not None:
-                selected.append(c)
+        selected = []
+        for k in range(length):
+            day = table._by_date.get(start + dt.timedelta(days=k), {})
+            selected += [day[s] for s in sorted(day) if day[s].observation is not None]
         label = f"global[{start.isoformat()}..{(valid_date - dt.timedelta(days=1)).isoformat()}]"
     else:
         if station is None:
             raise ValueError("local mode requires a station id")
         if station not in table.locations:
             raise ValueError(f"unknown station {station!r}")
-        observed = sorted(
-            (c.date for c in table.cases
-             if c.station == station and c.observation is not None and c.date < valid_date),
-            reverse=True,
-        )
-        keep = set(observed[:length])
-        for c in table.cases:
-            if c.station == station and c.date in keep and c.observation is not None:
-                selected.append(c)
-        label = f"local[{station}, {len(keep)} dates]"
+        observed = table._observed.get(station, [])
+        before = bisect.bisect_left(observed, valid_date, key=lambda c: c.date)
+        selected = observed[max(0, before - length):before]
+        label = f"local[{station}, {len(selected)} dates]"
 
     if len(selected) < min_cases:
         raise ValueError(
             f"insufficient training data: {len(selected)} cases before "
             f"{valid_date.isoformat()} (minimum {min_cases})"
         )
-    selected.sort(key=lambda c: (c.date, c.station))
     return TrainingSet(
         stations=[c.station for c in selected],
         dates=[c.date for c in selected],

@@ -12,6 +12,8 @@ either: ranks of length L reorder each consecutive block of L values of
 the site's pooled sample (see `apply_permutation`).  ECC draws L = m ranks
 from the raw members; the independence shuffle draws one permutation of
 L = N.  The CLI stores these ranks, not the reordered values.
+
+The module needs numpy only, so the CLI's `ecc --method raw` loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memos import PredictiveSample
+
+@dataclass
+class PredictiveSample:
+    """Per-site samples of size N = m·n, grouped into n subsamples of m
+    values that are nondecreasing in j: one mixture component's quantiles
+    (see `emos.quantile_sample`), or a sorted raw ensemble with n = 1.
+    """
+
+    sites: list
+    values: np.ndarray  # (n, m, S)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[1]
+
+    def at_site(self, site: str) -> np.ndarray:
+        """The (n, m) sample grouped by subsample for one site."""
+        return self.values[:, :, self.sites.index(site)]
+
+    def pooled(self, site: str) -> np.ndarray:
+        """All N = m·n values at a site, subsample-major order."""
+        return self.at_site(site).reshape(-1)
 
 
 @dataclass(frozen=True)

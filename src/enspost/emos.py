@@ -17,6 +17,10 @@ gradient pointing below it, σ stays fixed and the step runs over (a, b).
 Windows with constant f̄ fix b = 0.  Every window of a batch is padded to a
 common length and iterates under its own convergence mask, so each one
 follows the path it would follow alone.
+
+`quantile_sample` turns the components of any equally weighted Gaussian
+mixture predictive (one for EMOS, n for MEMOS) into the grouped m-quantile
+sample that ECC reorders and verification scores.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from .data import CaseTable, TrainingSet, rolling_window
+from .data import CaseTable, ModelError, TrainingSet, rolling_window
+from .ecc import PredictiveSample
 
 SIGMA_FLOOR = 1e-4
 MAX_NEWTON_ITER = 50
@@ -54,7 +59,7 @@ class EmosParams:
             object.__setattr__(self, "sigma", SIGMA_FLOOR)
 
 
-class FitError(RuntimeError):
+class FitError(ModelError):
     """Optimizer failed to converge; carries the best iterate found."""
 
     def __init__(self, message: str, best: EmosParams):
@@ -250,6 +255,20 @@ class GaussianForecast:
 
     def cdf(self, x):
         return ndtr((x - self.mu) / self.sigma)
+
+
+def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
+    """Grouped m-quantile sample of an equally weighted Gaussian mixture.
+
+    mu is (n, S) and sigma broadcasts to it; values[i, j, s] =
+    mu[i, s] + sigma[i, s]·z_j with z_j the standard normal quantile at
+    level (2j−1)/(2m).
+    """
+    z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
+    values = mu[:, None, :] + sigma[:, None, :] * z[None, :, None]
+    return PredictiveSample(sites=list(sites), values=values)
 
 
 def predict(params: EmosParams, fbar: float) -> GaussianForecast:

@@ -9,8 +9,8 @@ chain over (log κ_a, log τ_a, log κ_b, log τ_b, log σ), with exact
 Gaussian conditional draws of the latent vector for each kept state.
 
 Posterior draws feed an equally weighted Gaussian mixture predictive with
-components N(a_i(s) + b_i(s) f̄(s), σ_i²).  `quantile_sample` turns any such
-components (one for EMOS, n for MEMOS) into the working sample
+components N(a_i(s) + b_i(s) f̄(s), σ_i²).  `emos.quantile_sample` turns any
+such components (one for EMOS, n for MEMOS) into the working sample
 x_ij(s) = μ_i(s) + σ_i z_j with the standard normal quantiles z_j at levels
 (2j−1)/(2m), grouped by component i so that downstream reordering can
 operate per subsample.
@@ -27,9 +27,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
-from .data import TrainingSet
+from . import ecc, emos
+from .data import ModelError, TrainingSet
 from .mesh import Mesh, projector
 from .spde import (
     BandPattern,
@@ -314,7 +315,7 @@ class PosteriorDraws:
             raise ValueError(f"{sidecar} has no {exc} entry (rerun `fit --method memos`)") from exc
 
 
-class McmcError(RuntimeError):
+class McmcError(ModelError):
     pass
 
 
@@ -456,50 +457,10 @@ def _initial_state(training: TrainingSet, priors: Priors) -> np.ndarray:
     )
 
 
-@dataclass
-class PredictiveSample:
-    """Per-site samples of size N = m·n, grouped into n subsamples of m
-    values that are nondecreasing in j: one mixture component's quantiles
-    (see `quantile_sample`), or a sorted raw ensemble with n = 1.
-    """
-
-    sites: list
-    values: np.ndarray  # (n, m, S)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def at_site(self, site: str) -> np.ndarray:
-        """The (n, m) sample grouped by subsample for one site."""
-        return self.values[:, :, self.sites.index(site)]
-
-    def pooled(self, site: str) -> np.ndarray:
-        """All N = m·n values at a site, subsample-major order."""
-        return self.at_site(site).reshape(-1)
-
-
-def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
-    """Grouped m-quantile sample of an equally weighted Gaussian mixture.
-
-    mu is (n, S) and sigma broadcasts to it; values[i, j, s] =
-    mu[i, s] + sigma[i, s]·z_j with z_j the standard normal quantile at
-    level (2j−1)/(2m).
-    """
-    z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
-    values = mu[:, None, :] + sigma[:, None, :] * z[None, :, None]
-    return PredictiveSample(sites=list(sites), values=values)
-
-
-def predictive_sample(draws: PosteriorDraws, fbar, m: int = 50) -> PredictiveSample:
+def predictive_sample(draws: PosteriorDraws, fbar, m: int = 50) -> ecc.PredictiveSample:
     """Quantile-structured sample from the posterior predictive mixture."""
-    return quantile_sample(draws.sites, _mixture_means(draws, fbar), draws.sigma[:, None], m)
+    return emos.quantile_sample(draws.sites, _mixture_means(draws, fbar),
+                                draws.sigma[:, None], m)
 
 
 def mixture_cdf(draws: PosteriorDraws, fbar, x) -> np.ndarray:

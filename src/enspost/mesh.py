@@ -26,12 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import ConvexHull, Delaunay
 
-from .data import Location
+from .data import Location, ModelError
 
 _DEDUP_TOL_KM = 1e-9
 
 
-class MeshRefinementError(RuntimeError):
+class MeshRefinementError(ModelError):
     pass
 
 

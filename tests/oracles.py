@@ -4,12 +4,14 @@ These deliberately take different computational routes from the library
 code they check: quadrature instead of closed forms, dense covariance-side
 linear algebra instead of sparse precision-side identities, a
 point-by-point refinement loop instead of whole-array scans, a
-closed-form mixture CRPS instead of the score of a quantile sample, and a
-derivative-free simplex search instead of batched Newton steps.
+closed-form mixture CRPS instead of the score of a quantile sample, a
+derivative-free simplex search instead of batched Newton steps, and a
+scan over every case instead of the table's date and station indexes.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 from scipy.special import ndtr, ndtri
 
-from enspost import emos, memos, mesh, spde
+from enspost import data, emos, memos, mesh, spde
 
 
 def crps_by_quadrature(mu, sigma, y, points_per_side=40_000):
@@ -104,6 +106,56 @@ def emos_fit_nelder_mead(training) -> "emos.EmosParams":
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 10000})
     a, b, logs = (res.x[0], 0.0, res.x[1]) if degenerate else res.x
     return emos.EmosParams(float(a), float(b), max(math.exp(logs), emos.SIGMA_FLOOR))
+
+
+def rolling_window_scan(table, valid_date, length=25, mode="global", station=None,
+                        min_cases=10) -> "data.TrainingSet":
+    """`data.rolling_window` by scanning every case of the table: global mode
+    keeps the observed cases of the `length` calendar days before the valid
+    date; local mode keeps the station's `length` most recent observed dates
+    before it."""
+    if length < 1:
+        raise ValueError("window length must be >= 1")
+    if mode not in ("global", "local"):
+        raise ValueError(f"unknown window mode {mode!r}")
+
+    selected = []
+    if mode == "global":
+        start = valid_date - dt.timedelta(days=length)
+        for c in table.cases:
+            if start <= c.date < valid_date and c.observation is not None:
+                selected.append(c)
+        label = f"global[{start.isoformat()}..{(valid_date - dt.timedelta(days=1)).isoformat()}]"
+    else:
+        if station is None:
+            raise ValueError("local mode requires a station id")
+        if station not in table.locations:
+            raise ValueError(f"unknown station {station!r}")
+        observed = sorted(
+            (c.date for c in table.cases
+             if c.station == station and c.observation is not None and c.date < valid_date),
+            reverse=True,
+        )
+        keep = set(observed[:length])
+        for c in table.cases:
+            if c.station == station and c.date in keep and c.observation is not None:
+                selected.append(c)
+        label = f"local[{station}, {len(keep)} dates]"
+
+    if len(selected) < min_cases:
+        raise ValueError(
+            f"insufficient training data: {len(selected)} cases before "
+            f"{valid_date.isoformat()} (minimum {min_cases})"
+        )
+    selected.sort(key=lambda c: (c.date, c.station))
+    return data.TrainingSet(
+        stations=[c.station for c in selected],
+        dates=[c.date for c in selected],
+        fbar=np.array([c.fbar for c in selected]),
+        y=np.array([c.observation for c in selected]),
+        locations={s: table.locations[s] for s in sorted({c.station for c in selected})},
+        window=label,
+    )
 
 
 def dense_log_marginal(theta, training, msh, ops, priors, alpha=1):

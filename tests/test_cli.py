@@ -15,7 +15,7 @@ import pytest
 
 from oracles import crps_gaussian_mixture, midpoint_quantile_w1
 
-from enspost import cli, data, ecc, memos, verify
+from enspost import cli, data, ecc, emos, memos, verify
 
 CONFIG = """\
 seed = 11
@@ -131,7 +131,7 @@ class TestPipelineContract:
         assert all(len(rows) == draws.n == 20 for rows in components.values())
         mu, sigma = (np.array([[c[k] for c in components[s]] for s in sites]).T
                      for k in (0, 1))
-        rebuilt = memos.quantile_sample(sites, mu, sigma, 8)
+        rebuilt = emos.quantile_sample(sites, mu, sigma, 8)
         expected = memos.predictive_sample(draws, {s: cases[s].fbar for s in sites}, 8)
         assert np.array_equal(rebuilt.values, expected.values)
 
@@ -185,7 +185,7 @@ class TestPipelineContract:
                 if method == "raw":
                     sites = sorted(cases)
                     members = np.sort([cases[s].members for s in sites], axis=1)
-                    sample = memos.PredictiveSample(sites=sites, values=members.T[None])
+                    sample = ecc.PredictiveSample(sites=sites, values=members.T[None])
                 else:
                     sample = cli._day_sample(preds[method][key], 8)
                 if structure == "ecc":
@@ -354,6 +354,12 @@ class TestBlasThreads:
         assert self.probe(env, "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"
 
 
+# modules of the sparse, spatial and LAPACK stack that only mesh, verify,
+# the MEMOS commands and simulate need
+SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
+                "enspost.memos", "enspost.mesh", "enspost.spde")
+
+
 class TestImports:
     def test_cli_leaves_scipy_optimize_unloaded(self):
         """No library module loads scipy.optimize: importing it costs every
@@ -361,6 +367,30 @@ class TestImports:
         probe = TestBlasThreads.probe(
             dict(os.environ), "import sys\nprint('scipy.optimize' in sys.modules)")
         assert probe == "False"
+
+    @pytest.mark.parametrize("args, absent", [
+        ((), ("scipy",)),
+        (("ecc", "--method", "raw"), ("scipy",)),
+        (("ecc", "--method", "memos"), SPARSE_STACK),
+        (("predict", "--method", "local"), SPARSE_STACK),
+        (("fit", "--method", "local"), SPARSE_STACK),
+        (("verify",), ("enspost.memos", "enspost.spde")),
+    ], ids=["import", "ecc-raw", "ecc-memos", "predict-local", "fit-local", "verify"])
+    def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, absent):
+        """A fresh interpreter that imports enspost.cli and runs one command
+        through `main` holds no module of the listed packages afterwards."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        code = "import json, sys\n"
+        if args:
+            argv = ["--config", str(config), "--out", str(out), *args]
+            code += f"assert enspost.cli.main({argv!r}) == 0\n"
+        code += "print(json.dumps(sorted(sys.modules)))"
+        modules = json.loads(TestBlasThreads.probe(dict(os.environ), code).splitlines()[-1])
+        assert "enspost.cli" in modules
+        assert [name for name in modules
+                if name in absent or name.startswith(tuple(f"{a}." for a in absent))] == []
 
 
 class TestErrors:
@@ -411,6 +441,60 @@ class TestErrors:
         assert code == 1
         assert err == "error: " + message.format(date=date) + "\n"
 
+    @pytest.mark.parametrize("args, edit, message", [
+        (("ecc", "--method", "local"), lambda row: row.rsplit(",", 1)[0],
+         "predict_local.csv line 4: expected 4 fields, got 3"),
+        (("verify",), lambda row: row.rsplit(",", 1)[0],
+         "predict_local.csv line 4: expected 4 fields, got 3"),
+        (("ecc", "--method", "local"), lambda row: ",".join(row.split(",")[:2] + ["x", "1.0"]),
+         "predict_local.csv line 4: could not convert string to float: 'x'"),
+        (("verify",), lambda row: ",".join(row.split(",")[:3] + [""]),
+         "predict_local.csv line 4: could not convert string to float: ''"),
+    ], ids=["ecc-missing-sigma", "verify-missing-sigma", "ecc-bad-mu", "verify-empty-sigma"])
+    def test_malformed_predict_row(self, pipeline, tmp_path, capsys, args, edit, message):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "predict_local.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["ecc", "verify"])
+    def test_predict_header_not_the_schema(self, pipeline, tmp_path, capsys, command):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "predict_local.csv"
+        path.write_text(path.read_text().replace("date,site,mu,sigma", "date,site,mu", 1))
+        capsys.readouterr()
+        args = ["ecc", "--method", "local"] if command == "ecc" else ["verify"]
+        code = cli.main(["--config", str(config), "--out", str(out), *args])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: predict_local.csv line 1: expected the "
+                                           "header date,site,mu,sigma (rerun `predict`?)\n")
+
+    def test_ragged_memos_components(self, pipeline, tmp_path, capsys):
+        """One deleted component row leaves its site with n - 1 components."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "predict_memos.csv"
+        lines = path.read_text().splitlines()
+        date, site = lines[1].split(",")[:2]
+        del lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        other = lines[20].split(",")[1]
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: predict_memos.csv: {date} has 19 components "
+                                           f"at site {site} but 20 at site {other}\n")
+
     def test_draws_sidecar_without_post_burn_in_acceptance(self, pipeline, tmp_path, capsys):
         config, done = pipeline
         out = tmp_path / "out"
@@ -454,6 +538,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: fit memos 2010-06-16: acceptance collapsed\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("mesh",), "error: refinement stalled\n"),
+        (("fit", "--method", "global"), "error: fit global 2010-06-16: did not converge\n"),
+    ], ids=["mesh", "fit-global"])
+    def test_model_error_is_one_line(self, tmp_path, monkeypatch, capsys, args, message):
+        """A MeshRefinementError or a FitError reaches `main` as a
+        data.ModelError: one line, exit 1."""
+        from enspost import mesh
+
+        def mesh_fails(*args, **kwargs):
+            raise mesh.MeshRefinementError("refinement stalled")
+
+        def fit_fails(*args, **kwargs):
+            raise emos.FitError("did not converge", emos.EmosParams(0.0, 1.0, 1.0))
+
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        monkeypatch.setattr(mesh, "build_mesh", mesh_fails)
+        monkeypatch.setattr(emos, "fit_global", fit_fails)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), *args])
+        assert code == 1
+        assert capsys.readouterr().err == message
 
     @staticmethod
     def fit_local_error(tmp_path, capsys, edit_cases=None):

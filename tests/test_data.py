@@ -5,7 +5,9 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import rolling_window_scan
 
 from enspost import data
 
@@ -203,6 +205,56 @@ class TestRollingWindow:
         table = make_table({"A": [(d, d.day % 2 == 0) for d in days]})
         window = data.rolling_window(table, dt.date(2010, 10, 3), length=25)
         assert all(d.day % 2 == 0 for d in window.dates)
+
+
+def _window_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def sparse_tables(draw):
+    """A table of 1-4 stations over up to 20 days, each (date, station) case
+    present or not and observed or not, in a drawn case order."""
+    stations = [f"S{i}" for i in range(draw(st.integers(1, 4)))]
+    start = dt.date(2010, 6, 1)
+    cases = []
+    for day in range(draw(st.integers(1, 20))):
+        for s in stations:
+            kind = draw(st.sampled_from(["absent", "missing", "observed", "observed"]))
+            if kind != "absent":
+                members = tuple(draw(st.lists(st.floats(-10, 10), min_size=2, max_size=2)))
+                obs = draw(st.floats(-10, 10)) if kind == "observed" else None
+                cases.append(data.ForecastCase(start + dt.timedelta(days=day), s,
+                                               members, obs))
+    cases = draw(st.permutations(cases))
+    locs = [data.Location(s, float(i), 0.0) for i, s in enumerate(stations)]
+    return data.CaseTable(cases, locs), stations
+
+
+class TestRollingWindowIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_tables(), st.integers(-3, 25), st.integers(1, 25), st.integers(0, 6),
+           st.sampled_from(["global", "local"]), st.integers(0, 4))
+    def test_equals_the_full_scan(self, built, offset, length, min_cases, mode, pick):
+        """The indexed window holds the scan's cases in the same order, with
+        the same label, or fails with the same message."""
+        table, stations = built
+        valid = dt.date(2010, 6, 1) + dt.timedelta(days=offset)
+        station = stations[pick % len(stations)] if mode == "local" else None
+        args = (table, valid)
+        kwargs = dict(length=length, mode=mode, station=station, min_cases=min_cases)
+        got = _window_or_error(data.rolling_window, *args, **kwargs)
+        want = _window_or_error(rolling_window_scan, *args, **kwargs)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert (got.stations, got.dates, got.locations, got.window) == (
+            want.stations, want.dates, want.locations, want.window)
+        assert np.array_equal(got.fbar, want.fbar)
+        assert np.array_equal(got.y, want.y)
 
 
 class TestSimulate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enspost import ecc, memos
+from enspost import ecc
 
 
 class TestRankPermutation:
@@ -82,7 +82,7 @@ class TestEccQ:
 def grouped_sample(n, m, sites, seed=0):
     rng = np.random.default_rng(seed)
     values = np.sort(rng.normal(0, 1, (n, m, len(sites))), axis=1)
-    return memos.PredictiveSample(sites=list(sites), values=values)
+    return ecc.PredictiveSample(sites=list(sites), values=values)
 
 
 class TestEccMemos:
@@ -98,7 +98,7 @@ class TestEccMemos:
         rng = np.random.default_rng(5)
         raw = {"A": rng.normal(0, 1, 5)}
         row = np.sort(rng.normal(0, 1, 5))
-        sample = memos.PredictiveSample(
+        sample = ecc.PredictiveSample(
             sites=["A"], values=np.tile(row, (3, 1))[:, :, None]
         )
         merged = ecc.ecc_memos(raw, sample, np.random.default_rng(0))["A"]

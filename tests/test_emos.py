@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from oracles import crps_by_quadrature, emos_fit_nelder_mead
 
-from enspost import data, emos, memos
+from enspost import data, emos
 
 
 class TestCrpsGaussian:
@@ -250,7 +250,7 @@ class TestPredict:
         """A Gaussian forecast is the one-component case of the shared
         mixture quantile sample."""
         forecast = emos.GaussianForecast(1.0, 2.0)
-        sample = memos.quantile_sample(["s"], [[forecast.mu]], [[forecast.sigma]], 50)
+        sample = emos.quantile_sample(["s"], [[forecast.mu]], [[forecast.sigma]], 50)
         assert sample.values.shape == (1, 50, 1)
         q = sample.pooled("s")
         assert np.all(np.diff(q) > 0)

@@ -10,7 +10,7 @@ from scipy.stats import gamma as gamma_dist, norm
 
 from oracles import dense_log_marginal
 
-from enspost import data, memos, mesh as mesh_mod, spde
+from enspost import data, ecc, memos, mesh as mesh_mod, spde
 
 
 def training_and_site_mesh(training, sites):
@@ -317,7 +317,7 @@ class TestSamplePosterior:
             # subsets; the full-sample mean has ~sd(subsets)/sqrt(10)
             subset_means = []
             for k in range(10):
-                part = memos.PredictiveSample(
+                part = ecc.PredictiveSample(
                     sites=sample.sites, values=sample.values[10 * k : 10 * (k + 1)]
                 )
                 subset_means.append(
