@@ -27,21 +27,23 @@ consecutive block of L pooled values by these ranks.
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
 library, numpy and ``data`` at module level, and each command imports the
-model modules it calls where it calls them: ``ecc --method raw`` runs on
-numpy alone, the EMOS commands and ``ecc`` add ``scipy.special`` through
-``emos``, and only ``mesh``, ``verify``, ``fit``/``predict --method memos``
-and ``simulate`` load ``scipy.sparse``/``scipy.spatial``.  A fit, chain or
-mesh that fails on valid input raises a subclass of ``data.ModelError``;
-``main`` reports it, a ValueError or an OSError as one ``error:`` line and
-exit 1.
+model modules it calls where it calls them: ``ecc --method raw`` and
+``predict --method memos`` (which reads the draws with
+``data.PosteriorDraws``) run on numpy alone, the EMOS commands, ``ecc`` and
+``verify`` add ``scipy.special`` through ``emos``, ``verify`` loads
+``scipy.spatial`` (and with it ``scipy.sparse``) only to score ``ens_*``
+files, and only ``mesh``, ``fit --method memos`` and ``simulate`` load
+``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that fails on valid
+input raises a subclass of ``data.ModelError``; ``main`` reports it, a
+ValueError or an OSError as one ``error:`` line and exit 1.
 
-Config keys (defaults in parentheses):
+Config keys (defaults in parentheses); any other key is an error:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                bins (17)
   cases (cases.csv)        eval_start (first date + window)
   eval_days (rest of data) mesh_min_angle (20)    mesh_max_edge (none)
   memos_burnin (1000)      memos_thin (5)         memos_alpha (1)
-  memos_vfix (1e6)         sigma_floor handled by the fit module
+  memos_vfix (1e6)
   prior_logkappa_mean (-0.082)  prior_logkappa_var (1.5)
   prior_logtau_mean (-0.878)    prior_logtau_var (1.5)
   prior_precision_shape (1)     prior_precision_rate (0.00005)
@@ -59,6 +61,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import sys
 import zlib
@@ -77,6 +80,18 @@ if TYPE_CHECKING:
 
 METHODS_FIT = ("global", "local", "memos")
 METHODS_ALL = ("raw",) + METHODS_FIT
+
+# every key a config file may set; the module docstring lists their defaults
+CONFIG_KEYS = (
+    "seed", "window", "min_train", "m", "n", "bins", "cases", "eval_start", "eval_days",
+    "mesh_min_angle", "mesh_max_edge",
+    "memos_burnin", "memos_thin", "memos_alpha", "memos_vfix",
+    "prior_logkappa_mean", "prior_logkappa_var", "prior_logtau_mean", "prior_logtau_var",
+    "prior_precision_shape", "prior_precision_rate",
+    "sim_stations", "sim_days", "sim_m", "sim_sigma", "sim_kappa_a", "sim_tau_a",
+    "sim_kappa_b", "sim_tau_b", "sim_a_mean", "sim_b_mean", "sim_alpha", "sim_field_mode",
+    "sim_domain_km", "sim_start",
+)
 
 
 class CliError(RuntimeError):
@@ -115,6 +130,8 @@ class RunConfig:
             if "=" not in line:
                 raise CliError(f"{p}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise CliError(f"{p}:{lineno}: unknown key {key!r}")
             raw[key] = value
         cfg = cls(raw=raw)
         cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
@@ -123,10 +140,7 @@ class RunConfig:
     def get(self, key, default=None, cast=str):
         if key not in self.raw or self.raw[key] == "":
             return default
-        value = self.raw[key]
-        if cast is bool:
-            return value.lower() in ("1", "true", "yes")
-        return cast(value)
+        return cast(self.raw[key])
 
     def date(self, key, default=None):
         value = self.raw.get(key, "")
@@ -319,9 +333,7 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
 def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    if method == "memos":
-        from . import memos
-    else:
+    if method != "memos":
         from . import emos
 
         params_path = out / f"params_{method}.json"
@@ -335,7 +347,7 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             draws_path = out / "draws_memos" / f"{key}.csv"
             if not draws_path.exists():
                 raise CliError(f"missing upstream file: {draws_path} (run `fit` first?)")
-            draws = memos.PosteriorDraws.from_csv(draws_path)
+            draws = data.PosteriorDraws.from_csv(draws_path)
             for j, site in enumerate(draws.sites):
                 if site in cases:
                     yield site, draws.a[:, j] + draws.b[:, j] * cases[site].fbar, draws.sigma
@@ -363,7 +375,8 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
 
 def _load_predictions(out: Path, method: str) -> dict:
     """predict_<method>.csv -> {date: {site: (mu, sigma)}}, components in row
-    order.  Every site of a day must have the same number of components."""
+    order.  Every mu must be finite and every sigma finite and > 0, and every
+    site of a day must have the same number of components."""
     path = out / f"predict_{method}.csv"
     if not path.exists():
         raise CliError(f"missing upstream file: {path} (run `predict` first?)")
@@ -377,10 +390,14 @@ def _load_predictions(out: Path, method: str) -> dict:
             try:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
-                key, site, mu, sigma = row
+                key, site, mu, sigma = row[0], row[1], float(row[2]), float(row[3])
+                if not math.isfinite(mu):
+                    raise ValueError(f"mu must be finite, got {mu!r}")
+                if not 0.0 < sigma < math.inf:
+                    raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
                 components = by_day.setdefault(key, {}).setdefault(site, ([], []))
-                components[0].append(float(mu))
-                components[1].append(float(sigma))
+                components[0].append(mu)
+                components[1].append(sigma)
             except ValueError as exc:
                 raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
     for key, by_site in by_day.items():

@@ -1,4 +1,5 @@
-"""Forecast/observation cases, rolling training windows and synthetic data.
+"""Forecast/observation cases, rolling training windows, synthetic data
+and the on-disk MEMOS posterior draws.
 
 The on-disk case format is a CSV with columns ``date,station,lon,lat,obs,
 m1,...,mK`` (ISO-8601 dates, ``.`` decimal separator, empty ``obs`` for a
@@ -12,8 +13,10 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -148,16 +151,6 @@ class TrainingSet:
         return len(self.stations)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    date: str = "date"
-    station: str = "station"
-    lon: str = "lon"
-    lat: str = "lat"
-    obs: str = "obs"
-    member_prefix: str = "m"
-
-
 def _project_lonlat(lon: np.ndarray, lat: np.ndarray) -> tuple:
     """Equirectangular projection to km about the centroid of the inputs."""
     lon0, lat0 = float(np.mean(lon)), float(np.mean(lat))
@@ -173,13 +166,13 @@ def _unproject_km(x: np.ndarray, y: np.ndarray) -> tuple:
     return lon, lat
 
 
-def load_cases(path, schema: CsvSchema = CsvSchema()) -> CaseTable:
+def load_cases(path) -> CaseTable:
     """Read a case CSV into a CaseTable.
 
-    Member columns are `<prefix>1..<prefix>K` in the header; K fixes the
-    ensemble size for the whole file.  Rows with an empty observation cell
-    are kept with ``observation=None``; a row with any empty or unparsable
-    member cell is rejected.
+    Member columns are `m1..mK` in the header; K fixes the ensemble size
+    for the whole file.  Rows with an empty observation cell are kept with
+    ``observation=None``; a row with any empty or unparsable member cell is
+    rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -187,22 +180,20 @@ def load_cases(path, schema: CsvSchema = CsvSchema()) -> CaseTable:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        required = [schema.date, schema.station, schema.lon, schema.lat, schema.obs]
+        required = ["date", "station", "lon", "lat", "obs"]
         for col in required:
             if col not in header:
                 raise ValueError(f"{path}: header missing column {col!r}")
         member_cols = []
         for name in header:
-            if name.startswith(schema.member_prefix):
-                suffix = name[len(schema.member_prefix):]
-                if suffix.isdigit():
-                    member_cols.append((int(suffix), name))
+            if name.startswith("m") and name[1:].isdigit():
+                member_cols.append((int(name[1:]), name))
         member_cols.sort()
         if not member_cols:
-            raise ValueError(f"{path}: no member columns with prefix {schema.member_prefix!r}")
+            raise ValueError(f"{path}: no member columns with prefix 'm'")
         if [k for k, _ in member_cols] != list(range(1, len(member_cols) + 1)):
             raise ValueError(f"{path}: member columns must be numbered 1..K without gaps")
-        idx = {name: header.index(name) for name in required}
+        i_date, i_station, i_lon, i_lat, i_obs = (header.index(name) for name in required)
         midx = [header.index(name) for _, name in member_cols]
 
         cases = []
@@ -213,11 +204,11 @@ def load_cases(path, schema: CsvSchema = CsvSchema()) -> CaseTable:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                date = dt.date.fromisoformat(row[idx[schema.date]].strip())
-                station = row[idx[schema.station]].strip()
-                lon = float(row[idx[schema.lon]])
-                lat = float(row[idx[schema.lat]])
-                obs_cell = row[idx[schema.obs]].strip()
+                date = dt.date.fromisoformat(row[i_date].strip())
+                station = row[i_station].strip()
+                lon = float(row[i_lon])
+                lat = float(row[i_lat])
+                obs_cell = row[i_obs].strip()
                 obs = float(obs_cell) if obs_cell else None
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
@@ -268,6 +259,79 @@ def write_cases(table: CaseTable, path) -> None:
                 [c.date.isoformat(), c.station, repr(float(lon)), repr(float(lat)), obs]
                 + [repr(float(v)) for v in c.members]
             )
+
+
+@dataclass
+class PosteriorDraws:
+    """Joint posterior draws of (a(s), b(s), σ) at the prediction sites, as
+    `memos.sample_posterior` returns them and `fit --method memos` stores them."""
+
+    sites: list
+    a: np.ndarray       # (n, S)
+    b: np.ndarray       # (n, S)
+    sigma: np.ndarray   # (n,)
+    theta: np.ndarray   # (n, 5) log-scale chain states
+    seed: int
+    acceptance: float
+    final_step: float = float("nan")
+    invalid_proposals: int = 0
+    acceptance_post: float = float("nan")   # over the kept (post-burn-in) steps
+
+    @property
+    def n(self) -> int:
+        return len(self.sigma)
+
+    def to_csv(self, path) -> None:
+        """Write the draws to `path` and the chain's health (seed,
+        acceptance overall and after burn-in, final step, invalid proposals,
+        kept θ chain) to the sidecar `path` with suffix .json."""
+        health = {"seed": self.seed, "acceptance": float(self.acceptance),
+                  "acceptance_post": float(self.acceptance_post),
+                  "final_step": float(self.final_step),
+                  "invalid_proposals": int(self.invalid_proposals),
+                  "theta": self.theta.tolist()}
+        Path(path).with_suffix(".json").write_text(
+            json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["draw", "site", "a", "b", "sigma"])
+            for i in range(self.n):
+                for j, site in enumerate(self.sites):
+                    writer.writerow(
+                        [i + 1, site, repr(float(self.a[i, j])),
+                         repr(float(self.b[i, j])), repr(float(self.sigma[i]))]
+                    )
+
+    @classmethod
+    def from_csv(cls, path) -> "PosteriorDraws":
+        rows = []
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                rows.append((int(row["draw"]), row["site"], float(row["a"]),
+                             float(row["b"]), float(row["sigma"])))
+        draws = sorted({r[0] for r in rows})
+        sites = sorted({r[1] for r in rows})
+        sidx = {s: j for j, s in enumerate(sites)}
+        didx = {d: i for i, d in enumerate(draws)}
+        a = np.empty((len(draws), len(sites)))
+        b = np.empty_like(a)
+        sigma = np.empty(len(draws))
+        for d, s, av, bv, sv in rows:
+            a[didx[d], sidx[s]] = av
+            b[didx[d], sidx[s]] = bv
+            sigma[didx[d]] = sv
+        sidecar = Path(path).with_suffix(".json")
+        health = json.loads(sidecar.read_text())
+        try:
+            return cls(sites=sites, a=a, b=b, sigma=sigma,
+                       theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
+                       seed=health["seed"], acceptance=health["acceptance"],
+                       final_step=health["final_step"],
+                       invalid_proposals=health["invalid_proposals"],
+                       acceptance_post=health["acceptance_post"])
+        except KeyError as exc:
+            raise ValueError(f"{sidecar} has no {exc} entry (rerun `fit --method memos`)") from exc
 
 
 def rolling_window(
@@ -322,6 +386,15 @@ def rolling_window(
     )
 
 
+# Synthetic forecast centres: BASE_MEAN + BASE_AMPLITUDE·sin(2πt/BASE_PERIOD)
+# plus N(0, BASE_SD²) per station and day; members add N(0, MEMBER_SPREAD²).
+BASE_MEAN = 10.0
+BASE_AMPLITUDE = 8.0
+BASE_PERIOD = 365.0
+BASE_SD = 3.0
+MEMBER_SPREAD = 1.5
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ground-truth generator settings.
@@ -346,11 +419,6 @@ class SimConfig:
     alpha: int = 2
     field_mode: str = "gmrf"
     domain_km: float = 10.0
-    base_mean: float = 10.0
-    base_amplitude: float = 8.0
-    base_period: float = 365.0
-    base_sd: float = 3.0
-    member_spread: float = 1.5
     mesh_min_angle: float = 20.0
 
     def __post_init__(self):
@@ -373,10 +441,7 @@ class TruthRecord:
     a_true: dict
     b_true: dict
     sigma: float
-    weights_a: np.ndarray
-    weights_b: np.ndarray
     mesh: object
-    config: SimConfig
     seed: int
 
 
@@ -410,25 +475,19 @@ def simulate(config: SimConfig, seed: int):
         q_b = spde_mod.precision(ops, config.kappa_b, config.tau_b, alpha=config.alpha)
         w_a = spde_mod.sample_gmrf(q_a, 1, rng)[0]
         w_b = spde_mod.sample_gmrf(q_b, 1, rng)[0]
-        a_st = config.a_mean + proj.matrix @ w_a
-        b_st = config.b_mean + proj.matrix @ w_b
+        a_st = config.a_mean + proj @ w_a
+        b_st = config.b_mean + proj @ w_b
     else:
         msh = None
-        w_a = np.zeros(0)
-        w_b = np.zeros(0)
         a_st = np.full(config.n_stations, config.a_mean)
         b_st = np.full(config.n_stations, config.b_mean)
 
     cases = []
     for t in range(config.n_days):
         date = config.start + dt.timedelta(days=t)
-        seasonal = config.base_amplitude * math.sin(2 * math.pi * t / config.base_period)
-        centers = (
-            config.base_mean
-            + seasonal
-            + rng.normal(0.0, config.base_sd, size=config.n_stations)
-        )
-        perts = rng.standard_normal((config.n_stations, config.m)) * config.member_spread
+        seasonal = BASE_AMPLITUDE * math.sin(2 * math.pi * t / BASE_PERIOD)
+        centers = BASE_MEAN + seasonal + rng.normal(0.0, BASE_SD, size=config.n_stations)
+        perts = rng.standard_normal((config.n_stations, config.m)) * MEMBER_SPREAD
         members = centers[:, None] + perts
         fbar = members.mean(axis=1)
         noise = (
@@ -447,10 +506,7 @@ def simulate(config: SimConfig, seed: int):
         a_true={loc.id: float(a_st[i]) for i, loc in enumerate(locations)},
         b_true={loc.id: float(b_st[i]) for i, loc in enumerate(locations)},
         sigma=config.sigma,
-        weights_a=w_a,
-        weights_b=w_b,
         mesh=msh,
-        config=config,
         seed=int(seed),
     )
     return table, truth

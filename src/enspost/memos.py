@@ -18,11 +18,8 @@ operate per subsample.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -30,7 +27,7 @@ import scipy.sparse as sp
 from scipy.special import ndtr
 
 from . import ecc, emos
-from .data import ModelError, TrainingSet
+from .data import ModelError, PosteriorDraws, TrainingSet
 from .mesh import Mesh, projector
 from .spde import (
     BandPattern,
@@ -135,7 +132,7 @@ def build_design(training: TrainingSet, mesh: Mesh) -> LatentLayout:
     coords = np.array(
         [[training.locations[s].x, training.locations[s].y] for s in training.stations]
     )
-    psi = projector(mesh, coords).matrix
+    psi = projector(mesh, coords)
     n = len(training.stations)
     fbar = np.asarray(training.fbar, dtype=float)
     ones = sp.csr_matrix(np.ones((n, 1)))
@@ -237,82 +234,14 @@ class McmcConfig:
     burn_in: int = 1000
     thin: int = 5
     initial_step: float = 0.25
-    adapt_interval: int = 50
-    target_acceptance: float = 0.30
-    min_acceptance: float = 0.05
     alpha: int = 1
 
 
-@dataclass
-class PosteriorDraws:
-    """Joint posterior draws of (a(s), b(s), σ) at the prediction sites."""
-
-    sites: list
-    a: np.ndarray       # (n, S)
-    b: np.ndarray       # (n, S)
-    sigma: np.ndarray   # (n,)
-    theta: np.ndarray   # (n, 5) log-scale chain states
-    seed: int
-    acceptance: float
-    final_step: float = float("nan")
-    invalid_proposals: int = 0
-    acceptance_post: float = float("nan")   # over the kept (post-burn-in) steps
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    def to_csv(self, path) -> None:
-        """Write the draws to `path` and the chain's health (seed,
-        acceptance overall and after burn-in, final step, invalid proposals,
-        kept θ chain) to the sidecar `path` with suffix .json."""
-        health = {"seed": self.seed, "acceptance": float(self.acceptance),
-                  "acceptance_post": float(self.acceptance_post),
-                  "final_step": float(self.final_step),
-                  "invalid_proposals": int(self.invalid_proposals),
-                  "theta": self.theta.tolist()}
-        Path(path).with_suffix(".json").write_text(
-            json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "site", "a", "b", "sigma"])
-            for i in range(self.n):
-                for j, site in enumerate(self.sites):
-                    writer.writerow(
-                        [i + 1, site, repr(float(self.a[i, j])),
-                         repr(float(self.b[i, j])), repr(float(self.sigma[i]))]
-                    )
-
-    @classmethod
-    def from_csv(cls, path) -> "PosteriorDraws":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append((int(row["draw"]), row["site"], float(row["a"]),
-                             float(row["b"]), float(row["sigma"])))
-        draws = sorted({r[0] for r in rows})
-        sites = sorted({r[1] for r in rows})
-        sidx = {s: j for j, s in enumerate(sites)}
-        didx = {d: i for i, d in enumerate(draws)}
-        a = np.empty((len(draws), len(sites)))
-        b = np.empty_like(a)
-        sigma = np.empty(len(draws))
-        for d, s, av, bv, sv in rows:
-            a[didx[d], sidx[s]] = av
-            b[didx[d], sidx[s]] = bv
-            sigma[didx[d]] = sv
-        sidecar = Path(path).with_suffix(".json")
-        health = json.loads(sidecar.read_text())
-        try:
-            return cls(sites=sites, a=a, b=b, sigma=sigma,
-                       theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
-                       seed=health["seed"], acceptance=health["acceptance"],
-                       final_step=health["final_step"],
-                       invalid_proposals=health["invalid_proposals"],
-                       acceptance_post=health["acceptance_post"])
-        except KeyError as exc:
-            raise ValueError(f"{sidecar} has no {exc} entry (rerun `fit --method memos`)") from exc
+# Burn-in adapts the proposal step every ADAPT_INTERVAL steps toward
+# TARGET_ACCEPTANCE; a kept chain accepting below MIN_ACCEPTANCE fails.
+ADAPT_INTERVAL = 50
+TARGET_ACCEPTANCE = 0.30
+MIN_ACCEPTANCE = 0.05
 
 
 class McmcError(ModelError):
@@ -350,7 +279,7 @@ def sample_posterior(
     """
     sites = list(sites)
     site_coords = np.array([[loc.x, loc.y] for loc in sites])
-    psi_sites = projector(mesh, site_coords).matrix
+    psi_sites = projector(mesh, site_coords)
 
     ops = assemble_fem(mesh)
     model = _WindowModel(training, mesh, ops, priors, alpha=config.alpha)
@@ -399,12 +328,12 @@ def sample_posterior(
             if it >= config.burn_in:
                 accepted_post += 1
         in_burn = it < config.burn_in
-        if in_burn and (it + 1) % config.adapt_interval == 0:
-            rate = window_accepts / config.adapt_interval
+        if in_burn and (it + 1) % ADAPT_INTERVAL == 0:
+            rate = window_accepts / ADAPT_INTERVAL
             # stronger corrections early in burn-in so a badly scaled start
             # recovers within a few windows
             gain = 2.0 if it < half_burn else 0.7
-            step *= math.exp(gain * np.clip(rate - config.target_acceptance, -0.7, 0.7))
+            step *= math.exp(gain * np.clip(rate - TARGET_ACCEPTANCE, -0.7, 0.7))
             window_accepts = 0
         if not in_burn and (it - config.burn_in + 1) % config.thin == 0:
             chol, mu, theta = state
@@ -418,10 +347,10 @@ def sample_posterior(
 
     post_steps = n * config.thin
     acceptance_post = accepted_post / post_steps if post_steps else float("nan")
-    if post_steps >= 50 and acceptance_post < config.min_acceptance:
+    if post_steps >= 50 and acceptance_post < MIN_ACCEPTANCE:
         raise McmcError(
             "Metropolis acceptance stayed below "
-            f"{config.min_acceptance:.0%} after adaptation; review priors and "
+            f"{MIN_ACCEPTANCE:.0%} after adaptation; review priors and "
             "proposal scale"
         )
 

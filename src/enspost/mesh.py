@@ -82,21 +82,6 @@ class Mesh:
         return cls(vertices, triangles, _boundary_edges(triangles))
 
 
-@dataclass
-class Projector:
-    """Sparse basis-evaluation matrix: row i holds the (≤3) barycentric
-    weights of query point i with respect to the mesh vertices."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-
 def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
@@ -364,8 +349,9 @@ def locate(mesh: Mesh, point) -> Optional[tuple]:
     return t, weights
 
 
-def projector(mesh: Mesh, points) -> Projector:
-    """Basis-evaluation matrix for a list of query points.
+def projector(mesh: Mesh, points) -> sp.csr_matrix:
+    """Basis-evaluation matrix for a list of query points: row i holds the
+    (≤3) barycentric weights of point i with respect to the mesh vertices.
 
     Every point must lie inside or on the convex hull; offenders are
     reported by index.  Row i reproduces any affine function exactly from
@@ -387,7 +373,4 @@ def projector(mesh: Mesh, points) -> Projector:
                 vals.append(float(w[local]))
     if outside:
         raise ValueError(f"points outside the mesh hull at indices {outside}")
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(pts), mesh.n_vertices)
-    )
-    return Projector(matrix)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(pts), mesh.n_vertices))

@@ -54,9 +54,6 @@ class Precision:
     """Sparse SPD precision matrix of the basis weights."""
 
     Q: sp.csc_matrix
-    kappa: float
-    tau: float
-    alpha: int = 1
 
     @property
     def shape(self):
@@ -118,7 +115,7 @@ def precision(ops: SpdeOperators, kappa: float, tau: float, alpha: int = 1) -> P
         raise ValueError("kappa and tau must be > 0")
     weights = precision_weights(kappa, tau, alpha)
     Q = sum(w * T for w, T in zip(weights, ops.terms(alpha)))
-    return Precision(Q=sp.csc_matrix(Q), kappa=kappa, tau=tau, alpha=alpha)
+    return Precision(Q=sp.csc_matrix(Q))
 
 
 class NonFiniteError(ValueError):

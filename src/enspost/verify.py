@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 from scipy.special import ndtr
 
 
@@ -60,6 +59,10 @@ def energy_score(sample, y) -> float:
     if n == 1:
         # a point forecast scores exactly its Euclidean distance
         return float(np.linalg.norm(x[0] - yv))
+    # loaded here: scipy.spatial pulls in scipy.sparse and scipy.linalg,
+    # which no other score needs
+    from scipy.spatial.distance import pdist
+
     term1 = float(np.mean(np.linalg.norm(x - yv[None, :], axis=1)))
     term2 = 2.0 * float(pdist(x).sum()) / (n * n)
     return term1 - 0.5 * term2

@@ -181,8 +181,8 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
     w_a = spde.sample_gmrf(spde.precision(ops, k_a, t_a), 1, rng)[0]
     w_b = spde.sample_gmrf(spde.precision(ops, k_b, t_b), 1, rng)[0]
     mu_a, mu_b = rng.normal(0.0, math.sqrt(SBC_PRIORS.v_fix), 2)
-    a_st = mu_a + proj.matrix @ w_a
-    b_st = mu_b + proj.matrix @ w_b
+    a_st = mu_a + proj @ w_a
+    b_st = mu_b + proj @ w_b
 
     stations, fbars, ys = [], [], []
     for _ in range(train_days):

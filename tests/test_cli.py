@@ -34,6 +34,15 @@ eval_days = 6
 """
 
 
+def src_env(env):
+    """`env` with the package's source root first on PYTHONPATH, so a child
+    interpreter imports this checkout's enspost, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "")
+                                                 .split(os.pathsep) if p])
+    return env
+
+
 def run_cli(config, out, *args):
     code = cli.main(["--config", str(config), "--out", str(out), *args])
     assert code == 0, f"command failed: {args}"
@@ -335,11 +344,8 @@ class TestBlasThreads:
 
     @staticmethod
     def probe(env, code):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "")
-                                                     .split(os.pathsep) if p])
         proc = subprocess.run([sys.executable, "-c", "import os, enspost.cli\n" + code],
-                              env=env, capture_output=True, text=True)
+                              env=src_env(env), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
@@ -368,20 +374,26 @@ class TestImports:
             dict(os.environ), "import sys\nprint('scipy.optimize' in sys.modules)")
         assert probe == "False"
 
-    @pytest.mark.parametrize("args, absent", [
-        ((), ("scipy",)),
-        (("ecc", "--method", "raw"), ("scipy",)),
-        (("ecc", "--method", "memos"), SPARSE_STACK),
-        (("predict", "--method", "local"), SPARSE_STACK),
-        (("fit", "--method", "local"), SPARSE_STACK),
-        (("verify",), ("enspost.memos", "enspost.spde")),
-    ], ids=["import", "ecc-raw", "ecc-memos", "predict-local", "fit-local", "verify"])
-    def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, absent):
+    @pytest.mark.parametrize("args, drop, absent", [
+        ((), "", ("scipy",)),
+        (("ecc", "--method", "raw"), "", ("scipy",)),
+        (("ecc", "--method", "memos"), "", SPARSE_STACK),
+        (("predict", "--method", "local"), "", SPARSE_STACK),
+        (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
+        (("fit", "--method", "local"), "", SPARSE_STACK),
+        (("verify",), "", ("enspost.memos", "enspost.spde")),
+        (("verify",), "ens_*", ("scipy.spatial",) + SPARSE_STACK),
+    ], ids=["import", "ecc-raw", "ecc-memos", "predict-local", "predict-memos", "fit-local",
+            "verify", "verify-no-ens"])
+    def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, drop, absent):
         """A fresh interpreter that imports enspost.cli and runs one command
-        through `main` holds no module of the listed packages afterwards."""
+        through `main`, in a copy of the pipeline's output less the files
+        matching `drop`, holds no module of the listed packages afterwards."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
+        for path in out.glob(drop) if drop else ():
+            path.unlink()
         code = "import json, sys\n"
         if args:
             argv = ["--config", str(config), "--out", str(out), *args]
@@ -391,6 +403,19 @@ class TestImports:
         assert "enspost.cli" in modules
         assert [name for name in modules
                 if name in absent or name.startswith(tuple(f"{a}." for a in absent))] == []
+
+
+class TestConfigKeys:
+    def test_docstring_lists_exactly_the_config_keys(self):
+        listing = cli.__doc__.split("Config keys", 1)[1]
+        keys = re.findall(r"(\w+) \(", listing)
+        assert sorted(keys) == sorted(cli.CONFIG_KEYS)
+        assert len(set(cli.CONFIG_KEYS)) == len(cli.CONFIG_KEYS)
+
+    def test_the_cli_reads_exactly_the_config_keys(self):
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r"\b(?:cfg|self|raw)\.(?:get|date)\(\s*\"(\w+)\"", source))
+        assert read == set(cli.CONFIG_KEYS)
 
 
 class TestErrors:
@@ -450,12 +475,22 @@ class TestErrors:
          "predict_local.csv line 4: could not convert string to float: 'x'"),
         (("verify",), lambda row: ",".join(row.split(",")[:3] + [""]),
          "predict_local.csv line 4: could not convert string to float: ''"),
-    ], ids=["ecc-missing-sigma", "verify-missing-sigma", "ecc-bad-mu", "verify-empty-sigma"])
+        (("ecc", "--method", "memos"), lambda row: ",".join(row.split(",")[:3] + ["-0.5"]),
+         "predict_memos.csv line 4: sigma must be finite and > 0, got -0.5"),
+        (("verify",), lambda row: ",".join(row.split(",")[:3] + ["-0.5"]),
+         "predict_memos.csv line 4: sigma must be finite and > 0, got -0.5"),
+        (("verify",), lambda row: ",".join(row.split(",")[:3] + ["0.0"]),
+         "predict_global.csv line 4: sigma must be finite and > 0, got 0.0"),
+        (("ecc", "--method", "local"), lambda row: ",".join(row.split(",")[:2] + ["nan", "1.0"]),
+         "predict_local.csv line 4: mu must be finite, got nan"),
+    ], ids=["ecc-missing-sigma", "verify-missing-sigma", "ecc-bad-mu", "verify-empty-sigma",
+            "ecc-negative-memos-sigma", "verify-negative-memos-sigma", "verify-zero-global-sigma",
+            "ecc-nan-mu"])
     def test_malformed_predict_row(self, pipeline, tmp_path, capsys, args, edit, message):
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / "predict_local.csv"
+        path = out / message.split()[0]  # the file the message names
         lines = path.read_text().splitlines()
         lines[3] = edit(lines[3])
         path.write_text("\n".join(lines) + "\n")
@@ -520,6 +555,15 @@ class TestErrors:
         config.write_text("this is not a key value pair\n")
         code = cli.main(["--config", str(config), "--out", str(tmp_path), "simulate"])
         assert code == 1
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG + "sim_station = 5\n")
+        code = cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 1
+        line = len(CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {config}:{line}: unknown key 'sim_station'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_failed_chain_is_one_line_naming_the_day(self, tmp_path, monkeypatch, capsys):
         from enspost import memos
@@ -611,7 +655,7 @@ class TestErrors:
         proc = subprocess.run(
             [sys.executable, "-m", "enspost.cli", "--config", str(config),
              "--out", str(tmp_path / "o"), "simulate"],
-            capture_output=True, text=True,
+            env=src_env(dict(os.environ)), capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "simulate:" in proc.stdout

@@ -195,7 +195,7 @@ class TestProjector:
 
     def test_vertices_give_identity_rows(self, msh):
         proj = mesh.projector(msh, msh.vertices)
-        eye = proj.matrix.toarray()
+        eye = proj.toarray()
         assert np.allclose(eye, np.eye(msh.n_vertices), atol=1e-12)
 
     def test_affine_exactness(self, msh):
@@ -207,13 +207,13 @@ class TestProjector:
         w = rng.dirichlet([1, 1, 1], 10)
         points = np.einsum("ij,ijk->ik", w, msh.vertices[msh.triangles[tris]])
         proj = mesh.projector(msh, points)
-        assert np.allclose(proj.matrix @ vertex_values, f(points), atol=1e-10)
+        assert np.allclose(proj @ vertex_values, f(points), atol=1e-10)
 
     def test_edge_midpoint_weights(self):
         msh = mesh.build_mesh(locs([(0, 0), (2, 0), (0, 2)]), min_angle=10)
         midpoint = 0.5 * (msh.vertices[0] + msh.vertices[1])
         proj = mesh.projector(msh, [midpoint])
-        row = proj.matrix.toarray()[0]
+        row = proj.toarray()[0]
         assert sorted(row) == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
 
     def test_rows_sum_to_one(self, msh):
@@ -222,7 +222,7 @@ class TestProjector:
         w = rng.dirichlet([1, 1, 1], 40)
         points = np.einsum("ij,ijk->ik", w, msh.vertices[msh.triangles[tris]])
         proj = mesh.projector(msh, points)
-        assert np.allclose(np.asarray(proj.matrix.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        assert np.allclose(np.asarray(proj.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
     def test_exterior_point_error_lists_indices(self, msh):
         with pytest.raises(ValueError, match=r"\[1\]"):

@@ -116,7 +116,7 @@ class TestPrecision:
 
 class TestSampleGmrf:
     def test_scalar_variance(self):
-        Q = spde.Precision(Q=sp.csc_matrix(np.array([[4.0]])), kappa=1.0, tau=1.0)
+        Q = spde.Precision(Q=sp.csc_matrix(np.array([[4.0]])))
         draws = spde.sample_gmrf(Q, 100_000, np.random.default_rng(0))
         assert abs(np.var(draws) - 0.25) / 0.25 < 0.03
 
@@ -157,8 +157,7 @@ class TestSampleGmrf:
         assert np.array_equal(d1, d2)
 
     def test_not_positive_definite_error(self):
-        Q = spde.Precision(Q=sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
-                           kappa=1.0, tau=1.0)
+        Q = spde.Precision(Q=sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             spde.sample_gmrf(Q, 1, np.random.default_rng(0))
 
