@@ -27,17 +27,18 @@ consecutive block of L pooled values by these ranks.
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
 library, numpy and ``data`` at module level, and each command imports the
-model modules it calls where it calls them: ``ecc --method raw`` and
-``predict --method memos`` (which reads the draws with
-``data.PosteriorDraws``) run on numpy alone, the EMOS commands, ``ecc`` and
-``verify`` add ``scipy.special`` through ``emos``, ``verify`` loads
+model modules it calls where it calls them.  ``fit`` and ``predict`` for
+global and local EMOS, ``predict --method memos`` (which reads the draws
+with ``data.PosteriorDraws``) and ``ecc`` for every method run on numpy
+alone: Φ and Φ⁻¹ come from ``normal``, not from SciPy.  ``verify`` loads
 ``scipy.spatial`` (and with it ``scipy.sparse``) only to score ``ens_*``
 files, and only ``mesh``, ``fit --method memos`` and ``simulate`` load
 ``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that fails on valid
 input raises a subclass of ``data.ModelError``; ``main`` reports it, a
 ValueError or an OSError as one ``error:`` line and exit 1.
 
-Config keys (defaults in parentheses); any other key is an error:
+Config keys (defaults in parentheses); any other key, or a key set twice, is
+an error:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                bins (17)
   cases (cases.csv)        eval_start (first date + window)
@@ -119,7 +120,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, seed_override=None) -> "RunConfig":
-        raw = {}
+        raw, set_on = {}, {}
         p = Path(path)
         if not p.exists():
             raise CliError(f"config file not found: {p}")
@@ -132,7 +133,9 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise CliError(f"{p}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+            if key in set_on:
+                raise CliError(f"{p}:{lineno}: key {key!r} already set on line {set_on[key]}")
+            raw[key], set_on[key] = value, lineno
         cfg = cls(raw=raw)
         cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
         return cfg

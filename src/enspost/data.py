@@ -317,10 +317,18 @@ class PosteriorDraws:
         a = np.empty((len(draws), len(sites)))
         b = np.empty_like(a)
         sigma = np.empty(len(draws))
+        read = np.zeros(a.shape, dtype=bool)
         for d, s, av, bv, sv in rows:
-            a[didx[d], sidx[s]] = av
-            b[didx[d], sidx[s]] = bv
-            sigma[didx[d]] = sv
+            i, j = didx[d], sidx[s]
+            if read[i, j]:
+                raise ValueError(f"{path}: draw {d} has two rows for site {s}")
+            if read[i].any() and sv != sigma[i]:
+                raise ValueError(f"{path}: draw {d} has sigma {float(sigma[i])!r} and {sv!r}")
+            a[i, j], b[i, j], sigma[i] = av, bv, sv
+            read[i, j] = True
+        if not read.all():
+            i, j = np.argwhere(~read)[0]
+            raise ValueError(f"{path}: draw {draws[i]} has no row for site {sites[j]}")
         sidecar = Path(path).with_suffix(".json")
         health = json.loads(sidecar.read_text())
         try:

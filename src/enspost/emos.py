@@ -21,6 +21,9 @@ follows the path it would follow alone.
 `quantile_sample` turns the components of any equally weighted Gaussian
 mixture predictive (one for EMOS, n for MEMOS) into the grouped m-quantile
 sample that ECC reorders and verification scores.
+
+Φ and Φ⁻¹ come from `normal`, which reproduces SciPy's `ndtr` and `ndtri`
+bit for bit on numpy alone, so fitting and predicting load no scipy.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import CaseTable, ModelError, TrainingSet, rolling_window
 from .ecc import PredictiveSample
+from .normal import ndtr, ndtri
 
 SIGMA_FLOOR = 1e-4
 MAX_NEWTON_ITER = 50

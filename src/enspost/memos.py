@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import ndtr
 
 from . import ecc, emos
 from .data import ModelError, PosteriorDraws, TrainingSet
 from .mesh import Mesh, projector
+from .normal import ndtr
 from .spde import (
     BandPattern,
     NonFiniteError,

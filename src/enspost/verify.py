@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
+
+from .normal import ndtr
 
 
 def crps_empirical(sample, y: float) -> float:

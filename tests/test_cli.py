@@ -374,17 +374,27 @@ class TestImports:
             dict(os.environ), "import sys\nprint('scipy.optimize' in sys.modules)")
         assert probe == "False"
 
+    def test_emos_and_verify_leave_scipy_unloaded(self):
+        """Φ and Φ⁻¹ come from enspost.normal, so the EMOS fit, its
+        quantiles, the PIT and the DM p-value load no scipy module."""
+        probe = TestBlasThreads.probe(dict(os.environ), (
+            "import sys, enspost.emos, enspost.verify\n"
+            "print([name for name in sys.modules if name.split('.')[0] == 'scipy'])"))
+        assert probe == "[]"
+
     @pytest.mark.parametrize("args, drop, absent", [
         ((), "", ("scipy",)),
         (("ecc", "--method", "raw"), "", ("scipy",)),
-        (("ecc", "--method", "memos"), "", SPARSE_STACK),
-        (("predict", "--method", "local"), "", SPARSE_STACK),
+        (("ecc", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
+        (("ecc", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
+        (("predict", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
         (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
-        (("fit", "--method", "local"), "", SPARSE_STACK),
+        (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
+        (("fit", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
         (("verify",), "", ("enspost.memos", "enspost.spde")),
-        (("verify",), "ens_*", ("scipy.spatial",) + SPARSE_STACK),
-    ], ids=["import", "ecc-raw", "ecc-memos", "predict-local", "predict-memos", "fit-local",
-            "verify", "verify-no-ens"])
+        (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
+    ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "predict-local", "predict-memos",
+            "fit-global", "fit-local", "verify", "verify-no-ens"])
     def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, drop, absent):
         """A fresh interpreter that imports enspost.cli and runs one command
         through `main`, in a copy of the pipeline's output less the files
@@ -545,6 +555,30 @@ class TestErrors:
         assert capsys.readouterr().err == (f"error: {sidecar} has no 'acceptance_post' entry "
                                            "(rerun `fit --method memos`)\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[0]] + rows[2:], "draw 1 has no row for site {site}"),
+        (lambda rows: rows[:2] + rows[1:], "draw 1 has two rows for site {site}"),
+        (lambda rows: rows[:2] + [rows[2][:4] + ["9.5"]] + rows[3:],
+         "draw 1 has sigma {sigma} and 9.5"),
+    ], ids=["deleted-row", "duplicated-row", "sigma-differs-between-sites"])
+    def test_incomplete_draws_grid(self, pipeline, tmp_path, capsys, edit, message):
+        """Every (draw, site) cell of a draws file is read exactly once, with
+        one σ per draw; otherwise `predict` ends with one error line."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "draws_memos" / "2010-06-16.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "memos"])
+        assert code == 1
+        expected = message.format(site=rows[1][1], sigma=rows[1][4])
+        assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",
                          str(tmp_path), "simulate"])
@@ -563,6 +597,16 @@ class TestErrors:
         assert code == 1
         line = len(CONFIG.splitlines()) + 1
         assert capsys.readouterr().err == f"error: {config}:{line}: unknown key 'sim_station'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG + "seed = 2\n")
+        code = cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 1
+        line = len(CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"error: {config}:{line}: key 'seed' already set on line 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_failed_chain_is_one_line_naming_the_day(self, tmp_path, monkeypatch, capsys):
