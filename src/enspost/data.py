@@ -332,6 +332,12 @@ class PosteriorDraws:
         sidecar = Path(path).with_suffix(".json")
         health = json.loads(sidecar.read_text())
         try:
+            n = len(health["theta"])
+            if draws != list(range(1, n + 1)):
+                missing = sorted(set(range(1, n + 1)) - set(draws))
+                raise ValueError(f"{path}: draw {missing[0]} has no rows" if missing else
+                                 f"{path}: draw {next(d for d in draws if not 1 <= d <= n)}"
+                                 f" is outside the draws 1..{n} of {sidecar}")
             return cls(sites=sites, a=a, b=b, sigma=sigma,
                        theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
                        seed=health["seed"], acceptance=health["acceptance"],

@@ -8,8 +8,8 @@ the median and two in √(−2 log p) for the tails below exp(−2) and above
 operation is the C routine's, in its order.  +, −, ·, /, |·| and √ are
 numpy's correctly rounded elementwise operations; exp and log go to the C
 library through `math`, because numpy's vectorized exp and log round some
-inputs differently.  A 0-d input takes a scalar path on `math` and returns
-`np.float64`.  ±inf and nan raise no warning; ndtri is nan outside [0, 1].
+inputs differently.  A 0-d input gives `np.float64`, any other an array of
+its shape.  ±inf and nan raise no warning; ndtri is nan outside [0, 1].
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ _exp = np.frompyfunc(math.exp, 1, 1)
 _log = np.frompyfunc(math.log, 1, 1)
 
 
-def _libm(scalar, elementwise, x):
-    """A C-library function of a float, or elementwise of an array."""
-    return elementwise(x).astype(np.float64) if isinstance(x, np.ndarray) else scalar(x)
-
-
 def _polevl(x, coef):
     """coef[0]·xᴺ + … + coef[N] by Horner's rule."""
     ans = coef[0] * x + coef[1]
@@ -91,8 +86,6 @@ def _p1evl(x, coef):
 def _piecewise(f, x, near, near_coef, far_coef):
     """f(x, *near_coef) where `near`, f(x, *far_coef) elsewhere, each
     evaluated only where it applies."""
-    if not isinstance(x, np.ndarray):
-        return f(x, *(near_coef if near else far_coef))
     if near.all():
         return f(x, *near_coef)
     out = np.empty_like(x)
@@ -107,7 +100,7 @@ def _erf(x):
 
 
 def _erfc_ratio(x, p, q):
-    return _libm(math.exp, _exp, -x * x) * _polevl(x, p) / _p1evl(x, q)
+    return _exp(-x * x).astype(np.float64) * _polevl(x, p) / _p1evl(x, q)
 
 
 def _erfc(x):
@@ -121,8 +114,8 @@ def _tail_ratio(z, p, q):
 
 def _ndtri_tail(y):
     """Cephes Φ⁻¹(y) for 0 < y <= exp(−2), negated."""
-    x = _libm(math.sqrt, np.sqrt, -2.0 * _libm(math.log, _log, y))
-    x0 = x - _libm(math.log, _log, x) / x
+    x = np.sqrt(-2.0 * _log(y).astype(np.float64))
+    x0 = x - _log(x).astype(np.float64) / x
     return x0 - _piecewise(_tail_ratio, 1.0 / x, x < 8.0, (_P1, _Q1), (_P2, _Q2))
 
 
@@ -136,7 +129,7 @@ def ndtr(a):
     """Standard normal CDF Φ(a), elementwise."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 0:
-        return np.float64(_ndtr_scalar(float(arr)))
+        return np.float64(ndtr(arr.reshape(1))[0])
     x = arr * _SQRT1_2
     z = np.abs(x)
     # the limits 0 and 1 stand where erfc(|x|) underflows (x² > MAXLOG)
@@ -158,27 +151,11 @@ def ndtr(a):
     return out
 
 
-def _ndtr_scalar(a: float) -> float:
-    if a != a:
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    if z < 1.0:
-        half = 0.5 * (1.0 - _erf(z))
-    elif -z * z < -_MAXLOG:
-        half = 0.0
-    else:
-        half = 0.5 * _erfc(z)
-    return 1.0 - half if x > 0 else half
-
-
 def ndtri(p):
     """Standard normal quantile Φ⁻¹(p), elementwise; nan outside [0, 1]."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim == 0:
-        return np.float64(_ndtri_scalar(float(arr)))
+        return np.float64(ndtri(arr.reshape(1))[0])
     # the upper tail by symmetry from y = 1 − p
     upper = arr > 1.0 - _EXPM2
     y = np.where(upper, 1.0 - arr, arr)
@@ -195,19 +172,3 @@ def ndtri(p):
     out[nan] = -arr[nan]
     return out
 
-
-def _ndtri_scalar(p: float) -> float:
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if p < 0.0 or p > 1.0:
-        return math.nan
-    if p != p:
-        return -p
-    upper = p > 1.0 - _EXPM2
-    y = 1.0 - p if upper else p
-    if y > _EXPM2:
-        return _ndtri_centre(y - 0.5)
-    x = _ndtri_tail(y)
-    return x if upper else -x

@@ -78,9 +78,9 @@ def verification_rank(ensemble, y: float, rng: np.random.Generator) -> int:
     return 1 + below + int(rng.integers(0, ties + 1))
 
 
-def pit(cdf: Callable[[float], float], y: float) -> float:
-    """Probability integral transform F(y)."""
-    return float(cdf(y))
+def pit(cdf: Callable, y):
+    """Probability integral transform F(y), elementwise over an array y."""
+    return cdf(y)
 
 
 def normalized_rank(sample, y: float, rng: np.random.Generator) -> float:

@@ -560,10 +560,18 @@ class TestErrors:
         (lambda rows: rows[:2] + rows[1:], "draw 1 has two rows for site {site}"),
         (lambda rows: rows[:2] + [rows[2][:4] + ["9.5"]] + rows[3:],
          "draw 1 has sigma {sigma} and 9.5"),
-    ], ids=["deleted-row", "duplicated-row", "sigma-differs-between-sites"])
+        (lambda rows: [r for r in rows if r[0] != "1"], "draw 1 has no rows"),
+        (lambda rows: [r for r in rows if r[0] != rows[-1][0]], "draw {last} has no rows"),
+        (lambda rows: rows + [[str(int(r[0]) + 1)] + r[1:]
+                              for r in rows if r[0] == rows[-1][0]],
+         "draw {past} is outside the draws 1..{last} of {sidecar}"),
+        (lambda rows: [r for r in rows if r[1] != rows[1][1]], "site {site} has no rows"),
+    ], ids=["deleted-row", "duplicated-row", "sigma-differs-between-sites", "deleted-draw",
+            "cut-at-a-draw-boundary", "draw-past-the-sidecar", "site-missing-from-every-draw"])
     def test_incomplete_draws_grid(self, pipeline, tmp_path, capsys, edit, message):
-        """Every (draw, site) cell of a draws file is read exactly once, with
-        one σ per draw; otherwise `predict` ends with one error line."""
+        """Each draw 1..n of the sidecar's chain has exactly one row for each
+        station, with one σ per draw; otherwise `predict` ends with one error
+        line."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -576,7 +584,8 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"])
         assert code == 1
-        expected = message.format(site=rows[1][1], sigma=rows[1][4])
+        expected = message.format(site=rows[1][1], sigma=rows[1][4], last=rows[-1][0],
+                                  past=int(rows[-1][0]) + 1, sidecar=path.with_suffix(".json"))
         assert capsys.readouterr().err == f"error: {path}: {expected}\n"
 
     def test_missing_config(self, tmp_path):
