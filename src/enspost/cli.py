@@ -38,20 +38,16 @@ input raises a subclass of ``data.ModelError``; ``main`` reports it, a
 ValueError or an OSError as one ``error:`` line and exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
-an error:
+an error, and a value that does not parse names its file, line and key:
   seed (0)                 window (25)            min_train (10)
-  m (50)                   n (100)                bins (17)
-  cases (cases.csv)        eval_start (first date + window)
-  eval_days (rest of data) mesh_min_angle (20)    mesh_max_edge (none)
-  memos_burnin (1000)      memos_thin (5)         memos_alpha (1)
-  memos_vfix (1e6)
-  prior_logkappa_mean (-0.082)  prior_logkappa_var (1.5)
-  prior_logtau_mean (-0.878)    prior_logtau_var (1.5)
-  prior_precision_shape (1)     prior_precision_rate (0.00005)
+  m (50)                   n (100)                cases (cases.csv)
+  eval_start (first date + window)                eval_days (rest of data)
+  mesh_min_angle (20)      memos_burnin (1000)    memos_thin (5)
+  memos_alpha (1)
   sim_stations (50)  sim_days (60)  sim_m (50)  sim_sigma (1.5)
-  sim_kappa_a (0.9)  sim_tau_a (0.5)  sim_kappa_b (0.9)  sim_tau_b (8.0)
-  sim_a_mean (0)     sim_b_mean (1)   sim_alpha (2)  sim_field_mode (gmrf)
-  sim_domain_km (10) sim_start (2010-06-01)
+Everything else is a constant of the study: the defaults of `memos.Priors`,
+the truth fields of `data.SimConfig`, 17 histogram bins and no maximum mesh
+edge.
 """
 
 from __future__ import annotations
@@ -84,14 +80,9 @@ METHODS_ALL = ("raw",) + METHODS_FIT
 
 # every key a config file may set; the module docstring lists their defaults
 CONFIG_KEYS = (
-    "seed", "window", "min_train", "m", "n", "bins", "cases", "eval_start", "eval_days",
-    "mesh_min_angle", "mesh_max_edge",
-    "memos_burnin", "memos_thin", "memos_alpha", "memos_vfix",
-    "prior_logkappa_mean", "prior_logkappa_var", "prior_logtau_mean", "prior_logtau_var",
-    "prior_precision_shape", "prior_precision_rate",
-    "sim_stations", "sim_days", "sim_m", "sim_sigma", "sim_kappa_a", "sim_tau_a",
-    "sim_kappa_b", "sim_tau_b", "sim_a_mean", "sim_b_mean", "sim_alpha", "sim_field_mode",
-    "sim_domain_km", "sim_start",
+    "seed", "window", "min_train", "m", "n", "cases", "eval_start", "eval_days",
+    "mesh_min_angle", "memos_burnin", "memos_thin", "memos_alpha",
+    "sim_stations", "sim_days", "sim_m", "sim_sigma",
 )
 
 
@@ -117,6 +108,8 @@ def _naming(*where):
 class RunConfig:
     raw: dict = field(default_factory=dict)
     seed: int = 0
+    # "<file>:<line>" of each key in `raw`, for errors
+    origin: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path, seed_override=None) -> "RunConfig":
@@ -136,18 +129,20 @@ class RunConfig:
             if key in set_on:
                 raise CliError(f"{p}:{lineno}: key {key!r} already set on line {set_on[key]}")
             raw[key], set_on[key] = value, lineno
-        cfg = cls(raw=raw)
-        cfg.seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+        cfg = cls(raw=raw, origin={key: f"{p}:{lineno}" for key, lineno in set_on.items()})
+        cfg.seed = int(seed_override) if seed_override is not None else cfg.get("seed", 0, int)
         return cfg
 
     def get(self, key, default=None, cast=str):
         if key not in self.raw or self.raw[key] == "":
             return default
-        return cast(self.raw[key])
+        try:
+            return cast(self.raw[key])
+        except ValueError as exc:
+            raise CliError(f"{self.origin.get(key, 'config')}: key {key!r}: {exc}") from exc
 
     def date(self, key, default=None):
-        value = self.raw.get(key, "")
-        return dt.date.fromisoformat(value) if value else default
+        return self.get(key, default, dt.date.fromisoformat)
 
     @property
     def config_hash(self) -> str:
@@ -159,33 +154,15 @@ class RunConfig:
         return data.SimConfig(
             n_stations=self.get("sim_stations", 50, int),
             n_days=self.get("sim_days", 60, int),
-            start=self.date("sim_start", dt.date(2010, 6, 1)),
             m=self.get("sim_m", 50, int),
             sigma=self.get("sim_sigma", 1.5, float),
-            kappa_a=self.get("sim_kappa_a", 0.9, float),
-            tau_a=self.get("sim_tau_a", 0.5, float),
-            kappa_b=self.get("sim_kappa_b", 0.9, float),
-            tau_b=self.get("sim_tau_b", 8.0, float),
-            a_mean=self.get("sim_a_mean", 0.0, float),
-            b_mean=self.get("sim_b_mean", 1.0, float),
-            alpha=self.get("sim_alpha", 2, int),
-            field_mode=self.get("sim_field_mode", "gmrf"),
-            domain_km=self.get("sim_domain_km", 10.0, float),
             mesh_min_angle=self.get("mesh_min_angle", 20.0, float),
         )
 
     def priors(self) -> memos.Priors:
         from . import memos
 
-        return memos.Priors(
-            logkappa_mean=self.get("prior_logkappa_mean", -0.082, float),
-            logkappa_var=self.get("prior_logkappa_var", 1.5, float),
-            logtau_mean=self.get("prior_logtau_mean", -0.878, float),
-            logtau_var=self.get("prior_logtau_var", 1.5, float),
-            precision_shape=self.get("prior_precision_shape", 1.0, float),
-            precision_rate=self.get("prior_precision_rate", 0.00005, float),
-            v_fix=self.get("memos_vfix", 1e6, float),
-        )
+        return memos.Priors()
 
     def mcmc(self) -> memos.McmcConfig:
         from . import memos
@@ -221,6 +198,20 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) ->
     (out / f"manifest_{command}.json").write_text(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
     )
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Write `path` under a temporary name in its directory and rename it into
+    place only if the block succeeds, so a failed run leaves the previous
+    artifact as it was and no partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_table(cfg: RunConfig, out: Path) -> data.CaseTable:
@@ -267,11 +258,7 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
 
     table = _load_table(cfg, out)
     locs = [table.locations[s] for s in table.stations]
-    msh = mesh_mod.build_mesh(
-        locs,
-        min_angle=cfg.get("mesh_min_angle", 20.0, float),
-        max_edge=cfg.get("mesh_max_edge", None, float),
-    )
+    msh = mesh_mod.build_mesh(locs, min_angle=cfg.get("mesh_min_angle", 20.0, float))
     path = out / "mesh.json"
     path.write_text(msh.to_json() + "\n")
     print(f"mesh: {msh.n_vertices} vertices, {len(msh.triangles)} triangles -> {path}")
@@ -368,7 +355,7 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             yield site, [forecast.mu], [forecast.sigma]
 
     path = out / f"predict_{method}.csv"
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "site", "mu", "sigma"])
         for day in days:
@@ -447,7 +434,7 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     preds = None if method == "raw" else _load_predictions(out, method)
     path = out / f"ens_{method}_{structure}.csv"
 
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "site", "ranks"])
         for day in days:
@@ -543,12 +530,11 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
             # one component N(mu, sigma²) per site
             mu, sigma = np.array([(u, v) for s in sites for (u,), (v,) in [rows[s]]]).T
             y = np.array([cases[s].observation for s in sites])
-            forecast = emos.GaussianForecast(mu, sigma)
             crps = emos.crps_gaussian(mu, sigma, y)
             for station, c, u, v in zip(sites, crps, mu, y):
                 scores.add(key, station, method, "crps", c)
                 scores.add(key, station, method, "ae", abs(u - v))
-            pit_values.setdefault(method, []).extend(verify.pit(forecast.cdf, y))
+            pit_values.setdefault(method, []).extend(emos.GaussianForecast(mu, sigma).cdf(y))
 
 
 def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
@@ -583,7 +569,7 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
 
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    bins = verify.HistogramSpec(cfg.get("bins", 17, int))
+    bins = verify.HistogramSpec()
     outputs = []
 
     preds = {method: _load_predictions(out, method) for method in METHODS_FIT
@@ -593,6 +579,14 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     _univariate_scores(cfg, table, days, preds, scores, pit_values)
     mv_ranks: dict = {}
     _multivariate_scores(cfg, out, table, days, preds, scores, mv_ranks)
+
+    # checked before any output is written, so a bad --compare leaves them as they were
+    if compare:
+        scored = scores.methods(score)
+        for method in compare:
+            if method not in scored:
+                raise CliError(f"--compare: no {score} scores for {method}; methods with "
+                               f"{score} scores: {', '.join(scored) or 'none'}")
 
     scores_path = out / "scores.csv"
     scores.to_csv(scores_path)
@@ -620,12 +614,10 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
                              for b, freq in enumerate(counts, start=1))
         outputs.append(hist_path)
 
+    with_crps = scores.methods("crps")
     for method in METHODS_ALL:
-        try:
-            mean_crps = scores.mean(method, "crps")
-            print(f"verify: mean crps[{method}] = {mean_crps:.4f}")
-        except KeyError:
-            pass
+        if method in with_crps:
+            print(f"verify: mean crps[{method}] = {scores.mean(method, 'crps'):.4f}")
 
     if compare:
         method_a, method_b = compare

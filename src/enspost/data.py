@@ -132,9 +132,6 @@ class CaseTable:
         """Cases valid on `date`, keyed by station id."""
         return dict(self._by_date.get(date, {}))
 
-    def case(self, date: dt.date, station: str) -> Optional[ForecastCase]:
-        return self._by_date.get(date, {}).get(station)
-
 
 @dataclass
 class TrainingSet:
@@ -400,6 +397,11 @@ def rolling_window(
     )
 
 
+# Synthetic data: SIM_START is the first date, and stations are uniform over
+# the middle 90 % of a DOMAIN_KM × DOMAIN_KM square.
+SIM_START = dt.date(2010, 6, 1)
+DOMAIN_KM = 10.0
+
 # Synthetic forecast centres: BASE_MEAN + BASE_AMPLITUDE·sin(2πt/BASE_PERIOD)
 # plus N(0, BASE_SD²) per station and day; members add N(0, MEMBER_SPREAD²).
 BASE_MEAN = 10.0
@@ -421,7 +423,6 @@ class SimConfig:
 
     n_stations: int = 50
     n_days: int = 60
-    start: dt.date = dt.date(2010, 6, 1)
     m: int = 50
     sigma: float = 1.5
     kappa_a: float = 0.9
@@ -432,7 +433,6 @@ class SimConfig:
     b_mean: float = 1.0
     alpha: int = 2
     field_mode: str = "gmrf"
-    domain_km: float = 10.0
     mesh_min_angle: float = 20.0
 
     def __post_init__(self):
@@ -471,8 +471,7 @@ def simulate(config: SimConfig, seed: int):
     from . import spde as spde_mod
 
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, int(seed)]))
-    L = config.domain_km
-    coords = rng.uniform(0.05 * L, 0.95 * L, size=(config.n_stations, 2))
+    coords = rng.uniform(0.05 * DOMAIN_KM, 0.95 * DOMAIN_KM, size=(config.n_stations, 2))
     width = max(2, len(str(config.n_stations)))
     locations = [
         Location(f"S{i:0{width}d}", float(x), float(y))
@@ -498,7 +497,7 @@ def simulate(config: SimConfig, seed: int):
 
     cases = []
     for t in range(config.n_days):
-        date = config.start + dt.timedelta(days=t)
+        date = SIM_START + dt.timedelta(days=t)
         seasonal = BASE_AMPLITUDE * math.sin(2 * math.pi * t / BASE_PERIOD)
         centers = BASE_MEAN + seasonal + rng.normal(0.0, BASE_SD, size=config.n_stations)
         perts = rng.standard_normal((config.n_stations, config.m)) * MEMBER_SPREAD

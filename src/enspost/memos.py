@@ -28,7 +28,6 @@ import scipy.sparse as sp
 from . import ecc, emos
 from .data import ModelError, PosteriorDraws, TrainingSet
 from .mesh import Mesh, projector
-from .normal import ndtr
 from .spde import (
     BandPattern,
     NonFiniteError,
@@ -192,6 +191,7 @@ class _WindowModel:
         return chol, mu
 
     def log_marginal(self, theta: Hyperparameters) -> float:
+        """Log of ∫ N(y | Xu, σ²I) N(u | 0, Σ_prior(θ)) du for the window."""
         chol, mu = self.posterior_factor(theta)
         return self._log_marginal_from(theta, chol, mu)
 
@@ -209,24 +209,6 @@ class _WindowModel:
             - 0.5 * chol.logdet
             - 0.5 * quad
         )
-
-
-def log_marginal(
-    theta: Hyperparameters,
-    training: TrainingSet,
-    mesh: Mesh,
-    ops: Optional[SpdeOperators] = None,
-    priors: Priors = Priors(),
-    alpha: int = 1,
-) -> float:
-    """Log of ∫ N(y | Xu, σ²I) N(u | 0, Σ_prior(θ)) du for one window.
-
-    Computed through the sparse Cholesky factor of the posterior precision
-    Q_post = Q_prior + XᵀX/σ².
-    """
-    if ops is None:
-        ops = assemble_fem(mesh)
-    return _WindowModel(training, mesh, ops, priors, alpha).log_marginal(theta)
 
 
 @dataclass
@@ -386,33 +368,12 @@ def _initial_state(training: TrainingSet, priors: Priors) -> np.ndarray:
     )
 
 
-def predictive_sample(draws: PosteriorDraws, fbar, m: int = 50) -> ecc.PredictiveSample:
-    """Quantile-structured sample from the posterior predictive mixture."""
-    return emos.quantile_sample(draws.sites, _mixture_means(draws, fbar),
+def predictive_sample(draws: PosteriorDraws, fbar: dict, m: int = 50) -> ecc.PredictiveSample:
+    """Quantile-structured sample from the posterior predictive mixture with
+    components N(a_i(s) + b_i(s)·f̄(s), σ_i²), given f̄ per site."""
+    missing = [s for s in draws.sites if s not in fbar]
+    if missing:
+        raise ValueError(f"fbar missing for sites {missing}")
+    fvec = np.array([float(fbar[s]) for s in draws.sites])
+    return emos.quantile_sample(draws.sites, draws.a + draws.b * fvec[None, :],
                                 draws.sigma[:, None], m)
-
-
-def mixture_cdf(draws: PosteriorDraws, fbar, x) -> np.ndarray:
-    """Posterior predictive CDF (1/n)Σ Φ((x−a_i−b_i f̄)/σ_i) per site.
-
-    Returns an array over sites for scalar x, or (len(x), S) for vector x.
-    """
-    mean = _mixture_means(draws, fbar)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    z = (xs[:, None, None] - mean[None, :, :]) / draws.sigma[None, :, None]
-    out = ndtr(z).mean(axis=1)
-    return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
-
-
-def _mixture_means(draws: PosteriorDraws, fbar) -> np.ndarray:
-    """Component means a_i(s) + b_i(s)·f̄(s), shape (n, S)."""
-    if isinstance(fbar, dict):
-        missing = [s for s in draws.sites if s not in fbar]
-        if missing:
-            raise ValueError(f"fbar missing for sites {missing}")
-        fvec = np.array([float(fbar[s]) for s in draws.sites])
-    else:
-        fvec = np.asarray(fbar, dtype=float)
-        if fvec.shape != (len(draws.sites),):
-            raise ValueError("fbar must map every site in the draws")
-    return draws.a + draws.b * fvec[None, :]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,11 +42,9 @@ def sample_median(sample) -> float:
     return float(x[(len(x) - 1) // 2])
 
 
-def abs_error(predictive, y: float) -> float:
-    """Absolute error of the predictive median: the sample median of an
-    array-like, or the mean `mu` of a Gaussian forecast."""
-    med = float(predictive.mu) if hasattr(predictive, "mu") else sample_median(predictive)
-    return abs(med - float(y))
+def abs_error(sample, y: float) -> float:
+    """Absolute error of the sample median."""
+    return abs(sample_median(sample) - float(y))
 
 
 def energy_score(sample, y) -> float:
@@ -76,11 +74,6 @@ def verification_rank(ensemble, y: float, rng: np.random.Generator) -> int:
     below = int(np.sum(x < y))
     ties = int(np.sum(x == y))
     return 1 + below + int(rng.integers(0, ties + 1))
-
-
-def pit(cdf: Callable, y):
-    """Probability integral transform F(y), elementwise over an array y."""
-    return cdf(y)
 
 
 def normalized_rank(sample, y: float, rng: np.random.Generator) -> float:
@@ -221,6 +214,10 @@ class ScoreSeries:
             raise KeyError(f"no entries for ({method}, {score})")
         return float(np.mean(vals))
 
+    def methods(self, score: str) -> list:
+        """Sorted methods with at least one entry of `score`."""
+        return sorted({m for (d, s, m, sc) in self._entries if sc == score})
+
     def daily_mean(self, method: str, score: str):
         """Dates and mean-over-sites score series for one method."""
         grouped: dict = {}
@@ -243,12 +240,3 @@ class ScoreSeries:
             writer.writerow(["date", "site", "method", "score", "value"])
             for d, s, m, sc, v in self.rows():
                 writer.writerow([str(d), s, m, sc, repr(v)])
-
-    @classmethod
-    def from_csv(cls, path) -> "ScoreSeries":
-        out = cls()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                out.add(row["date"], row["site"], row["method"], row["score"],
-                        float(row["value"]))
-        return out

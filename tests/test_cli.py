@@ -48,6 +48,16 @@ def run_cli(config, out, *args):
     assert code == 0, f"command failed: {args}"
 
 
+def read_scores(path):
+    """scores.csv as a verify.ScoreSeries."""
+    scores = verify.ScoreSeries()
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            scores.add(row["date"], row["site"], row["method"], row["score"],
+                       float(row["value"]))
+    return scores
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -73,7 +83,7 @@ def pipeline(tmp_path_factory):
 class TestPipelineContract:
     def test_score_table_has_crps_row_per_day_station(self, pipeline):
         config, out = pipeline
-        scores = verify.ScoreSeries.from_csv(out / "scores.csv")
+        scores = read_scores(out / "scores.csv")
         rows = [(d, s) for d, s, m, sc, v in scores.rows()
                 if m == "global" and sc == "crps"]
         assert len(rows) == 6 * 10  # eval_days * stations
@@ -81,7 +91,7 @@ class TestPipelineContract:
 
     def test_all_methods_scored(self, pipeline):
         config, out = pipeline
-        scores = verify.ScoreSeries.from_csv(out / "scores.csv")
+        scores = read_scores(out / "scores.csv")
         for method in ("raw", "global", "local", "memos"):
             assert scores.mean(method, "crps") > 0
             assert scores.mean(method, "ae") >= 0
@@ -103,7 +113,7 @@ class TestPipelineContract:
 
     def test_energy_scores_present_for_ensembles(self, pipeline):
         config, out = pipeline
-        scores = verify.ScoreSeries.from_csv(out / "scores.csv")
+        scores = read_scores(out / "scores.csv")
         assert scores.mean("raw_ecc", "es") > 0
         assert scores.mean("memos_ecc", "es") > 0
         assert scores.mean("memos_independence", "es") > 0
@@ -246,7 +256,7 @@ class TestMixtureCrpsOracle:
                 sigma.append(float(row["sigma"]))
         table = data.load_cases(out / "cases.csv")
         w_m = midpoint_quantile_w1(50)
-        scores = verify.ScoreSeries.from_csv(out / "scores.csv")
+        scores = read_scores(out / "scores.csv")
         rows = [(d, s, v) for d, s, m, sc, v in scores.rows()
                 if m == "memos" and sc == "crps"]
         assert len(rows) == 6 * 10
@@ -415,6 +425,16 @@ class TestImports:
                 if name in absent or name.startswith(tuple(f"{a}." for a in absent))] == []
 
 
+# keys that earlier configs accepted; their settings are now constants
+REMOVED_KEYS = (
+    "bins", "mesh_max_edge", "memos_vfix",
+    "prior_logkappa_mean", "prior_logkappa_var", "prior_logtau_mean", "prior_logtau_var",
+    "prior_precision_shape", "prior_precision_rate",
+    "sim_kappa_a", "sim_tau_a", "sim_kappa_b", "sim_tau_b", "sim_a_mean", "sim_b_mean",
+    "sim_alpha", "sim_field_mode", "sim_domain_km", "sim_start",
+)
+
+
 class TestConfigKeys:
     def test_docstring_lists_exactly_the_config_keys(self):
         listing = cli.__doc__.split("Config keys", 1)[1]
@@ -426,6 +446,32 @@ class TestConfigKeys:
         source = Path(cli.__file__).read_text()
         read = set(re.findall(r"\b(?:cfg|self|raw)\.(?:get|date)\(\s*\"(\w+)\"", source))
         assert read == set(cli.CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG + f"{key} = 1\n")
+        code = cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 1
+        line = len(CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {config}:{line}: unknown key '{key}'\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("window = 12.5", "key 'window': invalid literal for int() with base 10: '12.5'"),
+        ("eval_start = 2010-6-16", "key 'eval_start': Invalid isoformat string: '2010-6-16'"),
+    ], ids=["int", "date"])
+    def test_value_that_does_not_parse(self, tmp_path, capsys, line, message):
+        """A value that fails its cast names the file, the line and the key."""
+        text = re.sub(rf"^{line.split()[0]} = .*$", line, CONFIG, flags=re.M)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "global"])
+        assert code == 1
+        lineno = text.splitlines().index(line) + 1
+        assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
 
 
 class TestErrors:
@@ -580,6 +626,7 @@ class TestErrors:
             rows = list(csv.reader(fh))
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(edit(rows))
+        previous = (out / "predict_memos.csv").read_bytes()
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"])
@@ -587,6 +634,53 @@ class TestErrors:
         expected = message.format(site=rows[1][1], sigma=rows[1][4], last=rows[-1][0],
                                   past=int(rows[-1][0]) + 1, sidecar=path.with_suffix(".json"))
         assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+        # the failed run leaves the previous table and no partial file
+        assert (out / "predict_memos.csv").read_bytes() == previous
+        assert sorted(out.glob("*.tmp")) == []
+
+    def test_failed_ecc_keeps_the_previous_table(self, pipeline, tmp_path, capsys):
+        """`ecc` fails on a day without predictions after writing the earlier
+        days' rows; the previous ens_memos_ecc.csv stays as it was."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "predict_memos.csv"
+        lines = path.read_text().splitlines()
+        last = lines[-1].split(",")[0]
+        path.write_text("\n".join(row for row in lines if not row.startswith(last)) + "\n")
+        previous = (out / "ens_memos_ecc.csv").read_bytes()
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: no predictions for {last} in "
+                                           "predict_memos.csv (run `predict` first?)\n")
+        assert (out / "ens_memos_ecc.csv").read_bytes() == previous
+        assert sorted(out.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("drop, args, message", [
+        (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local", "--daily-mean"),
+         "no crps scores for memos; methods with crps scores: global, local, raw"),
+        (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local"),
+         "no crps scores for memos; methods with crps scores: global, local, raw"),
+        ((), ("local", "raw", "--score", "es", "--daily-mean"),
+         "no es scores for local; methods with es scores: memos_ecc, memos_independence, "
+         "raw_ecc"),
+    ], ids=["no-memos-daily-mean", "no-memos", "es-of-a-univariate-method"])
+    def test_compare_method_without_the_score(self, pipeline, tmp_path, capsys, drop, args,
+                                              message):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        for pattern in drop:
+            for path in out.glob(pattern):
+                path.unlink()
+        previous = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "verify", "--compare", *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --compare: {message}\n"
+        # the error comes before verify writes anything
+        assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == previous
 
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",
@@ -712,3 +806,28 @@ class TestErrors:
         )
         assert proc.returncode == 0
         assert "simulate:" in proc.stdout
+
+
+class TestHarnessContract:
+    """perfbench/traced.py wraps library functions by name and builds the
+    `--spde` problem from `RunConfig`, `memos` and `spde`; each of its two
+    forms must keep running on a finished pipeline."""
+
+    TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+    @pytest.mark.parametrize("form, span", [("cli", "cli.ecc"), ("spde", "spde.factor")])
+    def test_traced_form_runs(self, pipeline, tmp_path, form, span):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        spans = tmp_path / "spans.jsonl"
+        if form == "cli":
+            args = [str(spans), "t1", "--", "--config", str(config), "--out", str(out),
+                    "ecc", "--method", "raw"]
+        else:
+            args = ["--spde", str(spans), "t1", str(out), str(config)]
+        proc = subprocess.run([sys.executable, str(self.TRACED), *args],
+                              env=src_env(dict(os.environ)), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = {json.loads(line)["name"] for line in spans.read_text().splitlines()}
+        assert span in names

@@ -31,7 +31,7 @@ class TestLoadCases:
         table = data.load_cases(path)
         assert table.m == 3
         assert len(table) == 2
-        assert table.case(dt.date(2010, 10, 1), "A").members == (5.0, 6.0, 7.0)
+        assert table.on(dt.date(2010, 10, 1))["A"].members == (5.0, 6.0, 7.0)
 
     def test_missing_observation_cell(self, tmp_path):
         path = write_csv(
@@ -111,7 +111,7 @@ class TestLoadCases:
         assert back.m == table.m
         assert len(back) == len(table)
         for c in table.cases:
-            rc = back.case(c.date, c.station)
+            rc = back.on(c.date)[c.station]
             assert rc.members == pytest.approx(c.members)
             assert rc.observation == pytest.approx(c.observation)
 

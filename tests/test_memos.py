@@ -110,7 +110,8 @@ class TestLogMarginal:
     def test_duplicate_row_changes_value(self, small_problem):
         locs, msh, ops, training = small_problem
         theta = memos.Hyperparameters(0.9, 0.4, 0.9, 0.4, 1.0)
-        v1 = memos.log_marginal(theta, training, msh, ops)
+        priors = memos.Priors()
+        v1 = memos._WindowModel(training, msh, ops, priors).log_marginal(theta)
         doubled = data.TrainingSet(
             stations=training.stations + [training.stations[0]],
             dates=training.dates + [training.dates[0]],
@@ -119,7 +120,7 @@ class TestLogMarginal:
             locations=training.locations,
             window="test",
         )
-        v2 = memos.log_marginal(theta, doubled, msh, ops)
+        v2 = memos._WindowModel(doubled, msh, ops, priors).log_marginal(theta)
         assert v1 != v2
 
     @pytest.mark.parametrize("alpha", [1, 2])
@@ -372,31 +373,6 @@ class TestPredictiveSample:
 
 
 class TestMixtureCdf:
-    def test_single_component_is_gaussian(self):
-        draws = TestPredictiveSample.single_draw(1.0, 0.5, 2.0)
-        x = np.linspace(-5, 10, 9)
-        got = memos.mixture_cdf(draws, {"X": 4.0}, x)[:, 0]
-        assert np.allclose(got, norm.cdf(x, 3.0, 2.0), atol=1e-12)
-
-    def test_symmetric_two_component_midpoint(self):
-        draws = memos.PosteriorDraws(
-            sites=["X"], a=np.array([[-2.0], [2.0]]), b=np.zeros((2, 1)),
-            sigma=np.array([1.0, 1.0]), theta=np.zeros((2, 5)), seed=0, acceptance=1.0,
-        )
-        assert memos.mixture_cdf(draws, {"X": 0.0}, 0.0)[0] == pytest.approx(0.5)
-
-    def test_monotone_with_unit_limits(self):
-        rng = np.random.default_rng(1)
-        draws = memos.PosteriorDraws(
-            sites=["X"], a=rng.normal(0, 1, (20, 1)), b=rng.normal(1, 0.2, (20, 1)),
-            sigma=rng.uniform(0.5, 1.5, 20), theta=np.zeros((20, 5)), seed=0,
-            acceptance=1.0,
-        )
-        x = np.linspace(-40, 60, 200)
-        cdf = memos.mixture_cdf(draws, {"X": 5.0}, x)[:, 0]
-        assert np.all(np.diff(cdf) >= -1e-12)
-        assert cdf[0] < 1e-6 and cdf[-1] > 1 - 1e-6
-
     def test_agrees_with_predictive_sample_ecdf(self):
         rng = np.random.default_rng(2)
         n = 50
@@ -409,7 +385,9 @@ class TestMixtureCdf:
         values = np.sort(sample.pooled("X"))
         grid = np.linspace(values[0] - 1, values[-1] + 1, 300)
         ecdf = np.searchsorted(values, grid, side="right") / len(values)
-        cdf = memos.mixture_cdf(draws, {"X": 5.0}, grid)[:, 0]
+        # the mixture CDF (1/n)Σ Φ((x − a_i − b_i f̄)/σ_i)
+        means = draws.a[:, 0] + draws.b[:, 0] * 5.0
+        cdf = norm.cdf((grid[:, None] - means[None, :]) / draws.sigma[None, :]).mean(axis=1)
         assert np.max(np.abs(ecdf - cdf)) < 0.02
 
 

@@ -1,5 +1,7 @@
 """Tests for scores, rank/PIT machinery, histograms and the DM test."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,11 +44,6 @@ class TestCrpsEmpirical:
 
 
 class TestAbsError:
-    def test_gaussian_median_is_mean(self):
-        from enspost.emos import GaussianForecast
-
-        assert verify.abs_error(GaussianForecast(3.0, 2.0), 1.0) == pytest.approx(2.0)
-
     def test_odd_sample_median(self):
         assert verify.abs_error([1.0, 2.0, 3.0], 2.0) == 0.0
 
@@ -110,7 +107,10 @@ class TestVerificationRank:
 
 class TestPitAndNormalizedRank:
     def test_gaussian_median_pit(self):
-        assert verify.pit(lambda x: norm.cdf(x, 0, 1), 0.0) == pytest.approx(0.5)
+        """`verify` takes the PIT of a Gaussian forecast as its cdf(y)."""
+        from enspost.emos import GaussianForecast
+
+        assert GaussianForecast(2.0, 3.0).cdf(2.0) == 0.5
 
     def test_all_members_above_gives_zero(self):
         nr = verify.normalized_rank([1.0, 2.0, 3.0], 0.0, np.random.default_rng(0))
@@ -281,6 +281,16 @@ class TestScoreSeries:
         s.add("d2", "A", "m", "ae", 0.5)
         path = tmp_path / "scores.csv"
         s.to_csv(path)
-        back = verify.ScoreSeries.from_csv(path)
-        assert back.mean("m", "crps") == 1.25
-        assert len(back) == 2
+        with open(path, newline="") as fh:
+            back = [(r["date"], r["site"], r["method"], r["score"], float(r["value"]))
+                    for r in csv.DictReader(fh)]
+        assert back == list(s.rows())
+
+    def test_methods_with_a_score(self):
+        s = verify.ScoreSeries()
+        s.add("d1", "A", "local", "crps", 1.0)
+        s.add("d1", "A", "global", "crps", 1.0)
+        s.add("d1", "ALL", "raw_ecc", "es", 2.0)
+        assert s.methods("crps") == ["global", "local"]
+        assert s.methods("es") == ["raw_ecc"]
+        assert s.methods("ae") == []
