@@ -580,13 +580,34 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     mv_ranks: dict = {}
     _multivariate_scores(cfg, out, table, days, preds, scores, mv_ranks)
 
-    # checked before any output is written, so a bad --compare leaves them as they were
+    # the DM test runs before any output is written, so a rejected --compare
+    # leaves them as they were
     if compare:
         scored = scores.methods(score)
         for method in compare:
             if method not in scored:
                 raise CliError(f"--compare: no {score} scores for {method}; methods with "
                                f"{score} scores: {', '.join(scored) or 'none'}")
+        method_a, method_b = compare
+        if daily_mean:
+            _, series_a = scores.daily_mean(method_a, score)
+            _, series_b = scores.daily_mean(method_b, score)
+        else:
+            rows_a, rows_b = {}, {}
+            for d, s, meth, sc, v in scores.rows():
+                if sc != score:
+                    continue
+                if meth == method_a:
+                    rows_a[(d, s)] = v
+                elif meth == method_b:
+                    rows_b[(d, s)] = v
+            keys = sorted(set(rows_a) & set(rows_b))
+            series_a = np.array([rows_a[k] for k in keys])
+            series_b = np.array([rows_b[k] for k in keys])
+        if not 0 <= lag < len(series_a):
+            raise CliError(f"--lag {lag}: must satisfy 0 <= lag < n = {len(series_a)}, "
+                           f"the number of aligned {score} scores")
+        result = verify.dm_test(series_a, series_b, lag=lag)
 
     scores_path = out / "scores.csv"
     scores.to_csv(scores_path)
@@ -620,23 +641,6 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
             print(f"verify: mean crps[{method}] = {scores.mean(method, 'crps'):.4f}")
 
     if compare:
-        method_a, method_b = compare
-        if daily_mean:
-            _, series_a = scores.daily_mean(method_a, score)
-            _, series_b = scores.daily_mean(method_b, score)
-        else:
-            rows_a, rows_b = {}, {}
-            for d, s, meth, sc, v in scores.rows():
-                if sc != score:
-                    continue
-                if meth == method_a:
-                    rows_a[(d, s)] = v
-                elif meth == method_b:
-                    rows_b[(d, s)] = v
-            keys = sorted(set(rows_a) & set(rows_b))
-            series_a = np.array([rows_a[k] for k in keys])
-            series_b = np.array([rows_b[k] for k in keys])
-        result = verify.dm_test(series_a, series_b, lag=lag)
         dm_path = out / f"dm_{method_a}_{method_b}_{score}.csv"
         with open(dm_path, "w", newline="") as fh:
             writer = csv.writer(fh)

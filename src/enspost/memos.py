@@ -148,9 +148,9 @@ class _WindowModel:
     Q_post = blockdiag(fixed, Q_a, Q_b) + XᵀX/σ² is a weighted sum of fixed
     sparse terms: the fixed-effect diagonal, the SPDE terms of each field
     block (C, G, and GC⁻¹G for alpha=2) and XᵀX.  Its pattern is analysed
-    once, so each of the Metropolis chain's thousands of evaluations only
-    scatters one weight per term and refactors the band (LAPACK
-    dpbtrf/dtbtrs).
+    once (`spde.BandPattern`), so each of the Metropolis chain's thousands of
+    evaluations adds one weighted copy of each term straight into a flat
+    band/border/corner buffer and refactors the band (LAPACK dpbtrf/dtbtrs).
     """
 
     def __init__(self, training: TrainingSet, mesh: Mesh, ops: SpdeOperators,

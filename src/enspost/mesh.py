@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import ConvexHull, Delaunay
 
 from .data import Location, ModelError
 
@@ -179,6 +178,8 @@ def delaunay_triangulation(points: np.ndarray) -> np.ndarray:
     midpoints from refinement) are re-attached by splitting the containing
     triangles, so every input point is a vertex of the result.
     """
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise MeshRefinementError("triangulation dropped near-duplicate points")
@@ -226,6 +227,8 @@ def build_mesh(
     midpoint of the crossed boundary edge when the circumcenter leaves the
     hull, and aborts with advice once the node budget is exhausted.
     """
+    from scipy.spatial import ConvexHull
+
     sites = list(sites)
     coords = np.array([[s.x, s.y] for s in sites], dtype=float)
     if len(coords) < 3:
@@ -355,22 +358,18 @@ def projector(mesh: Mesh, points) -> sp.csr_matrix:
 
     Every point must lie inside or on the convex hull; offenders are
     reported by index.  Row i reproduces any affine function exactly from
-    its vertex values.
+    its vertex values.  Each distinct point is located once, so a training
+    set that repeats its stations every day costs one `locate` per station.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rows, cols, vals = [], [], []
-    outside = []
-    for i, p in enumerate(pts):
-        hit = locate(mesh, p)
-        if hit is None:
-            outside.append(i)
-            continue
-        t, w = hit
-        for local, k in enumerate(mesh.triangles[t]):
-            if w[local] > 0.0:
-                rows.append(i)
-                cols.append(int(k))
-                vals.append(float(w[local]))
-    if outside:
+    unique, inverse = np.unique(pts, axis=0, return_inverse=True)
+    hits = [locate(mesh, p) for p in unique]
+    outside = np.array([hit is None for hit in hits], dtype=bool)[inverse]
+    if outside.any():
+        outside = np.flatnonzero(outside).tolist()
         raise ValueError(f"points outside the mesh hull at indices {outside}")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(pts), mesh.n_vertices))
+    tri = mesh.triangles[[t for t, _ in hits]][inverse]
+    w = np.array([weights for _, weights in hits]).reshape(-1, 3)[inverse]
+    keep = w > 0.0
+    rows = np.broadcast_to(np.arange(len(pts))[:, None], w.shape)
+    return sp.csr_matrix((w[keep], (rows[keep], tri[keep])), shape=(len(pts), mesh.n_vertices))

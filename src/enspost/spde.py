@@ -132,6 +132,12 @@ class BandPattern:
     banded storage.  Rows and columns listed in `dense` (e.g. fixed effects
     coupled to everything) are pivoted to the end and eliminated as a dense
     border block so they do not blow up the bandwidth.
+
+    The band, the border and the corner are consecutive parts of one flat
+    buffer.  Each term keeps only its entries that land in the buffer (the
+    lower band, the dense rows' border and the corner) together with their
+    buffer positions, so a numeric assembly adds each term's weighted values
+    straight into place, in term order.
     """
 
     def __init__(self, terms, dense=()):
@@ -143,10 +149,6 @@ class BandPattern:
             t.sum_duplicates()
         keys = [t.row.astype(np.int64) * n + t.col for t in terms]
         union = np.unique(np.concatenate(keys))
-        # unique positions within each term, so scatter-adds need no np.add.at
-        self._maps = [np.searchsorted(union, k) for k in keys]
-        self._values = [t.data for t in terms]
-        self._nnz = len(union)
 
         is_dense = np.zeros(n, dtype=bool)
         is_dense[list(dense)] = True
@@ -171,30 +173,38 @@ class BandPattern:
         invperm[perm] = np.arange(ns)
         pr, pc = invperm[rows[in_band]], invperm[cols[in_band]]
         self.bw = int(np.max(np.abs(pr - pc))) if len(pr) else 0
+
+        # buffer position of every union entry, −1 where it is dropped;
+        # the band is column-major (Fortran), the layout LAPACK works in
+        self._border_at = (self.bw + 1) * ns
+        self._corner_at = self._border_at + nd * ns
+        dest = np.full(len(union), -1, dtype=np.int64)
         lower = pr >= pc
-        self._band_src = np.flatnonzero(in_band)[lower]
-        # column-major (Fortran) positions, the layout LAPACK works in
-        self._band_pos = pc[lower] * (self.bw + 1) + (pr - pc)[lower]
+        dest[np.flatnonzero(in_band)[lower]] = (pc * (self.bw + 1) + pr - pc)[lower]
         border = row_dense & ~col_dense
-        self._b_src = np.flatnonzero(border)
-        self._b_pos = rows[border] * ns + invperm[cols[border]]
+        dest[border] = self._border_at + rows[border] * ns + invperm[cols[border]]
         corner = row_dense & col_dense
-        self._f_src = np.flatnonzero(corner)
-        self._f_pos = rows[corner] * nd + cols[corner]
+        dest[corner] = self._corner_at + rows[corner] * nd + cols[corner]
+        self._pos, self._data = [], []
+        for key, t in zip(keys, terms):
+            pos = dest[np.searchsorted(union, key)]
+            keep = pos >= 0
+            self._pos.append(pos[keep])
+            self._data.append(t.data[keep])
 
     def scatter(self, weights):
-        """Band, border and corner blocks of Σ_t weights[t]·terms[t]."""
-        values = np.zeros(self._nnz)
-        for idx, data, w in zip(self._maps, self._values, weights):
-            values[idx] += w * data
+        """Band (Fortran-ordered for dpbtrf), border and corner blocks of
+        Σ_t weights[t]·terms[t], as views of one flat buffer.  A non-finite
+        entry raises `NonFiniteError`."""
+        buf = np.zeros(self._corner_at + len(self.dense_idx) ** 2)
+        for pos, data, w in zip(self._pos, self._data, weights):
+            buf[pos] += w * data
+        if not np.isfinite(buf).all():
+            raise NonFiniteError("array must not contain infs or NaNs")
         ns, nd = len(self.band_rows), len(self.dense_idx)
-        ab = np.zeros((self.bw + 1) * ns)
-        ab[self._band_pos] = values[self._band_src]
-        B = np.zeros(nd * ns)
-        B[self._b_pos] = values[self._b_src]
-        F = np.zeros(nd * nd)
-        F[self._f_pos] = values[self._f_src]
-        return ab.reshape((self.bw + 1, ns), order="F"), B.reshape(nd, ns), F.reshape(nd, nd)
+        return (buf[:self._border_at].reshape((self.bw + 1, ns), order="F"),
+                buf[self._border_at:self._corner_at].reshape(nd, ns),
+                buf[self._corner_at:].reshape(nd, nd))
 
     def factor(self, weights) -> "SparseCholesky":
         """Numeric Cholesky factor of Σ_t weights[t]·terms[t]."""
@@ -217,12 +227,10 @@ class SparseCholesky:
         self._factor(pattern, *pattern.scatter((1.0,)))
 
     def _factor(self, pattern, ab, B, F):
-        if not (np.isfinite(ab).all() and np.isfinite(B).all() and np.isfinite(F).all()):
-            raise NonFiniteError("array must not contain infs or NaNs")
         self.n = pattern.n
         self._pattern = pattern
         self._cab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-        if info != 0 or np.any(self._cab[0] <= 0):
+        if info != 0 or (self._cab[0] <= 0).any():
             raise np.linalg.LinAlgError("precision not positive definite")
         # dense border: L_s W = Bᵀ, then the Schur complement S = F − WᵀW;
         # LAPACK is not called on an empty border (zero-size operands)
@@ -236,7 +244,7 @@ class SparseCholesky:
 
     @property
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(self._cab[0])) + np.sum(np.log(np.diag(self._Lf))))
+        return 2.0 * float(np.log(self._cab[0]).sum() + np.log(self._Lf.diagonal()).sum())
 
     def _solve_L_sparse(self, y):
         return dtbtrs(self._cab, y, uplo="L")[0]
@@ -306,7 +314,7 @@ def spde_logdet_factory(ops: SpdeOperators):
     K = ops.K
 
     def logdet(kappa: float, tau: float, alpha: int = 1) -> float:
-        body = float(np.sum(np.log(kappa**2 + lam)))
+        body = float(np.log(kappa**2 + lam).sum())
         if alpha == 1:
             return 2 * K * np.log(tau) + body + log_c
         return 2 * K * np.log(tau) + 2 * body + log_c

@@ -5,8 +5,10 @@ code they check: quadrature instead of closed forms, dense covariance-side
 linear algebra instead of sparse precision-side identities, a
 point-by-point refinement loop instead of whole-array scans, a
 closed-form mixture CRPS instead of the score of a quantile sample, a
-derivative-free simplex search instead of batched Newton steps, and a
-scan over every case instead of the table's date and station indexes.
+derivative-free simplex search instead of batched Newton steps, a
+scan over every case instead of the table's date and station indexes,
+one `locate` per query point instead of one per distinct point, and a
+sum over the union pattern instead of direct band-storage positions.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -80,11 +82,14 @@ def midpoint_quantile_w1(m: int) -> float:
     return float(2.0 * _normal_pdf(z).sum() - 2.0 * _normal_pdf(edges).sum())
 
 
-def emos_fit_nelder_mead(training) -> "emos.EmosParams":
-    """Minimum-CRPS (a, b, σ) by one scalar Nelder–Mead run over
-    (a, b, log σ) from the ordinary-least-squares start, σ clamped at
-    SIGMA_FLOOR; constant-f̄ windows fix b = 0.  Returns the optimizer's
-    final point whether or not it reports convergence."""
+def emos_fit_nelder_mead(training, max_restarts=5) -> "emos.EmosParams":
+    """Minimum-CRPS (a, b, σ) by scalar Nelder–Mead over (a, b, log σ) from
+    the ordinary-least-squares start, σ clamped at SIGMA_FLOOR; constant-f̄
+    windows fix b = 0.  A simplex that has collapsed can stall short of
+    the minimum, so the search restarts from its own result, with a fresh
+    simplex, until the mean CRPS stops falling or `max_restarts` runs out.
+    Returns the last point whether or not the optimizer reports
+    convergence."""
     fbar = np.asarray(training.fbar, dtype=float)
     y = np.asarray(training.y, dtype=float)
     var_f = float(np.var(fbar))
@@ -101,9 +106,16 @@ def emos_fit_nelder_mead(training) -> "emos.EmosParams":
         sigma = max(math.exp(logs), emos.SIGMA_FLOOR)
         return float(np.mean(emos.crps_gaussian(a + b * fbar, sigma, y)))
 
-    x0 = [a0, math.log(s0)] if degenerate else [a0, b0, math.log(s0)]
-    res = minimize(objective, np.array(x0), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 10000})
+    def search(x0):
+        return minimize(objective, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 10000})
+
+    res = search(np.array([a0, math.log(s0)] if degenerate else [a0, b0, math.log(s0)]))
+    for _ in range(max_restarts):
+        again = search(res.x)
+        if not again.fun < res.fun:
+            break
+        res = again
     a, b, logs = (res.x[0], 0.0, res.x[1]) if degenerate else res.x
     return emos.EmosParams(float(a), float(b), max(math.exp(logs), emos.SIGMA_FLOOR))
 
@@ -303,6 +315,62 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
         triangles = mesh.delaunay_triangulation(np.array(pts))
 
     return mesh.Mesh(np.array(pts), triangles, boundary_edges_by_count(triangles))
+
+
+def projector_per_point(msh, points) -> sp.csr_matrix:
+    """`mesh.projector` with one `locate` call per query point, repeats
+    included, building the matrix from Python triplet lists."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rows, cols, vals = [], [], []
+    outside = []
+    for i, p in enumerate(pts):
+        hit = mesh.locate(msh, p)
+        if hit is None:
+            outside.append(i)
+            continue
+        t, w = hit
+        for local, k in enumerate(msh.triangles[t]):
+            if w[local] > 0.0:
+                rows.append(i)
+                cols.append(int(k))
+                vals.append(float(w[local]))
+    if outside:
+        raise ValueError(f"points outside the mesh hull at indices {outside}")
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(pts), msh.n_vertices))
+
+
+def band_scatter_union(pattern, terms, weights):
+    """`spde.BandPattern.scatter` by way of the union pattern: add each
+    weighted term into one value per entry of the union of the terms'
+    patterns, in term order, then copy the lower band, the dense rows'
+    border and the corner out of those values by (row, column), using the
+    pattern's permutation and bandwidth."""
+    n = pattern.n
+    terms = [sp.coo_matrix(t) for t in terms]
+    for t in terms:
+        t.sum_duplicates()
+    keys = [t.row.astype(np.int64) * n + t.col for t in terms]
+    union = np.unique(np.concatenate(keys))
+    values = np.zeros(len(union))
+    for key, t, w in zip(keys, terms, weights):
+        values[np.searchsorted(union, key)] += w * t.data
+    ns, nd = len(pattern.band_rows), len(pattern.dense_idx)
+    at = np.empty(n, dtype=np.int64)
+    at[pattern.band_rows] = np.arange(ns)
+    at[pattern.dense_idx] = np.arange(nd)
+    is_dense = np.isin(np.arange(n), pattern.dense_idx)
+    ab = np.zeros((pattern.bw + 1, ns), order="F")
+    B = np.zeros((nd, ns))
+    F = np.zeros((nd, nd))
+    for key, v in zip(union, values):
+        r, c = divmod(int(key), n)
+        if not is_dense[r] and not is_dense[c] and at[r] >= at[c]:
+            ab[at[r] - at[c], at[c]] = v
+        elif is_dense[r] and not is_dense[c]:
+            B[at[r], at[c]] = v
+        elif is_dense[r] and is_dense[c]:
+            F[at[r], at[c]] = v
+    return ab, B, F
 
 
 def conditional_gaussian(Q_prior, A, noise_prec: float, y):

@@ -392,6 +392,15 @@ class TestImports:
             "print([name for name in sys.modules if name.split('.')[0] == 'scipy'])"))
         assert probe == "[]"
 
+    def test_mesh_and_memos_leave_scipy_spatial_unloaded(self):
+        """Only triangulation needs Qhull: `build_mesh` and
+        `delaunay_triangulation` import it when they run, so the MEMOS fit,
+        which reads mesh.json, skips the 0.17 s CPU of scipy.spatial."""
+        probe = TestBlasThreads.probe(dict(os.environ), (
+            "import sys, enspost.mesh, enspost.memos\n"
+            "print([name for name in sys.modules if name.startswith('scipy.spatial')])"))
+        assert probe == "[]"
+
     @pytest.mark.parametrize("args, drop, absent", [
         ((), "", ("scipy",)),
         (("ecc", "--method", "raw"), "", ("scipy",)),
@@ -401,10 +410,11 @@ class TestImports:
         (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
+        (("fit", "--method", "memos"), "", ("scipy.spatial",)),
         (("verify",), "", ("enspost.memos", "enspost.spde")),
         (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
     ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "predict-local", "predict-memos",
-            "fit-global", "fit-local", "verify", "verify-no-ens"])
+            "fit-global", "fit-local", "fit-memos", "verify", "verify-no-ens"])
     def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, drop, absent):
         """A fresh interpreter that imports enspost.cli and runs one command
         through `main`, in a copy of the pipeline's output less the files
@@ -681,6 +691,24 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: --compare: {message}\n"
         # the error comes before verify writes anything
         assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == previous
+
+    def test_compare_lag_beyond_the_series_leaves_outputs(self, pipeline, tmp_path, capsys):
+        """`dm_test` rejects the lag before verify writes scores.csv or any
+        histogram; the message names the option and the series length."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        kept = ("scores.csv", "hist_raw.csv")
+        previous = {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
+                    for name in kept}
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "verify",
+                         "--compare", "memos", "local", "--lag", "100"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: --lag 100: must satisfy 0 <= lag < n = 60, "
+                                           "the number of aligned crps scores\n")
+        assert {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
+                for name in kept} == previous
 
     def test_missing_config(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out",

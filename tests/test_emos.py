@@ -4,7 +4,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from oracles import crps_by_quadrature, emos_fit_nelder_mead
@@ -204,6 +204,8 @@ class TestNewtonAgainstNelderMead:
 
     @given(st.sampled_from(WINDOW_KINDS), st.integers(0, 2**32 - 1), st.integers(10, 60),
            st.floats(-5, 5), st.floats(0.2, 1.8), st.floats(0.3, 3.0))
+    # a single Nelder–Mead run stalled here at a = 7.99e-6 against Newton's 1e-5
+    @example(kind="noise-free", seed=0, length=10, a=1e-5, b=0.75, sigma=1.0)
     @settings(max_examples=60, deadline=None)
     def test_same_optimum(self, kind, seed, length, a, b, sigma):
         training = synthetic_window(kind, seed, length, a, b, sigma)

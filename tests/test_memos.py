@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.stats import gamma as gamma_dist, norm
 
-from oracles import dense_log_marginal
+from oracles import band_scatter_union, dense_log_marginal
 
 from enspost import data, ecc, memos, mesh as mesh_mod, spde
 
@@ -167,6 +169,59 @@ class TestLogMarginal:
             slopes[scale] = float(np.mean(draws.b))
         assert slopes[1.0] == pytest.approx(0.8, abs=0.05)
         assert slopes[3.0] == pytest.approx(0.8, abs=0.05)
+
+
+@pytest.fixture(scope="module")
+def window_models():
+    """α = 1 and α = 2 window models of 20 stations on 25 days, with the
+    terms their band pattern sums, rebuilt from the model's blocks."""
+    rng = np.random.default_rng(17)
+    locs = [data.Location(f"s{i}", float(x), float(y))
+            for i, (x, y) in enumerate(rng.uniform(0, 50, (20, 2)))]
+    msh = mesh_mod.build_mesh(locs, min_angle=20.0)
+    ops = spde.assemble_fem(msh)
+    fbar = rng.uniform(0, 15, 500)
+    training = data.TrainingSet(
+        stations=[l.id for l in locs] * 25, dates=[None] * 500, fbar=fbar,
+        y=1.0 + 0.9 * fbar + rng.normal(0, 1.0, 500),
+        locations={l.id: l for l in locs}, window="test",
+    )
+    models = {}
+    for alpha in (1, 2):
+        model = memos._WindowModel(training, msh, ops, memos.Priors(), alpha=alpha)
+        K, p = model.layout.K, model.layout.dim
+        zero2, zero_k = sp.csr_matrix((2, 2)), sp.csr_matrix((K, K))
+        terms = ([sp.coo_matrix(([1.0, 1.0], ([0, 1], [0, 1])), shape=(p, p))]
+                 + [sp.block_diag([zero2, T, zero_k]) for T in ops.terms(alpha)]
+                 + [sp.block_diag([zero2, zero_k, T]) for T in ops.terms(alpha)]
+                 + [model.XtX])
+        models[alpha] = model, terms
+    return models
+
+
+class TestBandScatterAgainstUnionValues:
+    """Adding each term straight into band storage gives every entry the
+    same sum of the same products, in the same order, as summing over the
+    union pattern first, so the blocks and the factors agree bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_same_blocks_and_factor(self, window_models, alpha, data):
+        model, terms = window_models[alpha]
+        weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(terms),
+                                     max_size=len(terms)))
+        pattern = model._pattern
+        got, want = pattern.scatter(weights), band_scatter_union(pattern, terms, weights)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+        direct = pattern.factor(weights)
+        union = spde.SparseCholesky.__new__(spde.SparseCholesky)
+        union._factor(pattern, *want)
+        assert direct.logdet == union.logdet
+        rhs = np.random.default_rng(0).standard_normal(pattern.n)
+        np.testing.assert_array_equal(direct.solve(rhs), union.solve(rhs))
 
 
 class TestSamplePosterior:

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 
 from enspost import mesh
 from enspost.data import Location
-from oracles import ruppert_reference, triangle_min_angle
+from oracles import projector_per_point, ruppert_reference, triangle_min_angle
 
 
 def locs(points):
@@ -227,6 +227,82 @@ class TestProjector:
     def test_exterior_point_error_lists_indices(self, msh):
         with pytest.raises(ValueError, match=r"\[1\]"):
             mesh.projector(msh, [msh.vertices[0], (99.0, 99.0)])
+
+
+@pytest.fixture(scope="module")
+def query_meshes():
+    """A refined random mesh, and a lattice mesh whose triangles tie and
+    whose sites lie inside hull edges."""
+    return {"random": mesh.build_mesh(locs(uniform_sites(8, 15)), min_angle=20),
+            "grid": mesh.build_mesh(locs(grid_sites(4, 3)), min_angle=20)}
+
+
+@st.composite
+def query_points(draw, msh, outside=False):
+    """Vertices, points on triangle edges (shared or on the hull), interior
+    points and, if asked, points off the hull (at least one), each drawn
+    into a pool that the query then samples with repeats."""
+    def on_triangle(kind):
+        tri = msh.vertices[msh.triangles[draw(st.integers(0, len(msh.triangles) - 1))]]
+        if kind == "vertex":
+            return tri[draw(st.integers(0, 2))]
+        if kind == "edge":
+            k, t = draw(st.integers(0, 2)), draw(st.sampled_from([0.5, 0.25, 1 / 3]))
+            return (1 - t) * tri[k] + t * tri[(k + 1) % 3]
+        w = np.array(draw(st.tuples(*[st.floats(0.05, 1.0)] * 3)))
+        return w @ tri / w.sum()
+
+    kinds = st.sampled_from(["vertex", "edge", "interior"])
+    pool = [on_triangle(kind) for kind in draw(st.lists(kinds, min_size=1, max_size=12))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    off_hull = st.sampled_from([(99.0, 99.0), (-1.0, 5.0), (5.0, -1e-3)])
+    for p in draw(st.lists(off_hull, min_size=1, max_size=3)) if outside else ():
+        pool.append(np.array(p))
+        picks.insert(draw(st.integers(0, len(picks))), len(pool) - 1)
+    return np.array([pool[k] for k in picks])
+
+
+class TestProjectorAgainstPerPointLoop:
+    """The projector that locates each distinct point once builds the same
+    matrix, bit for bit, as one `locate` call per query point."""
+
+    @given(data=st.data(), layout=st.sampled_from(["random", "grid"]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_csr_arrays(self, query_meshes, data, layout):
+        msh = query_meshes[layout]
+        pts = data.draw(query_points(msh))
+        got, want = mesh.projector(msh, pts), projector_per_point(msh, pts)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @given(data=st.data(), layout=st.sampled_from(["random", "grid"]))
+    @settings(max_examples=40, deadline=None)
+    def test_same_outside_hull_error(self, query_meshes, data, layout):
+        msh = query_meshes[layout]
+        pts = data.draw(query_points(msh, outside=True))
+        with pytest.raises(ValueError) as want:
+            projector_per_point(msh, pts)
+        with pytest.raises(ValueError) as got:
+            mesh.projector(msh, pts)
+        assert str(got.value) == str(want.value)
+
+    def test_locates_each_distinct_point_once(self, query_meshes, monkeypatch):
+        msh = query_meshes["random"]
+        stations = msh.vertices[:7] * 0.5 + msh.vertices[7:14] * 0.5
+        rows = np.tile(stations, (20, 1))
+        calls = []
+
+        def counting(m, p):
+            calls.append(tuple(p))
+            return locate(m, p)
+
+        locate = mesh.locate
+        monkeypatch.setattr(mesh, "locate", counting)
+        proj = mesh.projector(msh, rows)
+        assert len(calls) == len(set(calls)) == len(np.unique(stations, axis=0))
+        assert proj.shape == (len(rows), msh.n_vertices)
 
 
 class TestScalarReference:
