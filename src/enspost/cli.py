@@ -604,10 +604,11 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
             keys = sorted(set(rows_a) & set(rows_b))
             series_a = np.array([rows_a[k] for k in keys])
             series_b = np.array([rows_b[k] for k in keys])
-        if not 0 <= lag < len(series_a):
-            raise CliError(f"--lag {lag}: must satisfy 0 <= lag < n = {len(series_a)}, "
-                           f"the number of aligned {score} scores")
-        result = verify.dm_test(series_a, series_b, lag=lag)
+        try:
+            result = verify.dm_test(series_a, series_b, lag=lag)
+        except ValueError as exc:
+            raise CliError(f"--compare {method_a} {method_b} on {score}, "
+                           f"--lag {lag}: {exc}") from exc
 
     scores_path = out / "scores.csv"
     scores.to_csv(scores_path)

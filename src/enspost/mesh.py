@@ -363,6 +363,7 @@ def projector(mesh: Mesh, points) -> sp.csr_matrix:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     unique, inverse = np.unique(pts, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # NumPy 2.0.0 returns it 2-d for axis=0
     hits = [locate(mesh, p) for p in unique]
     outside = np.array([hit is None for hit in hits], dtype=bool)[inverse]
     if outside.any():

@@ -171,9 +171,9 @@ def dm_test(scores_a, scores_b, lag: int = 0) -> DmResult:
         raise ValueError("score series must be 1-d and equally long")
     n = len(a)
     if n < 5:
-        raise ValueError("need at least 5 aligned scores")
+        raise ValueError(f"need at least 5 aligned scores, got n = {n}")
     if lag < 0 or lag >= n:
-        raise ValueError("lag must satisfy 0 <= lag < n")
+        raise ValueError(f"lag must satisfy 0 <= lag < n = {n}")
     d = a - b
     dbar = float(np.mean(d))
     dc = d - dbar

@@ -82,12 +82,12 @@ def midpoint_quantile_w1(m: int) -> float:
     return float(2.0 * _normal_pdf(z).sum() - 2.0 * _normal_pdf(edges).sum())
 
 
-def emos_fit_nelder_mead(training, max_restarts=5) -> "emos.EmosParams":
+def emos_fit_nelder_mead(training) -> "emos.EmosParams":
     """Minimum-CRPS (a, b, σ) by scalar Nelder–Mead over (a, b, log σ) from
     the ordinary-least-squares start, σ clamped at SIGMA_FLOOR; constant-f̄
     windows fix b = 0.  A simplex that has collapsed can stall short of
     the minimum, so the search restarts from its own result, with a fresh
-    simplex, until the mean CRPS stops falling or `max_restarts` runs out.
+    simplex, until the mean CRPS stops falling, at most five times.
     Returns the last point whether or not the optimizer reports
     convergence."""
     fbar = np.asarray(training.fbar, dtype=float)
@@ -111,7 +111,7 @@ def emos_fit_nelder_mead(training, max_restarts=5) -> "emos.EmosParams":
                         options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 10000})
 
     res = search(np.array([a0, math.log(s0)] if degenerate else [a0, b0, math.log(s0)]))
-    for _ in range(max_restarts):
+    for _ in range(5):
         again = search(res.x)
         if not again.fun < res.fun:
             break

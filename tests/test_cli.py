@@ -705,8 +705,8 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out), "verify",
                          "--compare", "memos", "local", "--lag", "100"])
         assert code == 1
-        assert capsys.readouterr().err == ("error: --lag 100: must satisfy 0 <= lag < n = 60, "
-                                           "the number of aligned crps scores\n")
+        assert capsys.readouterr().err == ("error: --compare memos local on crps, --lag 100: "
+                                           "lag must satisfy 0 <= lag < n = 60\n")
         assert {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
                 for name in kept} == previous
 

@@ -243,6 +243,12 @@ class TestDmTest:
         with pytest.raises(ValueError):
             verify.dm_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_too_few_scores_is_reported_before_the_lag(self):
+        with pytest.raises(ValueError, match=r"^need at least 5 aligned scores, got n = 3$"):
+            verify.dm_test(np.ones(3), np.zeros(3), lag=10)
+        with pytest.raises(ValueError, match=r"^lag must satisfy 0 <= lag < n = 6$"):
+            verify.dm_test(np.ones(6), np.zeros(6), lag=6)
+
     def test_pvalue_keeps_precision_at_large_statistics(self):
         """2·Φ(−|t|), not 2·(1 − Φ(|t|)), which cancels to 0 from |t| ≈ 8.3."""
         rng = np.random.default_rng(3)
