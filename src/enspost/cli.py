@@ -18,11 +18,14 @@ mixture, so one row per (date, site) for global and local EMOS and n rows,
 in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
 grouped m-quantile sample of each day from those rows with
 ``emos.quantile_sample`` (for raw: the sorted members, n = 1).  ``ecc``
-writes ens_<method>_<structure>.csv with columns date,site,ranks: one row
-per (date, site) holding L space-separated ranks, the raw ensemble's m
-ranks for ECC or a permutation of the N = m·n pooled values for
-independence.  ``verify`` rebuilds each ensemble by reordering every
-consecutive block of L pooled values by these ranks.
+writes ens_<method>_<structure>.csv with one row per (date, site) of the
+day's sample.  For ECC the columns are date,site,ranks, the raw ensemble's
+m space-separated ranks.  For independence they are date,site,seed,L: the
+seed ``ecc`` ran with and L = N = m·n; the permutation of the N pooled
+values is a pure function of them and the day's sites, so ``verify``
+redraws it (``ecc.shuffle_ranks`` on ``subseed(seed, "independence",
+date)``) instead of reading it.  ``verify`` rebuilds each ensemble by
+reordering every consecutive block of L pooled values by these ranks.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
@@ -425,6 +428,9 @@ def _ensemble_sample(method: str, rows: dict, m: int) -> ecc.PredictiveSample:
     return ecc.PredictiveSample(sites=sites, values=sorted_raw.T[None])
 
 
+ENS_HEADER = {"ecc": ["date", "site", "ranks"], "independence": ["date", "site", "seed", "L"]}
+
+
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     from . import ecc
 
@@ -436,7 +442,7 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
 
     with _replacing(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "site", "ranks"])
+        writer.writerow(ENS_HEADER[structure])
         for day in days:
             key = day.isoformat()
             cases = table.on(day)
@@ -444,50 +450,91 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
             if rows is None:
                 raise CliError(f"no predictions for {key} in predict_{method}.csv "
                                "(run `predict` first?)")
-            sample = _ensemble_sample(method, rows, m)
-            if structure == "ecc":
-                rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-                ranks = ecc.ecc_ranks({s: c.members for s, c in cases.items()}, sample, rng)
-            else:
-                rng = np.random.default_rng(subseed(cfg.seed, "independence", key))
-                ranks = ecc.shuffle_ranks({s: sample.n * sample.m for s in sample.sites}, rng)
+            if structure == "independence":
+                # verify redraws the shuffle from (seed, date, {site: L}); L = N = m·n
+                writer.writerows([key, site, cfg.seed,
+                                  len(row.members) if method == "raw" else m * len(row[0])]
+                                 for site, row in sorted(rows.items()))
+                continue
+            rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
+            ranks = ecc.ecc_ranks({s: c.members for s, c in cases.items()},
+                                  _ensemble_sample(method, rows, m), rng)
             writer.writerows([key, site, " ".join(map(str, pi.pi))]
                              for site, pi in sorted(ranks.items()))
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
 
+def _int_cell(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
-    """Rebuild ens_<label>.csv as {date: {site: N members}}: each row's ranks
-    reorder the site's pooled `_ensemble_sample` block by block
-    (`ecc.apply_permutation`).  ECC rows hold m ranks, independence rows N."""
+    """Rebuild ens_<label>.csv as {date: {site: N members}}: each site's ranks
+    reorder its pooled `_ensemble_sample` block by block
+    (`ecc.apply_permutation`).  ECC rows hold the m ranks.  Independence rows
+    hold the seed `ecc` ran with and L = N, and the day's N-long ranks are
+    redrawn from them with the stream `ecc` has always used.  Every site of
+    a day's sample needs exactly one row, since a missing or repeated row
+    would change the day's scores (and the redrawn stream)."""
     from . import ecc
 
     method, structure = label.rsplit("_", 1)
     path = out / f"ens_{label}.csv"
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
     by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
-    ensembles, samples = {}, {}
+    header = ENS_HEADER[structure]
+    samples, ranks, lines, seeds = {}, {}, {}, {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != ["date", "site", "ranks"]:
-            raise CliError(f"{path}: expected the header date,site,ranks (rerun `ecc`?)")
+        if next(reader, None) != header:
+            raise CliError(f"{path}: expected the header {','.join(header)} (rerun `ecc`?)")
         for row in reader:
             try:
-                key, site, text = row
-                pi = ecc.RankPermutation(tuple(map(int, text.split())))
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                key, site = row[:2]
                 rows = (table.on(dt.date.fromisoformat(key)) if by_day is None
                         else by_day.get(key, {}))
                 if site not in rows:
                     raise ValueError(f"{key} site {site} has no row in {source}")
                 if key not in samples:
                     samples[key] = _ensemble_sample(method, rows, m)
-                if structure == "ecc" and len(pi) != samples[key].m:
-                    raise ValueError(f"{len(pi)} ranks for ensemble size {samples[key].m}")
-                ensembles.setdefault(key, {})[site] = ecc.apply_permutation(
-                    pi, samples[key].pooled(site))
+                    ranks[key], lines[key] = {}, {}
+                if site in lines[key]:
+                    raise ValueError(f"{key} site {site} repeats line {lines[key][site]}")
+                lines[key][site] = reader.line_num
+                sample = samples[key]
+                if structure == "ecc":
+                    pi = ecc.RankPermutation(tuple(map(int, row[2].split())))
+                    if len(pi) != sample.m:
+                        raise ValueError(f"{len(pi)} ranks for ensemble size {sample.m}")
+                    ranks[key][site] = pi
+                    continue
+                seed, size = _int_cell("seed", row[2]), _int_cell("L", row[3])
+                if size != sample.n * sample.m:
+                    raise ValueError(f"L = {size} does not fit the pooled sample of "
+                                     f"{sample.n * sample.m} values")
+                first, line = seeds.setdefault(key, (seed, reader.line_num))
+                if seed != first:
+                    raise ValueError(f"seed {seed} differs from seed {first} on line {line}")
+                ranks[key][site] = size
             except ValueError as exc:
                 raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
+    ensembles = {}
+    for key, sample in samples.items():
+        missing = sorted(set(sample.sites) - set(lines[key]))
+        if missing:
+            raise CliError(f"{path.name}: {key} site {missing[0]} has no row (rerun `ecc`?)")
+        day = ranks.pop(key)  # a day's N-long ranks live only while it is rebuilt
+        if structure == "independence":
+            rng = np.random.default_rng(subseed(seeds[key][0], "independence", key))
+            day = ecc.shuffle_ranks(day, rng)
+        ensembles[key] = {site: ecc.apply_permutation(pi, sample.pooled(site))
+                          for site, pi in day.items()}
     return ensembles
 
 
@@ -561,6 +608,7 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
             mv_ranks.setdefault(label, []).append(
                 (verify.multivariate_rank(ens, y, rng), len(ens) + 1)
             )
+        del per_day  # so two labels' ensembles are never held at once
 
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",

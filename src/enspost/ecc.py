@@ -11,7 +11,8 @@ Both reorderings are a RankPermutation per site, and one rule applies
 either: ranks of length L reorder each consecutive block of L values of
 the site's pooled sample (see `apply_permutation`).  ECC draws L = m ranks
 from the raw members; the independence shuffle draws one permutation of
-L = N.  The CLI stores these ranks, not the reordered values.
+L = N.  The CLI stores the ECC ranks and, for the shuffle, the seed and L
+it redraws it from, never the reordered values.
 
 The module needs numpy only, so the CLI's `ecc --method raw` loads no scipy.
 """

@@ -82,24 +82,53 @@ def normalized_rank(sample, y: float, rng: np.random.Generator) -> float:
     return (verification_rank(sample, y, rng) - 1) / n
 
 
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def pre_ranks(pooled) -> np.ndarray:
+    """Pre-rank of each row of an (N, d) array, d ≥ 1: the number of rows
+    (itself included) that it weakly dominates in every coordinate.
+
+    Each row's dominated set is kept as N bits packed in uint64 words.  Per
+    coordinate, the set {j : x_jk ≤ x_ik} is a prefix of the ascending
+    order, so a cumulative OR of one-bit rows down that order holds every
+    such set, and the prefix of row i ends at the last sorted position whose
+    value is x_ik (ties included).  The sets are ANDed across coordinates and
+    counted: O(d·N²/64) word operations instead of an N × N matrix per
+    coordinate.
+    """
+    pooled = np.asarray(pooled, dtype=float)
+    n, d = pooled.shape
+    if d < 1:
+        raise ValueError("pre-ranks need at least one coordinate")
+    rows = np.arange(n)
+    last = np.empty(n, dtype=np.intp)  # sorted position that ends each row's tie group
+    dominated = None
+    for col in pooled.T:
+        order = col.argsort(kind="stable")
+        values = col[order]
+        prefix = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+        prefix[rows, order >> 6] = _BITS[order & 63]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        # sorted queries keep the binary searches in cache
+        last[order] = values.searchsorted(values, side="right") - 1
+        below = prefix[last]
+        dominated = below if dominated is None else np.bitwise_and(dominated, below, out=dominated)
+    return np.bitwise_count(dominated).sum(axis=1, dtype=np.int64)
+
+
 def multivariate_rank(ensemble, y, rng: np.random.Generator) -> int:
     """Rank of the observation among pooled vectors by pre-rank.
 
     The pre-rank of a pooled vector is the number of pooled vectors weakly
-    dominated by it in every coordinate; the observation's rank among the
-    pre-ranks is returned with ties resolved at random.
+    dominated by it in every coordinate (see `pre_ranks`); the observation's
+    rank among the pre-ranks is returned with ties resolved at random.
     """
     x = np.atleast_2d(np.asarray(ensemble, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape[1] != len(yv):
         raise ValueError(f"dimension mismatch: members have {x.shape[1]}, y has {len(yv)}")
-    pooled = np.vstack([yv[None, :], x])
-    n = len(pooled)
-    dominated = np.ones((n, n), dtype=bool)
-    for k in range(pooled.shape[1]):
-        col = pooled[:, k]
-        dominated &= col[:, None] <= col[None, :]
-    prerank = dominated.sum(axis=0)  # counts vectors weakly below each vector
+    prerank = pre_ranks(np.vstack([yv[None, :], x]))
     rho_obs = prerank[0]
     below = int(np.sum(prerank[1:] < rho_obs))
     ties = int(np.sum(prerank[1:] == rho_obs))

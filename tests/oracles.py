@@ -7,8 +7,9 @@ point-by-point refinement loop instead of whole-array scans, a
 closed-form mixture CRPS instead of the score of a quantile sample, a
 derivative-free simplex search instead of batched Newton steps, a
 scan over every case instead of the table's date and station indexes,
-one `locate` per query point instead of one per distinct point, and a
-sum over the union pattern instead of direct band-storage positions.
+one `locate` per query point instead of one per distinct point, a
+sum over the union pattern instead of direct band-storage positions, and
+an N × N dominance matrix instead of packed prefix bits.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -371,6 +372,30 @@ def band_scatter_union(pattern, terms, weights):
         elif is_dense[r] and is_dense[c]:
             F[at[r], at[c]] = v
     return ab, B, F
+
+
+def pre_ranks_by_dominance(pooled) -> np.ndarray:
+    """`verify.pre_ranks` from the dense N × N matrix of weak dominance,
+    ANDed over the coordinates: column j counts the rows i with
+    x_ik ≤ x_jk for every k."""
+    pooled = np.asarray(pooled, dtype=float)
+    n = len(pooled)
+    dominated = np.ones((n, n), dtype=bool)
+    for k in range(pooled.shape[1]):
+        col = pooled[:, k]
+        dominated &= col[:, None] <= col[None, :]
+    return dominated.sum(axis=0)
+
+
+def multivariate_rank_by_dominance(ensemble, y, rng) -> int:
+    """`verify.multivariate_rank` on `pre_ranks_by_dominance`, with the same
+    one draw from `rng` to break the observation's ties."""
+    pooled = np.vstack([np.atleast_1d(np.asarray(y, dtype=float))[None, :],
+                        np.atleast_2d(np.asarray(ensemble, dtype=float))])
+    prerank = pre_ranks_by_dominance(pooled)
+    below = int(np.sum(prerank[1:] < prerank[0]))
+    ties = int(np.sum(prerank[1:] == prerank[0]))
+    return 1 + below + int(rng.integers(0, ties + 1))
 
 
 def conditional_gaussian(Q_prior, A, noise_prec: float, y):

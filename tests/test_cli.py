@@ -220,10 +220,40 @@ class TestPipelineContract:
                     assert np.array_equal(by_site[site], values)
             with open(out / f"ens_{label}.csv", newline="") as fh:
                 rows = list(csv.reader(fh))
-            assert rows[0] == ["date", "site", "ranks"]
-            assert all(re.fullmatch(r"[0-9]+( [0-9]+)*", row[2]) for row in rows[1:])
+            assert rows[0] == cli.ENS_HEADER[structure]
+            if structure == "ecc":
+                assert all(re.fullmatch(r"[0-9]+( [0-9]+)*", row[2]) for row in rows[1:])
+            else:  # the seed and L = N, no ranks
+                assert all(row[2:] == [str(seed), "160"] for row in rows[1:])
             assert len({tuple(row[:2]) for row in rows[1:]}) == len(rows) - 1 == sum(
                 len(by_site) for by_site in rebuilt.values())
+
+    def test_verify_redraws_the_baseline_of_the_ecc_seed(self, pipeline, tmp_path):
+        """`ecc --seed 3 --structure independence` then `verify --seed 4`
+        scores the seed-3 shuffle: the seed travels in the rows."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        run_cli(config, out, "--seed", "3", "ecc", "--method", "memos",
+                "--structure", "independence")
+        run_cli(config, out, "--seed", "4", "verify")
+        table = data.load_cases(out / "cases.csv")
+        preds = cli._load_predictions(out, "memos")
+        scored = {d: v for d, _, label, score, v in read_scores(out / "scores.csv").rows()
+                  if (label, score) == ("memos_independence", "es")}
+        checked = 0
+        for key, components in preds.items():
+            sample = cli._day_sample(components, 8)
+            rng = np.random.default_rng(cli.subseed(3, "independence", key))
+            baseline = ecc.independence_shuffle(
+                {s: sample.pooled(s) for s in sample.sites}, rng)
+            cases = table.on(dt.date.fromisoformat(key))
+            sites = sorted(s for s in baseline if cases[s].observation is not None)
+            es = verify.energy_score(np.array([baseline[s] for s in sites]).T,
+                                     [cases[s].observation for s in sites])
+            assert scored[key] == es
+            checked += 1
+        assert checked == 6
 
 
 class TestMixtureCrpsOracle:
@@ -406,6 +436,8 @@ class TestImports:
         (("ecc", "--method", "raw"), "", ("scipy",)),
         (("ecc", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
         (("ecc", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
+        (("ecc", "--method", "memos", "--structure", "independence"), "",
+         ("scipy",) + SPARSE_STACK),
         (("predict", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
         (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
@@ -413,7 +445,8 @@ class TestImports:
         (("fit", "--method", "memos"), "", ("scipy.spatial",)),
         (("verify",), "", ("enspost.memos", "enspost.spde")),
         (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
-    ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "predict-local", "predict-memos",
+    ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "ecc-memos-independence",
+            "predict-local", "predict-memos",
             "fit-global", "fit-local", "fit-memos", "verify", "verify-no-ens"])
     def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, drop, absent):
         """A fresh interpreter that imports enspost.cli and runs one command
@@ -484,6 +517,18 @@ class TestConfigKeys:
         assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
 
 
+def _first_row(change):
+    """An edit of an ens_* table that replaces its first data row."""
+    return lambda rows: [rows[0], change(rows[1])] + rows[2:]
+
+
+def _repeat_first_row_swapped(rows):
+    """Append a second row for the first (date, site), its first two ranks
+    swapped: still a valid permutation, so only the repeat is wrong."""
+    first, second, *rest = rows[1][2].split()
+    return rows + [rows[1][:2] + [" ".join([second, first, *rest])]]
+
+
 class TestErrors:
     @pytest.mark.parametrize("method, upstream, missing, hint", [
         ("global", [], "cases.csv", "simulate"),
@@ -504,33 +549,49 @@ class TestErrors:
         assert err == f"error: missing upstream file: {out / missing} (run `{hint}` first?)\n"
 
     @pytest.mark.parametrize("label, edit, message", [
-        ("memos_ecc", lambda row: row[:2] + ["1 1 2 3 4 5 6 7"],
+        ("memos_ecc", _first_row(lambda row: row[:2] + ["1 1 2 3 4 5 6 7"]),
          "ens_memos_ecc.csv line 2: pi must be a permutation of 1..L"),
-        ("memos_independence", lambda row: row[:2] + ["1 2 3 4 5 6 7"],
-         "ens_memos_independence.csv line 2: sample size 160 "
-         "is not a multiple of ensemble size 7"),
-        ("memos_ecc", lambda row: row[:2] + ["2 1 4 3"],
+        ("memos_independence", _first_row(lambda row: row[:3] + ["7"]),
+         "ens_memos_independence.csv line 2: L = 7 does not fit the pooled sample of "
+         "160 values"),
+        ("memos_ecc", _first_row(lambda row: row[:2] + ["2 1 4 3"]),
          "ens_memos_ecc.csv line 2: 4 ranks for ensemble size 8"),
-        ("memos_ecc", lambda row: [row[0], "nowhere", row[2]],
+        ("memos_ecc", _first_row(lambda row: [row[0], "nowhere", row[2]]),
          "ens_memos_ecc.csv line 2: {date} site nowhere has no row in predict_memos.csv"),
+        ("memos_independence", _first_row(lambda row: row[:2] + ["x", row[3]]),
+         "ens_memos_independence.csv line 2: seed must be an integer, got 'x'"),
+        ("memos_independence", _first_row(lambda row: row[:3] + ["160.0"]),
+         "ens_memos_independence.csv line 2: L must be an integer, got '160.0'"),
+        ("memos_independence", lambda rows: rows[:2] + [rows[2][:2] + ["12", rows[2][3]]]
+         + rows[3:],
+         "ens_memos_independence.csv line 3: seed 12 differs from seed 11 on line 2"),
+        ("memos_ecc", _repeat_first_row_swapped,
+         "ens_memos_ecc.csv line {last}: {date} site {site} repeats line 2"),
+        ("memos_ecc", lambda rows: rows[:1] + rows[2:],
+         "ens_memos_ecc.csv: {date} site {site} has no row (rerun `ecc`?)"),
+        ("memos_independence", lambda rows: rows[:1] + rows[2:],
+         "ens_memos_independence.csv: {date} site {site} has no row (rerun `ecc`?)"),
     ], ids=["not-a-permutation", "length-not-a-divisor", "ecc-length-not-m",
-            "site-not-predicted"])
+            "site-not-predicted", "malformed-seed", "malformed-length", "seeds-differ",
+            "repeated-row", "missing-row", "missing-independence-row"])
     def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, edit, message):
+        """A bad cell, or a day whose rows do not hold each site of its sample
+        exactly once, ends `verify` with one line naming the file."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
         path = out / f"ens_{label}.csv"
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        date = rows[1][0]
-        rows[1] = edit(rows[1])
+        date, site = rows[1][:2]
+        rows = edit(rows)
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), "verify"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: " + message.format(date=date) + "\n"
+        assert err == "error: " + message.format(date=date, site=site, last=len(rows)) + "\n"
 
     @pytest.mark.parametrize("args, edit, message", [
         (("ecc", "--method", "local"), lambda row: row.rsplit(",", 1)[0],

@@ -4,10 +4,11 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2, norm
 
-from oracles import crps_empirical_naive
+from oracles import (crps_empirical_naive, multivariate_rank_by_dominance,
+                     pre_ranks_by_dominance)
 
 from enspost import verify
 
@@ -166,6 +167,32 @@ class TestMultivariateRank:
         expected = trials / (n + 1)
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < chi2.ppf(0.99, n)
+
+
+class TestPackedPreRanks:
+    """`verify.pre_ranks` keeps each dominated set in packed bits; the dense
+    dominance matrix of `oracles.pre_ranks_by_dominance` is the reference.
+    Values rounded to 0.1 make ties common, and N crosses the 64-bit word
+    boundaries."""
+
+    @given(st.integers(1, 300), st.integers(1, 70), st.sampled_from([0.05, 0.3, 2.0]),
+           st.integers(0, 2**32 - 1))
+    @example(64, 3, 0.3, 0).via("one full word")
+    @example(65, 3, 0.3, 0).via("one bit past a word")
+    @example(129, 70, 0.05, 1).via("three words, nearly every value tied")
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_dominance_matrix(self, n, d, spread, seed):
+        rng = np.random.default_rng(seed)
+        pooled = np.round(rng.normal(0.0, spread, (n, d)), 1)
+        assert np.array_equal(verify.pre_ranks(pooled), pre_ranks_by_dominance(pooled))
+        draws, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        rank = verify.multivariate_rank(pooled[1:], pooled[0], draws)
+        assert rank == multivariate_rank_by_dominance(pooled[1:], pooled[0], oracle)
+        assert draws.bit_generator.state == oracle.bit_generator.state
+
+    def test_no_coordinates(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            verify.pre_ranks(np.empty((3, 0)))
 
 
 class TestHistogram:
