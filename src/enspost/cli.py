@@ -6,7 +6,11 @@ manifest recording the config hash and seed, and is deterministic given
 (config, seed).  Evaluation days are processed in date order and only ever
 read data strictly before each valid date.
 
-Artifacts: ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
+Artifacts: ``data.load_cases`` reads cases.csv into row arrays (NaN for a
+missing observation, f̄ the members' cumulative sum over m divided by m),
+and every artifact is read through ``data.CsvRows``, so a bad header, row
+length or cell ends the command with ``error: <file> line <n>: <reason>``.
+``mesh`` writes mesh.json, which ``fit --method memos`` reads.
 ``fit --method memos`` writes the posterior draws of each day to
 draws_memos/<date>.csv and the chain's health next to them in
 draws_memos/<date>.json: seed, acceptance overall and after burn-in
@@ -25,7 +29,8 @@ seed ``ecc`` ran with and L = N = m·n; the permutation of the N pooled
 values is a pure function of them and the day's sites, so ``verify``
 redraws it (``ecc.shuffle_ranks`` on ``subseed(seed, "independence",
 date)``) instead of reading it.  ``verify`` rebuilds each ensemble by
-reordering every consecutive block of L pooled values by these ranks.
+reordering every consecutive block of L pooled values by these ranks; a
+day with a sample but no rows, or a site of it without its row, is an error.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
@@ -87,6 +92,11 @@ CONFIG_KEYS = (
     "mesh_min_angle", "memos_burnin", "memos_thin", "memos_alpha",
     "sim_stations", "sim_days", "sim_m", "sim_sigma",
 )
+
+
+# the columns of predict_<method>.csv and of ens_<method>_<structure>.csv
+PREDICT_HEADER = ("date", "site", "mu", "sigma")
+ENS_HEADER = {"ecc": ["date", "site", "ranks"], "independence": ["date", "site", "seed", "L"]}
 
 
 class CliError(RuntimeError):
@@ -327,15 +337,13 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
     if method != "memos":
-        from . import emos
-
         params_path = out / f"params_{method}.json"
         if not params_path.exists():
             raise CliError(f"missing upstream file: {params_path} (run `fit` first?)")
         fits = json.loads(params_path.read_text())
 
-    def components(key, cases):
-        """(site, mu, sigma) for each site with a case on the day."""
+    def components(key, day):
+        """The day's sites, their (n, sites) component means and sigmas."""
         if method == "memos":
             draws_path = out / "draws_memos" / f"{key}.csv"
             if not draws_path.exists():
@@ -345,90 +353,67 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             missing = sorted(set(table.stations) - set(draws.sites))
             if missing:
                 raise CliError(f"{draws_path}: site {missing[0]} has no rows")
-            for j, site in enumerate(draws.sites):
-                if site in cases:
-                    yield site, draws.a[:, j] + draws.b[:, j] * cases[site].fbar, draws.sigma
-            return
+            cols = np.searchsorted(draws.sites, day.sites)
+            mu = draws.a[:, cols] + draws.b[:, cols] * day.fbar
+            return day.sites, mu, np.broadcast_to(draws.sigma[:, None], mu.shape)
         if key not in fits:
             raise CliError(f"no fitted parameters for {key} in {params_path}")
-        for site, case in sorted(cases.items()):
-            entry = fits[key] if method == "global" else fits[key][site]
-            params = emos.EmosParams(entry["a"], entry["b"], entry["sigma"])
-            forecast = emos.predict(params, case.fbar)
-            yield site, [forecast.mu], [forecast.sigma]
+        entries = [fits[key] if method == "global" else fits[key][s] for s in day.sites]
+        a, b, sigma = (np.array([[e[k] for e in entries]]) for k in ("a", "b", "sigma"))
+        return day.sites, a + b * day.fbar, sigma
 
     path = out / f"predict_{method}.csv"
     with _replacing(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "site", "mu", "sigma"])
+        writer.writerow(PREDICT_HEADER)
         for day in days:
             key = day.isoformat()
-            for site, mu, sigma in components(key, table.on(day)):
-                writer.writerows([key, site, repr(float(u)), repr(float(v))]
-                                 for u, v in zip(mu, sigma))
+            sites, mu, sigma = components(key, table.on(day))
+            for site, u, v in zip(sites, mu.T.tolist(), sigma.T.tolist()):
+                writer.writerows([key, site, repr(x), repr(y)] for x, y in zip(u, v))
     print(f"predict[{method}]: {len(days)} day(s)")
     return [path]
 
 
 def _load_predictions(out: Path, method: str) -> dict:
-    """predict_<method>.csv -> {date: {site: (mu, sigma)}}, components in row
-    order.  Every mu must be finite and every sigma finite and > 0, and every
-    site of a day must have the same number of components."""
+    """predict_<method>.csv -> {date: (sorted sites, mu, sigma)}, with (n, sites)
+    arrays of the components in row order.  Every mu must be finite, every
+    sigma finite and > 0, and every site of a day needs the same n."""
     path = out / f"predict_{method}.csv"
     if not path.exists():
         raise CliError(f"missing upstream file: {path} (run `predict` first?)")
     by_day: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["date", "site", "mu", "sigma"]:
-            raise CliError(f"{path.name} line 1: expected the header date,site,mu,sigma "
-                           "(rerun `predict`?)")
-        for row in reader:
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                key, site, mu, sigma = row[0], row[1], float(row[2]), float(row[3])
-                if not math.isfinite(mu):
-                    raise ValueError(f"mu must be finite, got {mu!r}")
-                if not 0.0 < sigma < math.inf:
-                    raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-                components = by_day.setdefault(key, {}).setdefault(site, ([], []))
-                components[0].append(mu)
-                components[1].append(sigma)
-            except ValueError as exc:
-                raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
+    with data.CsvRows(path, PREDICT_HEADER, name=path.name, rerun="predict") as rows:
+        for key, site, mu, sigma in rows:
+            mu, sigma = float(mu), float(sigma)
+            if not math.isfinite(mu):
+                raise ValueError(f"mu must be finite, got {mu!r}")
+            if not 0.0 < sigma < math.inf:
+                raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+            components = by_day.setdefault(key, {}).setdefault(site, ([], []))
+            components[0].append(mu)
+            components[1].append(sigma)
     for key, by_site in by_day.items():
-        first, (mu, _) = next(iter(by_site.items()))
-        for site, (other, _) in by_site.items():
-            if len(other) != len(mu):
-                raise CliError(f"{path.name}: {key} has {len(mu)} components at site "
-                               f"{first} but {len(other)} at site {site}")
+        sites = sorted(by_site)
+        n = len(by_site[sites[0]][0])
+        for site in sites:
+            if len(by_site[site][0]) != n:
+                raise CliError(f"{path.name}: {key} has {n} components at site {sites[0]} "
+                               f"but {len(by_site[site][0])} at site {site}")
+        if method != "memos" and n != 1:
+            raise CliError(f"{path.name}: {key} has {n} components per site, not one")
+        by_day[key] = (sites, *(np.array([by_site[s][k] for s in sites]).T for k in (0, 1)))
     return by_day
 
 
-def _day_sample(components: dict, m: int) -> ecc.PredictiveSample:
-    """Grouped m-quantile sample of one day's {site: (mu, sigma)} components."""
-    from . import emos
-
-    sites = sorted(components)
-    mu, sigma = (np.array([components[s][k] for s in sites]).T for k in (0, 1))
-    return emos.quantile_sample(sites, mu, sigma, m)
-
-
-def _ensemble_sample(method: str, rows: dict, m: int) -> ecc.PredictiveSample:
-    """The day's sample that ECC reorders: for raw, the sorted members of the
-    day's cases as one subsample (n = 1); else the grouped m-quantile sample
-    of the day's {site: (mu, sigma)} components."""
-    from . import ecc
+def _ensemble_sample(method: str, rows, m: int) -> ecc.PredictiveSample:
+    """The day's sample that ECC reorders: for raw, the sorted members of a
+    `data.Day` (n = 1); else the m-quantile sample of (sites, mu, sigma)."""
+    from . import ecc, emos
 
     if method != "raw":
-        return _day_sample(rows, m)
-    sites = sorted(rows)
-    sorted_raw = np.sort([rows[s].members for s in sites], axis=1)
-    return ecc.PredictiveSample(sites=sites, values=sorted_raw.T[None])
-
-
-ENS_HEADER = {"ecc": ["date", "site", "ranks"], "independence": ["date", "site", "seed", "L"]}
+        return emos.quantile_sample(*rows, m)
+    return ecc.PredictiveSample(sites=rows.sites, values=np.sort(rows.members, axis=1).T[None])
 
 
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
@@ -450,26 +435,18 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
             if rows is None:
                 raise CliError(f"no predictions for {key} in predict_{method}.csv "
                                "(run `predict` first?)")
+            sample = _ensemble_sample(method, rows, m)
             if structure == "independence":
                 # verify redraws the shuffle from (seed, date, {site: L}); L = N = m·n
-                writer.writerows([key, site, cfg.seed,
-                                  len(row.members) if method == "raw" else m * len(row[0])]
-                                 for site, row in sorted(rows.items()))
+                writer.writerows([key, site, cfg.seed, sample.n * sample.m]
+                                 for site in sample.sites)
                 continue
             rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-            ranks = ecc.ecc_ranks({s: c.members for s, c in cases.items()},
-                                  _ensemble_sample(method, rows, m), rng)
+            ranks = ecc.ecc_ranks(dict(zip(cases.sites, cases.members)), sample, rng)
             writer.writerows([key, site, " ".join(map(str, pi.pi))]
                              for site, pi in sorted(ranks.items()))
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
-
-
-def _int_cell(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
@@ -486,44 +463,34 @@ def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
     path = out / f"ens_{label}.csv"
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
     by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
-    header = ENS_HEADER[structure]
     samples, ranks, lines, seeds = {}, {}, {}, {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise CliError(f"{path}: expected the header {','.join(header)} (rerun `ecc`?)")
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                key, site = row[:2]
-                rows = (table.on(dt.date.fromisoformat(key)) if by_day is None
-                        else by_day.get(key, {}))
-                if site not in rows:
-                    raise ValueError(f"{key} site {site} has no row in {source}")
-                if key not in samples:
-                    samples[key] = _ensemble_sample(method, rows, m)
-                    ranks[key], lines[key] = {}, {}
-                if site in lines[key]:
-                    raise ValueError(f"{key} site {site} repeats line {lines[key][site]}")
-                lines[key][site] = reader.line_num
-                sample = samples[key]
-                if structure == "ecc":
-                    pi = ecc.RankPermutation(tuple(map(int, row[2].split())))
-                    if len(pi) != sample.m:
-                        raise ValueError(f"{len(pi)} ranks for ensemble size {sample.m}")
-                    ranks[key][site] = pi
-                    continue
-                seed, size = _int_cell("seed", row[2]), _int_cell("L", row[3])
-                if size != sample.n * sample.m:
-                    raise ValueError(f"L = {size} does not fit the pooled sample of "
-                                     f"{sample.n * sample.m} values")
-                first, line = seeds.setdefault(key, (seed, reader.line_num))
-                if seed != first:
-                    raise ValueError(f"seed {seed} differs from seed {first} on line {line}")
-                ranks[key][site] = size
-            except ValueError as exc:
-                raise CliError(f"{path.name} line {reader.line_num}: {exc}") from exc
+    with data.CsvRows(path, ENS_HEADER[structure], name=path.name, rerun="ecc") as rows:
+        for cells in rows:
+            key, site = cells[:2]
+            if key not in samples:
+                day = table.on(dt.date.fromisoformat(key)) if by_day is None else by_day.get(key)
+                samples[key] = None if day is None else _ensemble_sample(method, day, m)
+                ranks[key], lines[key] = {}, {}
+            sample = samples[key]
+            if sample is None or site not in sample.sites:
+                raise ValueError(f"{key} site {site} has no row in {source}")
+            if site in lines[key]:
+                raise ValueError(f"{key} site {site} repeats line {lines[key][site]}")
+            lines[key][site] = rows.line
+            if structure == "ecc":
+                pi = ecc.RankPermutation(tuple(map(int, cells[2].split())))
+                if len(pi) != sample.m:
+                    raise ValueError(f"{len(pi)} ranks for ensemble size {sample.m}")
+                ranks[key][site] = pi
+                continue
+            seed, size = rows.integer(cells, 2), rows.integer(cells, 3)
+            if size != sample.n * sample.m:
+                raise ValueError(f"L = {size} does not fit the pooled sample of "
+                                 f"{sample.n * sample.m} values")
+            first, line = seeds.setdefault(key, (seed, rows.line))
+            if seed != first:
+                raise ValueError(f"seed {seed} differs from seed {first} on line {line}")
+            ranks[key][site] = size
     ensembles = {}
     for key, sample in samples.items():
         missing = sorted(set(sample.sites) - set(lines[key]))
@@ -547,14 +514,14 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
     for day in days:
         key = day.isoformat()
         cases = table.on(day)
-        on_day = {method: p.get(key, {}) for method, p in preds.items()}
-        memos_sample = _day_sample(on_day["memos"], m) if on_day.get("memos") else None
-        observed = [s for s in sorted(cases) if cases[s].observation is not None]
-        for station in observed:
-            case = cases[station]
-            y = case.observation
+        on_day = {method: p.get(key) for method, p in preds.items()}
+        memos_sample = (emos.quantile_sample(*on_day["memos"], m) if on_day.get("memos")
+                        else None)
+        y_of = dict(zip(cases.sites, cases.obs.tolist()))
+        for station, members, y in zip(cases.sites, cases.members, cases.obs.tolist()):
+            if math.isnan(y):
+                continue
             rng = np.random.default_rng(subseed(cfg.seed, "verify-rank", key, station))
-            members = np.asarray(case.members)
             scores.add(key, station, "raw", "crps", verify.crps_empirical(members, y))
             scores.add(key, station, "raw", "ae", verify.abs_error(members, y))
             pit_values.setdefault("raw", []).append(
@@ -570,17 +537,18 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
         # one array call per method and day: a call of Φ has a fixed cost of
         # about 0.1 ms whatever its length
         for method in ("global", "local"):
-            rows = on_day.get(method, {})
-            sites = [s for s in observed if s in rows]
-            if not sites:
+            if not on_day.get(method):
+                continue
+            sites, mu, sigma = on_day[method]
+            cols = [j for j, s in enumerate(sites) if not math.isnan(y_of.get(s, math.nan))]
+            if not cols:
                 continue
             # one component N(mu, sigma²) per site
-            mu, sigma = np.array([(u, v) for s in sites for (u,), (v,) in [rows[s]]]).T
-            y = np.array([cases[s].observation for s in sites])
+            mu, sigma, y = mu[0, cols], sigma[0, cols], np.array([y_of[sites[j]] for j in cols])
             crps = emos.crps_gaussian(mu, sigma, y)
-            for station, c, u, v in zip(sites, crps, mu, y):
-                scores.add(key, station, method, "crps", c)
-                scores.add(key, station, method, "ae", abs(u - v))
+            for j, c, u, v in zip(cols, crps, mu, y):
+                scores.add(key, sites[j], method, "crps", c)
+                scores.add(key, sites[j], method, "ae", abs(u - v))
             pit_values.setdefault(method, []).extend(emos.GaussianForecast(mu, sigma).cdf(y))
 
 
@@ -595,14 +563,17 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
         for day in days:
             key = day.isoformat()
             if key not in per_day:
+                # a day with a sample must have its rows
+                if label.startswith("raw_") or key in preds.get(label.rsplit("_", 1)[0], {}):
+                    raise CliError(f"{ens_path.name}: {key} has no rows (rerun `ecc`?)")
                 continue
             cases = table.on(day)
-            sites = sorted(s for s in per_day[key] if s in cases
-                           and cases[s].observation is not None)
+            obs = dict(zip(cases.sites, cases.obs.tolist()))
+            sites = sorted(s for s in per_day[key] if not math.isnan(obs.get(s, math.nan)))
             if len(sites) < 2:
                 continue
             ens = np.array([per_day[key][s] for s in sites]).T  # (members, d)
-            y = np.array([cases[s].observation for s in sites])
+            y = np.array([obs[s] for s in sites])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
             mv_ranks.setdefault(label, []).append(

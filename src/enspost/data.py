@@ -1,23 +1,27 @@
-"""Forecast/observation cases, rolling training windows, synthetic data
-and the on-disk MEMOS posterior draws.
+"""Forecast/observation cases, rolling training windows, synthetic data,
+the on-disk MEMOS posterior draws, and `CsvRows`, which reads every CSV
+artifact: a bad header, field count or cell is one ``<file> line <n>:
+<reason>`` error.
 
 The on-disk case format is a CSV with columns ``date,station,lon,lat,obs,
 m1,...,mK`` (ISO-8601 dates, ``.`` decimal separator, empty ``obs`` for a
-missing observation).  Longitude/latitude are projected to planar km with
-an equirectangular projection about the domain centroid, so that field
-range parameters live in a metric space.
+missing observation).  A `CaseTable` holds the cases as row arrays sorted
+by (date, station), NaN marking a missing observation, and f̄ as the
+members' cumulative sum over m (left to right, one rounding per addition)
+divided by m.  Longitude/latitude are projected to planar km with an
+equirectangular projection about the domain centroid, so that field range
+parameters live in a metric space.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,94 +47,131 @@ class Location:
             raise ValueError(f"non-finite coordinates for station {self.id!r}")
 
 
-@dataclass(frozen=True)
-class ForecastCase:
-    """One (date, station) record: m ensemble members plus optional observation."""
+class CsvRows:
+    """``with CsvRows(path, header) as rows: for cells in rows: ...`` reads a
+    CSV file whose first line must be `header` (None leaves that check to
+    the caller, as ``rows.header``), skips blank rows and requires as many
+    fields as the header on every other row.  A ValueError raised in the
+    block, by the caller's parsing too, leaves it as ``<name> line <n>:
+    <reason>``, with `name` the path unless given."""
 
-    date: dt.date
-    station: str
-    members: tuple
-    observation: Optional[float] = None
+    def __init__(self, path, header=None, *, name=None, rerun=None):
+        self.path, self.expected, self.rerun = path, header, rerun
+        self.name, self.line = str(path) if name is None else name, 1
 
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("empty ensemble")
-        if not all(math.isfinite(v) for v in self.members):
-            raise ValueError(f"non-finite member value at {self.date} {self.station}")
-        if self.observation is not None and not math.isfinite(self.observation):
-            raise ValueError(f"non-finite observation at {self.date} {self.station}")
+    def __enter__(self) -> "CsvRows":
+        self._fh = open(self.path, newline="")
+        self._reader = csv.reader(self._fh)
+        self.header = next(self._reader, None)
+        if self.expected is not None and self.header != list(self.expected):
+            self._fh.close()
+            raise self.error(f"expected the header {','.join(self.expected)}"
+                             + (f" (rerun `{self.rerun}`?)" if self.rerun else ""))
+        return self
 
-    @property
-    def fbar(self) -> float:
-        return ensemble_mean(self.members)
+    def __iter__(self):
+        width = len(self.header or ())
+        for cells in self._reader:
+            self.line = self._reader.line_num
+            if any(map(str.strip, cells)):
+                if len(cells) != width:
+                    raise ValueError(f"expected {width} fields, got {len(cells)}")
+                yield cells
+
+    def __exit__(self, kind, exc, tb):
+        self._fh.close()
+        if isinstance(exc, (ValueError, csv.Error)):
+            raise self.error(exc) from exc
+
+    def error(self, reason, line=None) -> ValueError:
+        return ValueError(f"{self.name} line {self.line if line is None else line}: {reason}")
+
+    def integer(self, cells, k) -> int:
+        """cells[k] as an int; the error names the column."""
+        try:
+            return int(cells[k])
+        except ValueError:
+            raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
 
 
-def ensemble_mean(members) -> float:
-    """Arithmetic mean of the ensemble members."""
-    members = list(members)
-    if not members:
-        raise ValueError("ensemble_mean of empty member list")
-    return float(sum(members)) / len(members)
+class CaseError(ValueError):
+    """A bad row of a `CaseTable`; `row` is its position in the input."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+class Day(NamedTuple):
+    """One date's rows of a CaseTable, in station order."""
+
+    sites: list           # station ids
+    members: np.ndarray   # (k, m)
+    obs: np.ndarray       # (k,), NaN where unobserved
+    fbar: np.ndarray      # (k,)
 
 
 class CaseTable:
-    """Immutable station-indexed collection of forecast cases.
+    """Forecast cases as row arrays sorted by (date, station).
 
-    All cases must share the same ensemble size m, station ids must map to
-    a single Location, and at most one case may exist per (date, station).
+    Row r is the case of ``dates[day[r]]`` at ``stations[station[r]]``: the
+    m ensemble members ``members[r]``, the observation ``obs[r]`` (NaN if
+    missing) and ``fbar[r] = cumsum(members[r])[-1] / m``.  `dates` holds
+    the dates with a case and `stations` the ids of `locations`, both
+    sorted; at most one case exists per (date, station).
     """
 
-    def __init__(self, cases: Iterable[ForecastCase], locations: Iterable[Location]):
-        self.cases = tuple(cases)
+    def __init__(self, locations, ordinal, station, members, obs):
+        """Rows in any order, `ordinal` being ``date.toordinal()`` and `station`
+        an index into `locations`; a repeated or non-finite case raises CaseError."""
         locs = list(locations)
-        ids = [loc.id for loc in locs]
-        if len(set(ids)) != len(ids):
+        by_id = sorted(range(len(locs)), key=lambda k: locs[k].id)
+        self.stations = [locs[k].id for k in by_id]
+        if len(set(self.stations)) != len(locs):
             raise ValueError("duplicate station ids in location list")
-        self.locations = {loc.id: loc for loc in locs}
-        if self.cases:
-            m = len(self.cases[0].members)
-            for c in self.cases:
-                if len(c.members) != m:
-                    raise ValueError("inconsistent ensemble size")
-                if c.station not in self.locations:
-                    raise ValueError(f"case references unknown station {c.station!r}")
-            self.m = m
-        else:
-            self.m = 0
-        self._by_date: dict = {}
-        # each station's cases with an observation, in date order
-        self._observed: dict = {}
-        for c in self.cases:
-            day = self._by_date.setdefault(c.date, {})
-            if c.station in day:
-                raise ValueError(f"duplicate case for {c.date} {c.station}")
-            day[c.station] = c
-            if c.observation is not None:
-                self._observed.setdefault(c.station, []).append(c)
-        for observed in self._observed.values():
-            observed.sort(key=lambda c: c.date)
+        self.locations = {locs[k].id: locs[k] for k in by_id}
+        station = np.argsort(by_id)[np.asarray(station, dtype=np.intp)]  # into self.stations
+        ordinal, obs = np.asarray(ordinal, dtype=np.int64), np.asarray(obs, dtype=float)
+        members = np.asarray(members, dtype=float)  # (rows, m)
+        ordinals, day = np.unique(ordinal, return_inverse=True)
+        order = np.lexsort((station, day))
+        key = day[order] * len(locs) + station[order]
+        for row, message in (
+            (order[1:][key[1:] == key[:-1]], "duplicate case for"),
+            (np.flatnonzero(~np.isfinite(members).all(axis=1)), "non-finite member value at"),
+            (np.flatnonzero(np.isinf(obs)), "non-finite observation at"),
+        ):
+            if len(row):
+                r = int(row.min())
+                raise CaseError(r, f"{message} {dt.date.fromordinal(int(ordinal[r]))} "
+                                   f"{self.stations[station[r]]}")
+        self.dates = [dt.date.fromordinal(int(o)) for o in ordinals]
+        self.day, self.station = day[order], station[order]
+        self.members, self.obs = members[order], obs[order]
+        self.m = members.shape[1]
+        self.fbar = np.cumsum(self.members, axis=1)[:, -1] / self.m
+        # the dates' ordinals, and the first row of each date
+        self._ordinals, self._start = ordinals, np.searchsorted(self.day, range(len(ordinals) + 1))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CaseTable)
-            and self.cases == other.cases
-            and self.locations == other.locations
-        )
+        return (isinstance(other, CaseTable) and self.locations == other.locations
+                and self.dates == other.dates and all(np.array_equal(
+                    getattr(self, k), getattr(other, k), equal_nan=k == "obs")
+                    for k in ("day", "station", "members", "obs")))
 
     def __len__(self):
-        return len(self.cases)
+        return len(self.obs)
 
-    @property
-    def dates(self):
-        return sorted(self._by_date)
+    def _rows(self, first: dt.date, stop: dt.date) -> slice:
+        """The rows of the dates in [first, stop)."""
+        lo, hi = np.searchsorted(self._ordinals, [first.toordinal(), stop.toordinal()])
+        return slice(self._start[lo], self._start[hi])
 
-    @property
-    def stations(self):
-        return sorted(self.locations)
-
-    def on(self, date: dt.date) -> dict:
-        """Cases valid on `date`, keyed by station id."""
-        return dict(self._by_date.get(date, {}))
+    def on(self, date: dt.date) -> Day:
+        """The rows of `date`."""
+        rows = self._rows(date, date + dt.timedelta(days=1))
+        return Day([self.stations[s] for s in self.station[rows].tolist()],
+                   self.members[rows], self.obs[rows], self.fbar[rows])
 
 
 @dataclass
@@ -163,99 +204,90 @@ def _unproject_km(x: np.ndarray, y: np.ndarray) -> tuple:
     return lon, lat
 
 
+CASE_COLUMNS = ("date", "station", "lon", "lat", "obs")
+
+
 def load_cases(path) -> CaseTable:
     """Read a case CSV into a CaseTable.
 
     Member columns are `m1..mK` in the header; K fixes the ensemble size
-    for the whole file.  Rows with an empty observation cell are kept with
-    ``observation=None``; a row with any empty or unparsable member cell is
-    rejected.
+    for the whole file.  An empty observation cell is a missing observation
+    (NaN); an empty member cell, or a non-finite member or observation, is
+    an error naming the file and line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        required = ["date", "station", "lon", "lat", "obs"]
-        for col in required:
+    with CsvRows(path) as rows:
+        header = rows.header
+        if header is None:
+            raise ValueError("empty file")
+        for col in CASE_COLUMNS:
             if col not in header:
-                raise ValueError(f"{path}: header missing column {col!r}")
-        member_cols = []
-        for name in header:
-            if name.startswith("m") and name[1:].isdigit():
-                member_cols.append((int(name[1:]), name))
-        member_cols.sort()
-        if not member_cols:
-            raise ValueError(f"{path}: no member columns with prefix 'm'")
-        if [k for k, _ in member_cols] != list(range(1, len(member_cols) + 1)):
-            raise ValueError(f"{path}: member columns must be numbered 1..K without gaps")
-        i_date, i_station, i_lon, i_lat, i_obs = (header.index(name) for name in required)
-        midx = [header.index(name) for _, name in member_cols]
+                raise ValueError(f"header missing column {col!r}")
+        numbered = sorted((int(name[1:]), k) for k, name in enumerate(header)
+                          if name.startswith("m") and name[1:].isdigit())
+        if not numbered:
+            raise ValueError("no member columns with prefix 'm'")
+        if [n for n, _ in numbered] != list(range(1, len(numbered) + 1)):
+            raise ValueError("member columns must be numbered 1..K without gaps")
+        i_date, i_station, i_lon, i_lat, i_obs = map(header.index, CASE_COLUMNS)
+        midx = [k for _, k in numbered]
 
-        cases = []
-        station_coords: dict = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        ordinal_of, index_of, coords = {}, {}, []
+        ordinals, stations, obs, values, lines = [], [], [], [], []
+        for cells in rows:
+            text = cells[i_date]
+            if text not in ordinal_of:
+                ordinal_of[text] = dt.date.fromisoformat(text.strip()).toordinal()
+            name = cells[i_station].strip()
+            lonlat = float(cells[i_lon]), float(cells[i_lat])
+            k = index_of.setdefault(name, len(coords))
+            if k == len(coords):
+                coords.append(lonlat)
+            elif coords[k] != lonlat:
+                raise ValueError(f"station {name!r} moved between rows")
+            cell = cells[i_obs].strip()
+            y = float(cell) if cell else math.nan
+            if cell and not math.isfinite(y):
+                raise ValueError(f"non-finite observation at {text.strip()} {name}")
             try:
-                date = dt.date.fromisoformat(row[i_date].strip())
-                station = row[i_station].strip()
-                lon = float(row[i_lon])
-                lat = float(row[i_lat])
-                obs_cell = row[i_obs].strip()
-                obs = float(obs_cell) if obs_cell else None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            member_cells = [row[j].strip() for j in midx]
-            if any(cell == "" for cell in member_cells):
-                raise ValueError(
-                    f"{path}:{lineno}: inconsistent ensemble size "
-                    f"(missing member values; expected {len(midx)})"
-                )
-            try:
-                members = tuple(float(cell) for cell in member_cells)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            prev = station_coords.get(station)
-            if prev is not None and prev != (lon, lat):
-                raise ValueError(f"{path}:{lineno}: station {station!r} moved between rows")
-            station_coords[station] = (lon, lat)
-            cases.append((date, station, members, obs))
+                values.extend(map(float, map(cells.__getitem__, midx)))
+            except ValueError:
+                if not all(cells[j].strip() for j in midx):
+                    raise ValueError("inconsistent ensemble size (missing member values; "
+                                     f"expected {len(midx)})") from None
+                raise
+            ordinals.append(ordinal_of[text])
+            stations.append(k)
+            obs.append(y)
+            lines.append(rows.line)
+        if not lines:
+            raise ValueError("no cases")
 
-    ids = sorted(station_coords)
-    lons = np.array([station_coords[s][0] for s in ids])
-    lats = np.array([station_coords[s][1] for s in ids])
+    ids = sorted(index_of)
+    lons, lats = np.array([coords[index_of[s]] for s in ids]).T
     xs, ys = _project_lonlat(lons, lats)
-    locations = [Location(s, float(x), float(y)) for s, x, y in zip(ids, xs, ys)]
-    return CaseTable(
-        [ForecastCase(d, s, m, o) for d, s, m, o in cases],
-        locations,
-    )
+    located = {s: Location(s, float(x), float(y)) for s, x, y in zip(ids, xs, ys)}
+    try:
+        return CaseTable([located[s] for s in index_of], ordinals, stations,
+                         np.array(values).reshape(len(lines), len(midx)), obs)
+    except CaseError as exc:
+        raise rows.error(exc, lines[exc.row]) from None
 
 
 def write_cases(table: CaseTable, path) -> None:
     """Write a CaseTable back to the CSV schema (inverse projection about 0°N 0°E)."""
-    ids = table.stations
-    xs = np.array([table.locations[s].x for s in ids])
-    ys = np.array([table.locations[s].y for s in ids])
-    lons, lats = _unproject_km(xs, ys)
-    lonlat = {s: (lon, lat) for s, lon, lat in zip(ids, lons, lats)}
+    xs, ys = np.array([(table.locations[s].x, table.locations[s].y) for s in table.stations]).T
+    lonlat = [(repr(float(lon)), repr(float(lat))) for lon, lat in zip(*_unproject_km(xs, ys))]
+    dates = [d.isoformat() for d in table.dates]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "station", "lon", "lat", "obs"]
-            + [f"m{k}" for k in range(1, table.m + 1)]
-        )
-        for c in sorted(table.cases, key=lambda c: (c.date, c.station)):
-            lon, lat = lonlat[c.station]
-            obs = repr(float(c.observation)) if c.observation is not None else ""
-            writer.writerow(
-                [c.date.isoformat(), c.station, repr(float(lon)), repr(float(lat)), obs]
-                + [repr(float(v)) for v in c.members]
-            )
+        writer.writerow(list(CASE_COLUMNS) + [f"m{k}" for k in range(1, table.m + 1)])
+        for day, station, y, members in zip(table.day.tolist(), table.station.tolist(),
+                                            table.obs.tolist(), table.members.tolist()):
+            writer.writerow([dates[day], table.stations[station], *lonlat[station],
+                             "" if math.isnan(y) else repr(y), *map(repr, members)])
+
+
+DRAWS_HEADER = ("draw", "site", "a", "b", "sigma")
 
 
 @dataclass
@@ -291,7 +323,7 @@ class PosteriorDraws:
             json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["draw", "site", "a", "b", "sigma"])
+            writer.writerow(DRAWS_HEADER)
             for i in range(self.n):
                 for j, site in enumerate(self.sites):
                     writer.writerow(
@@ -301,42 +333,50 @@ class PosteriorDraws:
 
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append((int(row["draw"]), row["site"], float(row["a"]),
-                             float(row["b"]), float(row["sigma"])))
-        draws = sorted({r[0] for r in rows})
-        sites = sorted({r[1] for r in rows})
-        sidx = {s: j for j, s in enumerate(sites)}
-        didx = {d: i for i, d in enumerate(draws)}
-        a = np.empty((len(draws), len(sites)))
-        b = np.empty_like(a)
-        sigma = np.empty(len(draws))
-        read = np.zeros(a.shape, dtype=bool)
-        for d, s, av, bv, sv in rows:
-            i, j = didx[d], sidx[s]
-            if read[i, j]:
-                raise ValueError(f"{path}: draw {d} has two rows for site {s}")
-            if read[i].any() and sv != sigma[i]:
-                raise ValueError(f"{path}: draw {d} has sigma {float(sigma[i])!r} and {sv!r}")
-            a[i, j], b[i, j], sigma[i] = av, bv, sv
-            read[i, j] = True
-        if not read.all():
-            i, j = np.argwhere(~read)[0]
-            raise ValueError(f"{path}: draw {draws[i]} has no row for site {sites[j]}")
+        """Read the draws that `to_csv` wrote, with their sidecar.  Every a
+        and b must be finite and every sigma finite and > 0."""
+        draw, site, values = [], [], []
+        with CsvRows(path, DRAWS_HEADER, rerun="fit --method memos") as rows:
+            for cells in rows:
+                a, b, sigma = map(float, cells[2:])
+                for name, value in (("a", a), ("b", b)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value!r}")
+                if not 0.0 < sigma < math.inf:
+                    raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+                draw.append(rows.integer(cells, 0))
+                site.append(cells[1])
+                values.append((a, b, sigma))
+        draws, i = np.unique(np.array(draw, dtype=np.int64), return_inverse=True)
+        sites = sorted(set(site))
+        cell = i * len(sites) + np.searchsorted(np.array(sites), np.array(site))
+        values = np.array(values).reshape(-1, 3)
+        sigma = values[np.unique(i, return_index=True)[1], 2]  # each draw's first row
+        repeat = np.setdiff1d(np.arange(len(cell)), np.unique(cell, return_index=True)[1])
+        if len(repeat):
+            r = repeat[0]
+            raise ValueError(f"{path}: draw {draw[r]} has two rows for site {site[r]}")
+        differ = np.flatnonzero(values[:, 2] != sigma[i])
+        if len(differ):
+            r = differ[0]
+            raise ValueError(f"{path}: draw {draw[r]} has sigma {float(sigma[i[r]])!r} "
+                             f"and {float(values[r, 2])!r}")
+        if len(cell) != len(draws) * len(sites):
+            gap = np.setdiff1d(np.arange(len(draws) * len(sites)), cell)[0]
+            raise ValueError(f"{path}: draw {draws[gap // len(sites)]} has no row for "
+                             f"site {sites[gap % len(sites)]}")
+        grid = values[np.argsort(cell), :2]  # cell is now a permutation of the (draw, site) grid
         sidecar = Path(path).with_suffix(".json")
         health = json.loads(sidecar.read_text())
         try:
             n = len(health["theta"])
-            if draws != list(range(1, n + 1)):
+            if draws.tolist() != list(range(1, n + 1)):
                 missing = sorted(set(range(1, n + 1)) - set(draws))
                 raise ValueError(f"{path}: draw {missing[0]} has no rows" if missing else
                                  f"{path}: draw {next(d for d in draws if not 1 <= d <= n)}"
                                  f" is outside the draws 1..{n} of {sidecar}")
-            return cls(sites=sites, a=a, b=b, sigma=sigma,
-                       theta=np.array(health["theta"], dtype=float).reshape(len(draws), 5),
+            return cls(sites=sites, a=grid[:, 0].reshape(n, -1), b=grid[:, 1].reshape(n, -1),
+                       sigma=sigma, theta=np.array(health["theta"], dtype=float).reshape(n, 5),
                        seed=health["seed"], acceptance=health["acceptance"],
                        final_step=health["final_step"],
                        invalid_proposals=health["invalid_proposals"],
@@ -367,19 +407,18 @@ def rolling_window(
 
     if mode == "global":
         start = valid_date - dt.timedelta(days=length)
-        selected = []
-        for k in range(length):
-            day = table._by_date.get(start + dt.timedelta(days=k), {})
-            selected += [day[s] for s in sorted(day) if day[s].observation is not None]
+        rows = table._rows(start, valid_date)
+        selected = rows.start + np.flatnonzero(~np.isnan(table.obs[rows]))
         label = f"global[{start.isoformat()}..{(valid_date - dt.timedelta(days=1)).isoformat()}]"
     else:
         if station is None:
             raise ValueError("local mode requires a station id")
         if station not in table.locations:
             raise ValueError(f"unknown station {station!r}")
-        observed = table._observed.get(station, [])
-        before = bisect.bisect_left(observed, valid_date, key=lambda c: c.date)
-        selected = observed[max(0, before - length):before]
+        # the station's observed rows before the valid date, in date order
+        stop = table._rows(valid_date, valid_date).stop
+        selected = np.flatnonzero((table.station[:stop] == table.stations.index(station))
+                                  & ~np.isnan(table.obs[:stop]))[-length:]
         label = f"local[{station}, {len(selected)} dates]"
 
     if len(selected) < min_cases:
@@ -387,14 +426,10 @@ def rolling_window(
             f"insufficient training data: {len(selected)} cases before "
             f"{valid_date.isoformat()} (minimum {min_cases})"
         )
-    return TrainingSet(
-        stations=[c.station for c in selected],
-        dates=[c.date for c in selected],
-        fbar=np.array([c.fbar for c in selected]),
-        y=np.array([c.observation for c in selected]),
-        locations={s: table.locations[s] for s in sorted({c.station for c in selected})},
-        window=label,
-    )
+    stations = [table.stations[s] for s in table.station[selected].tolist()]
+    return TrainingSet(stations, [table.dates[d] for d in table.day[selected].tolist()],
+                       table.fbar[selected], table.obs[selected],
+                       {s: table.locations[s] for s in sorted(set(stations))}, label)
 
 
 # Synthetic data: SIM_START is the first date, and stations are uniform over
@@ -495,26 +530,19 @@ def simulate(config: SimConfig, seed: int):
         a_st = np.full(config.n_stations, config.a_mean)
         b_st = np.full(config.n_stations, config.b_mean)
 
-    cases = []
-    for t in range(config.n_days):
-        date = SIM_START + dt.timedelta(days=t)
+    n, S = config.n_days, config.n_stations
+    members = np.empty((n, S, config.m))
+    obs = np.empty((n, S))
+    for t in range(n):
         seasonal = BASE_AMPLITUDE * math.sin(2 * math.pi * t / BASE_PERIOD)
-        centers = BASE_MEAN + seasonal + rng.normal(0.0, BASE_SD, size=config.n_stations)
-        perts = rng.standard_normal((config.n_stations, config.m)) * MEMBER_SPREAD
-        members = centers[:, None] + perts
-        fbar = members.mean(axis=1)
-        noise = (
-            rng.normal(0.0, config.sigma, size=config.n_stations)
-            if config.sigma > 0
-            else np.zeros(config.n_stations)
-        )
-        y = a_st + b_st * fbar + noise
-        for i, loc in enumerate(locations):
-            cases.append(
-                ForecastCase(date, loc.id, tuple(float(v) for v in members[i]), float(y[i]))
-            )
+        centers = BASE_MEAN + seasonal + rng.normal(0.0, BASE_SD, size=S)
+        perts = rng.standard_normal((S, config.m)) * MEMBER_SPREAD
+        members[t] = centers[:, None] + perts
+        noise = rng.normal(0.0, config.sigma, size=S) if config.sigma > 0 else np.zeros(S)
+        obs[t] = a_st + b_st * members[t].mean(axis=1) + noise
 
-    table = CaseTable(cases, locations)
+    table = CaseTable(locations, np.repeat(SIM_START.toordinal() + np.arange(n), S),
+                      np.tile(np.arange(S), n), members.reshape(n * S, -1), obs.reshape(-1))
     truth = TruthRecord(
         a_true={loc.id: float(a_st[i]) for i, loc in enumerate(locations)},
         b_true={loc.id: float(b_st[i]) for i, loc in enumerate(locations)},

@@ -6,7 +6,8 @@ linear algebra instead of sparse precision-side identities, a
 point-by-point refinement loop instead of whole-array scans, a
 closed-form mixture CRPS instead of the score of a quantile sample, a
 derivative-free simplex search instead of batched Newton steps, a
-scan over every case instead of the table's date and station indexes,
+scan over every case instead of the table's date and station indexes, a
+left-to-right fold of Python additions instead of a cumulative sum,
 one `locate` per query point instead of one per distinct point, a
 sum over the union pattern instead of direct band-storage positions, and
 an N × N dominance matrix instead of packed prefix bits.
@@ -15,7 +16,9 @@ sparse-matrix triplet dump, are used only by the tests.
 """
 
 import datetime as dt
+import functools
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,38 +124,39 @@ def emos_fit_nelder_mead(training) -> "emos.EmosParams":
     return emos.EmosParams(float(a), float(b), max(math.exp(logs), emos.SIGMA_FLOOR))
 
 
+def fbar_fold(members) -> float:
+    """f̄ as a left-to-right fold of Python float additions over the m
+    members, divided by m: one rounding per addition, no compensation."""
+    return functools.reduce(operator.add, map(float, members)) / len(members)
+
+
 def rolling_window_scan(table, valid_date, length=25, mode="global", station=None,
                         min_cases=10) -> "data.TrainingSet":
-    """`data.rolling_window` by scanning every case of the table: global mode
-    keeps the observed cases of the `length` calendar days before the valid
-    date; local mode keeps the station's `length` most recent observed dates
-    before it."""
+    """`data.rolling_window` by scanning every row of the table, with f̄
+    from `fbar_fold`: global mode keeps the observed cases of the `length`
+    calendar days before the valid date; local mode keeps the station's
+    `length` most recent observed dates before it."""
     if length < 1:
         raise ValueError("window length must be >= 1")
     if mode not in ("global", "local"):
         raise ValueError(f"unknown window mode {mode!r}")
 
-    selected = []
+    cases = [(table.dates[d], table.stations[s], members, y) for d, s, members, y in zip(
+        table.day.tolist(), table.station.tolist(), table.members.tolist(), table.obs.tolist())
+        if not math.isnan(y)]
     if mode == "global":
         start = valid_date - dt.timedelta(days=length)
-        for c in table.cases:
-            if start <= c.date < valid_date and c.observation is not None:
-                selected.append(c)
+        selected = [c for c in cases if start <= c[0] < valid_date]
         label = f"global[{start.isoformat()}..{(valid_date - dt.timedelta(days=1)).isoformat()}]"
     else:
         if station is None:
             raise ValueError("local mode requires a station id")
         if station not in table.locations:
             raise ValueError(f"unknown station {station!r}")
-        observed = sorted(
-            (c.date for c in table.cases
-             if c.station == station and c.observation is not None and c.date < valid_date),
-            reverse=True,
-        )
+        observed = sorted((c[0] for c in cases if c[1] == station and c[0] < valid_date),
+                          reverse=True)
         keep = set(observed[:length])
-        for c in table.cases:
-            if c.station == station and c.date in keep and c.observation is not None:
-                selected.append(c)
+        selected = [c for c in cases if c[1] == station and c[0] in keep]
         label = f"local[{station}, {len(keep)} dates]"
 
     if len(selected) < min_cases:
@@ -160,13 +164,13 @@ def rolling_window_scan(table, valid_date, length=25, mode="global", station=Non
             f"insufficient training data: {len(selected)} cases before "
             f"{valid_date.isoformat()} (minimum {min_cases})"
         )
-    selected.sort(key=lambda c: (c.date, c.station))
+    selected.sort(key=lambda c: (c[0], c[1]))
     return data.TrainingSet(
-        stations=[c.station for c in selected],
-        dates=[c.date for c in selected],
-        fbar=np.array([c.fbar for c in selected]),
-        y=np.array([c.observation for c in selected]),
-        locations={s: table.locations[s] for s in sorted({c.station for c in selected})},
+        stations=[c[1] for c in selected],
+        dates=[c[0] for c in selected],
+        fbar=np.array([fbar_fold(c[2]) for c in selected]),
+        y=np.array([c[3] for c in selected]),
+        locations={s: table.locations[s] for s in sorted({c[1] for c in selected})},
         window=label,
     )
 

@@ -117,25 +117,24 @@ def _recovery_run(seed, n_days_eval=60, window=25):
         cases = table.on(day)
         pooled = data.rolling_window(table, day, length=window, mode="global")
         pg = emos.fit(pooled)
-        for s, c in cases.items():
+        for f, y in zip(cases.fbar, cases.obs):
             crps["global"].append(
-                emos.crps_gaussian(pg.a + pg.b * c.fbar, pg.sigma, c.observation)
+                emos.crps_gaussian(pg.a + pg.b * f, pg.sigma, y)
             )
-        for s, c in cases.items():
+        for s, f, y in zip(cases.sites, cases.fbar, cases.obs):
             wl = data.rolling_window(table, day, length=window, mode="local", station=s)
             pl = emos.fit(wl)
             crps["local"].append(
-                emos.crps_gaussian(pl.a + pl.b * c.fbar, pl.sigma, c.observation)
+                emos.crps_gaussian(pl.a + pl.b * f, pl.sigma, y)
             )
         mc = memos.McmcConfig(burn_in=500 if init is None else 200, thin=5,
                               initial_step=step if step else 0.25)
         draws = memos.sample_posterior(pooled, locs, n=100, seed=1000 * seed + i,
                                        mesh=msh, config=mc, init=init)
         init, step = draws.theta[-1], draws.final_step
-        fbar = {s: c.fbar for s, c in cases.items()}
-        sample = memos.predictive_sample(draws, fbar, m=50)
-        for s, c in cases.items():
-            crps["memos"].append(verify.crps_empirical(sample.pooled(s), c.observation))
+        sample = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), m=50)
+        for s, y in zip(cases.sites, cases.obs):
+            crps["memos"].append(verify.crps_empirical(sample.pooled(s), y))
     return {k: float(np.mean(v)) for k, v in crps.items()}
 
 
@@ -336,7 +335,7 @@ def test_criterion_11_memos_day_performance():
         training, locs, n=100, seed=4, mesh=msh,
         config=memos.McmcConfig(burn_in=1000, thin=5),
     )
-    fbar = {s: c.fbar for s, c in table.on(day).items()}
+    fbar = dict(zip(table.on(day).sites, table.on(day).fbar))
     sample = memos.predictive_sample(draws, fbar, m=50)
     elapsed = time.time() - t0
     ok = msh.n_vertices <= 300 and elapsed < 60.0 and sample.values.shape == (100, 50, 50)

@@ -146,12 +146,12 @@ class TestPipelineContract:
         cases = data.load_cases(out / "cases.csv").on(dt.date.fromisoformat(day))
         draws = memos.PosteriorDraws.from_csv(out / "draws_memos" / f"{day}.csv")
         sites = sorted(components)
-        assert sites == sorted(cases) == draws.sites
+        assert sites == cases.sites == draws.sites
         assert all(len(rows) == draws.n == 20 for rows in components.values())
         mu, sigma = (np.array([[c[k] for c in components[s]] for s in sites]).T
                      for k in (0, 1))
         rebuilt = emos.quantile_sample(sites, mu, sigma, 8)
-        expected = memos.predictive_sample(draws, {s: cases[s].fbar for s in sites}, 8)
+        expected = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), 8)
         assert np.array_equal(rebuilt.values, expected.values)
 
     def test_fit_manifest_lists_the_draws_sidecars(self, pipeline):
@@ -202,20 +202,19 @@ class TestPipelineContract:
             for key, by_site in rebuilt.items():
                 cases = table.on(dt.date.fromisoformat(key))
                 if method == "raw":
-                    sites = sorted(cases)
-                    members = np.sort([cases[s].members for s in sites], axis=1)
-                    sample = ecc.PredictiveSample(sites=sites, values=members.T[None])
+                    members = np.sort(cases.members, axis=1)
+                    sample = ecc.PredictiveSample(sites=cases.sites, values=members.T[None])
                 else:
-                    sample = cli._day_sample(preds[method][key], 8)
+                    sample = emos.quantile_sample(*preds[method][key], 8)
                 if structure == "ecc":
                     rng = np.random.default_rng(cli.subseed(seed, "ecc-ties", key))
-                    raw = {s: c.members for s, c in cases.items()}
+                    raw = dict(zip(cases.sites, cases.members))
                     expected = ecc.ecc_memos(raw, sample, rng)
                 else:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
                     expected = ecc.independence_shuffle(
                         {s: sample.pooled(s) for s in sample.sites}, rng)
-                assert sorted(by_site) == sorted(expected) == sorted(cases)
+                assert sorted(by_site) == sorted(expected) == cases.sites
                 for site, values in expected.items():
                     assert np.array_equal(by_site[site], values)
             with open(out / f"ens_{label}.csv", newline="") as fh:
@@ -243,14 +242,15 @@ class TestPipelineContract:
                   if (label, score) == ("memos_independence", "es")}
         checked = 0
         for key, components in preds.items():
-            sample = cli._day_sample(components, 8)
+            sample = emos.quantile_sample(*components, 8)
             rng = np.random.default_rng(cli.subseed(3, "independence", key))
             baseline = ecc.independence_shuffle(
                 {s: sample.pooled(s) for s in sample.sites}, rng)
             cases = table.on(dt.date.fromisoformat(key))
-            sites = sorted(s for s in baseline if cases[s].observation is not None)
+            obs = dict(zip(cases.sites, cases.obs))
+            sites = sorted(s for s in baseline if not np.isnan(obs[s]))
             es = verify.energy_score(np.array([baseline[s] for s in sites]).T,
-                                     [cases[s].observation for s in sites])
+                                     [obs[s] for s in sites])
             assert scored[key] == es
             checked += 1
         assert checked == 6
@@ -292,7 +292,8 @@ class TestMixtureCrpsOracle:
         assert len(rows) == 6 * 10
         for date, site, value in rows:
             mu, sigma = components[(date, site)]
-            y = table.on(dt.date.fromisoformat(date))[site].observation
+            cases = table.on(dt.date.fromisoformat(date))
+            y = cases.obs[cases.sites.index(site)]
             exact = crps_gaussian_mixture(np.full(len(mu), 1.0 / len(mu)), mu, sigma, y)
             assert abs(value - exact) <= 2.0 * w_m * np.mean(sigma) + 1e-9, (date, site)
 
@@ -571,12 +572,15 @@ class TestErrors:
          "ens_memos_ecc.csv: {date} site {site} has no row (rerun `ecc`?)"),
         ("memos_independence", lambda rows: rows[:1] + rows[2:],
          "ens_memos_independence.csv: {date} site {site} has no row (rerun `ecc`?)"),
+        ("memos_ecc", lambda rows: [row for row in rows if row[0] != rows[1][0]],
+         "ens_memos_ecc.csv: {date} has no rows (rerun `ecc`?)"),
     ], ids=["not-a-permutation", "length-not-a-divisor", "ecc-length-not-m",
             "site-not-predicted", "malformed-seed", "malformed-length", "seeds-differ",
-            "repeated-row", "missing-row", "missing-independence-row"])
+            "repeated-row", "missing-row", "missing-independence-row", "day-without-rows"])
     def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, edit, message):
-        """A bad cell, or a day whose rows do not hold each site of its sample
-        exactly once, ends `verify` with one line naming the file."""
+        """A bad cell, or a day with a sample whose rows do not hold each site
+        of that sample exactly once, ends `verify` with one line naming the
+        file."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -625,6 +629,39 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out), *args])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[0][:4] + ["sd"]] + rows[1:],
+         "line 1: expected the header draw,site,a,b,sigma (rerun `fit --method memos`?)"),
+        (lambda rows: rows[:1] + [rows[1][:4]] + rows[2:], "line 2: expected 5 fields, got 4"),
+        (lambda rows: rows[:1] + [["x"] + rows[1][1:]] + rows[2:],
+         "line 2: draw must be an integer, got 'x'"),
+        (lambda rows: rows[:2] + [rows[2][:2] + ["nan"] + rows[2][3:]] + rows[3:],
+         "line 3: a must be finite, got nan"),
+        (lambda rows: rows[:2] + [rows[2][:3] + ["-inf", rows[2][4]]] + rows[3:],
+         "line 3: b must be finite, got -inf"),
+        (lambda rows: rows[:1] + [rows[1][:4] + ["0.0"]] + rows[2:],
+         "line 2: sigma must be finite and > 0, got 0.0"),
+        (lambda rows: rows[:1] + [rows[1][:4] + ["inf"]] + rows[2:],
+         "line 2: sigma must be finite and > 0, got inf"),
+    ], ids=["renamed-column", "short-row", "draw-not-an-integer", "nan-a", "infinite-b",
+            "zero-sigma", "infinite-sigma"])
+    def test_malformed_draws_row(self, pipeline, tmp_path, capsys, edit, message):
+        """A draws file whose header, row length or cell is bad ends `predict
+        --method memos` with one error line that names the file and line."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "draws_memos" / "2010-06-18.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path} {message}\n"
 
     @pytest.mark.parametrize("command", ["ecc", "verify"])
     def test_predict_header_not_the_schema(self, pipeline, tmp_path, capsys, command):
@@ -906,17 +943,24 @@ class TestHarnessContract:
 
     @pytest.mark.parametrize("form, span", [("cli", "cli.ecc"), ("spde", "spde.factor")])
     def test_traced_form_runs(self, pipeline, tmp_path, form, span):
+        """The cli form also runs `predict --method memos`, whose case and
+        draws readers must show up as spans: a per-layer metric of a reader
+        that no span reaches would read 0 on working code."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
         spans = tmp_path / "spans.jsonl"
+        cli_args = ["--", "--config", str(config), "--out", str(out)]
         if form == "cli":
-            args = [str(spans), "t1", "--", "--config", str(config), "--out", str(out),
-                    "ecc", "--method", "raw"]
+            runs = [[str(spans), "t1", *cli_args, "ecc", "--method", "raw"],
+                    [str(spans), "t1", *cli_args, "predict", "--method", "memos"]]
+            expected = {span, "cli.predict", "data.load_cases", "memos.PosteriorDraws.from_csv"}
         else:
-            args = ["--spde", str(spans), "t1", str(out), str(config)]
-        proc = subprocess.run([sys.executable, str(self.TRACED), *args],
-                              env=src_env(dict(os.environ)), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+            runs = [["--spde", str(spans), "t1", str(out), str(config)]]
+            expected = {span}
+        for args in runs:
+            proc = subprocess.run([sys.executable, str(self.TRACED), *args],
+                                  env=src_env(dict(os.environ)), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
         names = {json.loads(line)["name"] for line in spans.read_text().splitlines()}
-        assert span in names
+        assert expected <= names

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rolling_window_scan
+from oracles import fbar_fold, rolling_window_scan
 
 from enspost import data
 
@@ -31,7 +31,10 @@ class TestLoadCases:
         table = data.load_cases(path)
         assert table.m == 3
         assert len(table) == 2
-        assert table.on(dt.date(2010, 10, 1))["A"].members == (5.0, 6.0, 7.0)
+        day = table.on(dt.date(2010, 10, 1))
+        assert day.sites == ["A", "B"]
+        assert day.members.tolist() == [[5.0, 6.0, 7.0], [2.0, 3.0, 4.0]]
+        assert day.obs.tolist() == [5.5, 3.0]
 
     def test_missing_observation_cell(self, tmp_path):
         path = write_csv(
@@ -42,7 +45,7 @@ class TestLoadCases:
             """,
         )
         table = data.load_cases(path)
-        assert table.cases[0].observation is None
+        assert np.isnan(table.obs[0])
 
     def test_inconsistent_member_count(self, tmp_path):
         path = write_csv(
@@ -65,8 +68,24 @@ class TestLoadCases:
             2010-10-02,A,10.0,not-a-number,5.5,4.0
             """,
         )
-        with pytest.raises(ValueError, match=":3"):
+        with pytest.raises(ValueError, match=r"cases\.csv line 3: could not convert"):
             data.load_cases(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2010-10-01,A,10.0,50.0,5.5,4.0", "duplicate case for 2010-10-01 A"),
+        ("2010-10-02,A,10.0,50.0,5.5,nan", "non-finite member value at 2010-10-02 A"),
+        ("2010-10-02,A,10.0,50.0,5.5,-inf", "non-finite member value at 2010-10-02 A"),
+        ("2010-10-02,A,10.0,50.0,nan,4.0", "non-finite observation at 2010-10-02 A"),
+        ("2010-10-02,A,10.0,50.0,inf,4.0", "non-finite observation at 2010-10-02 A"),
+    ], ids=["repeated-case", "nan-member", "inf-member", "nan-obs", "inf-obs"])
+    def test_bad_case_names_file_and_line(self, tmp_path, row, message):
+        """A repeated (date, station) or a non-finite cell names the file and
+        the line; a blank line still counts toward the line number."""
+        path = write_csv(tmp_path, "date,station,lon,lat,obs,m1\n"
+                                   "2010-10-01,A,10.0,50.0,5.5,4.0\n\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            data.load_cases(path)
+        assert str(info.value) == f"{path} line 4: {message}"
 
     def test_header_missing_column(self, tmp_path):
         path = write_csv(
@@ -110,10 +129,11 @@ class TestLoadCases:
         back = data.load_cases(path)
         assert back.m == table.m
         assert len(back) == len(table)
-        for c in table.cases:
-            rc = back.on(c.date)[c.station]
-            assert rc.members == pytest.approx(c.members)
-            assert rc.observation == pytest.approx(c.observation)
+        assert back.dates == table.dates and back.stations == table.stations
+        assert np.array_equal(back.day, table.day)
+        assert np.array_equal(back.station, table.station)
+        assert back.members == pytest.approx(table.members)
+        assert back.obs == pytest.approx(table.obs)
 
     def test_projection_roundtrip_distances(self, tmp_path):
         # stations 1 degree apart at the equator are ~111.2 km apart
@@ -130,38 +150,29 @@ class TestLoadCases:
         assert abs(abs(bx - ax) - 111.19) < 0.1
 
 
-class TestEnsembleMean:
-    def test_single_member(self):
-        assert data.ensemble_mean([5.0]) == 5.0
-
-    def test_two_members(self):
-        assert data.ensemble_mean([1.0, 3.0]) == 2.0
-
-    def test_symmetric(self):
-        assert data.ensemble_mean([-1.0, 0.0, 1.0]) == 0.0
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            data.ensemble_mean([])
-
-    @given(st.floats(-50, 50), st.integers(1, 40))
-    def test_constant_list(self, v, m):
-        assert data.ensemble_mean([v] * m) == pytest.approx(v)
+class TestFbar:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda m: st.lists(
+        st.lists(st.floats(-1e9, 1e9), min_size=m, max_size=m), min_size=1, max_size=6)))
+    def test_bit_equal_to_the_left_to_right_fold(self, rows):
+        """f̄ is the cumulative sum over the members divided by m: bit for bit
+        a left-to-right fold of float additions, without compensation."""
+        locs = [data.Location(f"S{i}", float(i), 0.0) for i in range(len(rows))]
+        table = data.CaseTable(locs, [733000] * len(rows), range(len(rows)), rows,
+                               [0.0] * len(rows))
+        want = [fbar_fold(row).hex() for row in rows]
+        assert [v.hex() for v in table.fbar.tolist()] == want
+        assert [v.hex() for v in table.on(table.dates[0]).fbar.tolist()] == want
 
 
 def make_table(dates_by_station, m=2):
     """CaseTable with observation = 1.0 on the given dates per station."""
-    locs = [
-        data.Location(s, 10.0 * i, 5.0 * i)
-        for i, s in enumerate(sorted(dates_by_station))
-    ]
-    cases = []
-    for s, dates in dates_by_station.items():
-        for d, has_obs in dates:
-            cases.append(
-                data.ForecastCase(d, s, tuple([1.0] * m), 1.0 if has_obs else None)
-            )
-    return data.CaseTable(cases, locs)
+    stations = sorted(dates_by_station)
+    locs = [data.Location(s, 10.0 * i, 5.0 * i) for i, s in enumerate(stations)]
+    rows = [(d.toordinal(), i, 1.0 if has_obs else np.nan)
+            for i, s in enumerate(stations) for d, has_obs in dates_by_station[s]]
+    ordinal, station, obs = zip(*rows)
+    return data.CaseTable(locs, ordinal, station, np.ones((len(rows), m)), obs)
 
 
 class TestRollingWindow:
@@ -222,16 +233,17 @@ def sparse_tables(draw):
     start = dt.date(2010, 6, 1)
     cases = []
     for day in range(draw(st.integers(1, 20))):
-        for s in stations:
+        for i in range(len(stations)):
             kind = draw(st.sampled_from(["absent", "missing", "observed", "observed"]))
             if kind != "absent":
-                members = tuple(draw(st.lists(st.floats(-10, 10), min_size=2, max_size=2)))
-                obs = draw(st.floats(-10, 10)) if kind == "observed" else None
-                cases.append(data.ForecastCase(start + dt.timedelta(days=day), s,
-                                               members, obs))
+                members = draw(st.lists(st.floats(-10, 10), min_size=2, max_size=2))
+                obs = draw(st.floats(-10, 10)) if kind == "observed" else np.nan
+                cases.append(((start + dt.timedelta(days=day)).toordinal(), i, members, obs))
     cases = draw(st.permutations(cases))
     locs = [data.Location(s, float(i), 0.0) for i, s in enumerate(stations)]
-    return data.CaseTable(cases, locs), stations
+    table = data.CaseTable(locs, [c[0] for c in cases], [c[1] for c in cases],
+                           np.reshape([c[2] for c in cases], (-1, 2)), [c[3] for c in cases])
+    return table, stations
 
 
 class TestRollingWindowIndex:
@@ -264,8 +276,7 @@ class TestSimulate:
             field_mode="constant", a_mean=0.0, b_mean=1.0,
         )
         table, truth = data.simulate(cfg, 1)
-        for case in table.cases:
-            assert case.observation == pytest.approx(case.fbar, abs=1e-12)
+        assert table.obs == pytest.approx(table.fbar, abs=1e-12)
 
     def test_same_seed_identical(self):
         cfg = data.SimConfig(n_stations=8, n_days=4, m=5)
@@ -283,14 +294,9 @@ class TestSimulate:
         cfg = data.SimConfig(n_stations=50, n_days=60, m=50, sigma=1.5)
         table, truth = data.simulate(cfg, 42)
         assert len(table) == 3000
-        resid = np.array(
-            [
-                c.observation
-                - truth.a_true[c.station]
-                - truth.b_true[c.station] * c.fbar
-                for c in table.cases
-            ]
-        )
+        a = np.array([truth.a_true[s] for s in table.stations])[table.station]
+        b = np.array([truth.b_true[s] for s in table.stations])[table.station]
+        resid = table.obs - a - b * table.fbar
         assert abs(np.std(resid) - cfg.sigma) / cfg.sigma < 0.05
 
     def test_rejects_negative_sigma(self):

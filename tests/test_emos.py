@@ -98,6 +98,13 @@ class TestFit:
             assert fitted <= start + 1e-12
 
 
+def case_table(cases, locs):
+    """CaseTable of (date, station id, members, observation or None) tuples."""
+    index = {loc.id: k for k, loc in enumerate(locs)}
+    return data.CaseTable(locs, [c[0].toordinal() for c in cases], [index[c[1]] for c in cases],
+                          [c[2] for c in cases], [np.nan if c[3] is None else c[3] for c in cases])
+
+
 class TestFitGlobalLocal:
     @staticmethod
     def two_station_table(bias_plus=2.0, bias_minus=-2.0, days=40, seed=0):
@@ -112,9 +119,9 @@ class TestFitGlobalLocal:
                 members = tuple(rng.normal(10.0 + 3 * np.sin(i / 5), 1.0, 5))
                 fbar = float(np.mean(members))
                 cases.append(
-                    data.ForecastCase(d, loc.id, members, bias + fbar + rng.normal(0, 0.3))
+                    (d, loc.id, members, bias + fbar + rng.normal(0, 0.3))
                 )
-        return data.CaseTable(cases, locs)
+        return case_table(cases, locs)
 
     def test_single_station_global_equals_local(self):
         import datetime as dt
@@ -126,9 +133,9 @@ class TestFitGlobalLocal:
             d = dt.date(2010, 6, 1) + dt.timedelta(days=i)
             members = tuple(rng.normal(10, 2, 4))
             cases.append(
-                data.ForecastCase(d, "A", members, float(np.mean(members)) + rng.normal())
+                (d, "A", members, float(np.mean(members)) + rng.normal())
             )
-        table = data.CaseTable(cases, [loc])
+        table = case_table(cases, [loc])
         valid = dt.date(2010, 6, 28)
         pg = emos.fit_global(table, valid)
         pl = emos.fit_local(table, valid, ["A"])["A"]
@@ -194,8 +201,8 @@ def random_table(seed, n_stations, n_days, missing):
             fbar = float(np.mean(members))
             noise = 0.0 if kind == "noise-free" else sigma * rng.standard_normal()
             obs = None if k >= 2 and rng.uniform() < missing else a + b * fbar + noise
-            cases.append(data.ForecastCase(day, loc.id, members, obs))
-    return data.CaseTable(cases, locs)
+            cases.append((day, loc.id, members, obs))
+    return case_table(cases, locs)
 
 
 class TestNewtonAgainstNelderMead:

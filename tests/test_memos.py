@@ -353,7 +353,7 @@ class TestSamplePosterior:
         training = data.rolling_window(table, day, length=25, mode="global")
         locs = [table.locations[s] for s in table.stations]
         cases = table.on(day)
-        fbar = {s: c.fbar for s, c in cases.items()}
+        fbar = dict(zip(cases.sites, cases.fbar))
 
         msh = training_and_site_mesh(training, locs)
         means = []
@@ -365,8 +365,8 @@ class TestSamplePosterior:
             )
             sample = memos.predictive_sample(draws, fbar, m=20)
             scores = [
-                verify.crps_empirical(sample.pooled(s), cases[s].observation)
-                for s in cases
+                verify.crps_empirical(sample.pooled(s), y)
+                for s, y in zip(cases.sites, cases.obs)
             ]
             means.append(float(np.mean(scores)))
             # Monte Carlo error estimate: mean CRPS over 10 disjoint 10-draw
@@ -378,8 +378,8 @@ class TestSamplePosterior:
                 )
                 subset_means.append(
                     np.mean([
-                        verify.crps_empirical(part.pooled(s), cases[s].observation)
-                        for s in cases
+                        verify.crps_empirical(part.pooled(s), y)
+                        for s, y in zip(cases.sites, cases.obs)
                     ])
                 )
             subset_ses.append(float(np.std(subset_means) / np.sqrt(10)))
