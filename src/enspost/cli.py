@@ -21,16 +21,18 @@ one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
 in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
 grouped m-quantile sample of each day from those rows with
-``emos.quantile_sample`` (for raw: the sorted members, n = 1).  ``ecc``
-writes ens_<method>_<structure>.csv with one row per (date, site) of the
-day's sample.  For ECC the columns are date,site,ranks, the raw ensemble's
-m space-separated ranks.  For independence they are date,site,seed,L: the
-seed ``ecc`` ran with and L = N = m·n; the permutation of the N pooled
-values is a pure function of them and the day's sites, so ``verify``
-redraws it (``ecc.shuffle_ranks`` on ``subseed(seed, "independence",
-date)``) instead of reading it.  ``verify`` rebuilds each ensemble by
-reordering every consecutive block of L pooled values by these ranks; a
-day with a sample but no rows, or a site of it without its row, is an error.
+``emos.quantile_sample`` (for raw: the sorted members, n = 1), pooled in
+one (S, N) array.  ``ecc`` writes ens_<method>_<structure>.csv with one row
+per (date, site) of the day's sample.  For ECC the columns are
+date,site,ranks: the site's m space-separated ranks of the raw members.  For
+independence they are date,site,seed,L: the seed ``ecc`` ran with and
+L = N = m·n; the day's (S, N) ranks are a pure function of them and the
+day's sites, so ``verify`` redraws them (``ecc.shuffle_ranks`` on
+``subseed(seed, "independence", date)``).  ``verify`` keeps one (S, m) rank
+array or one seed per day and rebuilds a day's ensemble only to score it:
+``ecc.reorder`` reorders every block of L values of a site's row by its
+ranks.  A day with a sample but no rows, or a site of it without its row,
+is an error.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
@@ -358,7 +360,13 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             return day.sites, mu, np.broadcast_to(draws.sigma[:, None], mu.shape)
         if key not in fits:
             raise CliError(f"no fitted parameters for {key} in {params_path}")
-        entries = [fits[key] if method == "global" else fits[key][s] for s in day.sites]
+        entries = [fits[key] if method == "global" else fits[key].get(s) for s in day.sites]
+        for site, entry in zip(day.sites, entries):
+            where = key if method == "global" else f"{key} station {site}"
+            lacking = ["parameters"] if entry is None else [
+                repr(k) for k in ("a", "b", "sigma") if k not in entry]
+            if lacking:
+                raise CliError(f"no fitted {lacking[0]} for {where} in {params_path}")
         a, b, sigma = (np.array([[e[k] for e in entries]]) for k in ("a", "b", "sigma"))
         return day.sites, a + b * day.fbar, sigma
 
@@ -437,77 +445,84 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
                                "(run `predict` first?)")
             sample = _ensemble_sample(method, rows, m)
             if structure == "independence":
-                # verify redraws the shuffle from (seed, date, {site: L}); L = N = m·n
+                # verify redraws the shuffle from (seed, date, sites); L = N = m·n
                 writer.writerows([key, site, cfg.seed, sample.n * sample.m]
                                  for site in sample.sites)
                 continue
             rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
             ranks = ecc.ecc_ranks(dict(zip(cases.sites, cases.members)), sample, rng)
-            writer.writerows([key, site, " ".join(map(str, pi.pi))]
-                             for site, pi in sorted(ranks.items()))
+            # the sample's sites are sorted, so these rows are too
+            writer.writerows([key, site, " ".join(map(str, pi))]
+                             for site, pi in zip(sample.sites, ranks.tolist()))
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
 
 def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
-    """Rebuild ens_<label>.csv as {date: {site: N members}}: each site's ranks
-    reorder its pooled `_ensemble_sample` block by block
-    (`ecc.apply_permutation`).  ECC rows hold the m ranks.  Independence rows
-    hold the seed `ecc` ran with and L = N, and the day's N-long ranks are
-    redrawn from them with the stream `ecc` has always used.  Every site of
-    a day's sample needs exactly one row, since a missing or repeated row
-    would change the day's scores (and the redrawn stream)."""
-    from . import ecc
-
+    """ens_<label>.csv as {date: (sample, ranks)} for `_reordered`: the day's
+    `_ensemble_sample` and either its (S, m) ECC ranks, each row checked to be
+    a permutation of 1..m, or the independence seed that every row holds with
+    L = N.  Every site of a day's sample needs exactly one row, since a missing
+    or repeated row would change the day's scores (and the redrawn stream)."""
     method, structure = label.rsplit("_", 1)
     path = out / f"ens_{label}.csv"
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
     by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
-    samples, ranks, lines, seeds = {}, {}, {}, {}
+    days, lines = {}, {}  # {date: [sample, ranks or seed, first line]}, {(date, site): line}
     with data.CsvRows(path, ENS_HEADER[structure], name=path.name, rerun="ecc") as rows:
         for cells in rows:
             key, site = cells[:2]
-            if key not in samples:
+            if key not in days:
                 day = table.on(dt.date.fromisoformat(key)) if by_day is None else by_day.get(key)
-                samples[key] = None if day is None else _ensemble_sample(method, day, m)
-                ranks[key], lines[key] = {}, {}
-            sample = samples[key]
-            if sample is None or site not in sample.sites:
+                if day is None:
+                    raise ValueError(f"{key} site {site} has no row in {source}")
+                sample = _ensemble_sample(method, day, m)
+                days[key] = [sample, np.zeros((len(sample.sites), sample.m), dtype=np.intp)
+                             if structure == "ecc" else None, rows.line]
+            sample, ranks, first_line = days[key]
+            if site not in sample.sites:
                 raise ValueError(f"{key} site {site} has no row in {source}")
-            if site in lines[key]:
-                raise ValueError(f"{key} site {site} repeats line {lines[key][site]}")
-            lines[key][site] = rows.line
+            if (key, site) in lines:
+                raise ValueError(f"{key} site {site} repeats line {lines[key, site]}")
+            lines[key, site] = rows.line
             if structure == "ecc":
-                pi = ecc.RankPermutation(tuple(map(int, cells[2].split())))
+                pi = [int(r) for r in cells[2].split()]
+                if not pi or sorted(pi) != list(range(1, len(pi) + 1)):
+                    raise ValueError("pi must be a permutation of 1..L")
                 if len(pi) != sample.m:
                     raise ValueError(f"{len(pi)} ranks for ensemble size {sample.m}")
-                ranks[key][site] = pi
+                ranks[sample.sites.index(site)] = pi
                 continue
             seed, size = rows.integer(cells, 2), rows.integer(cells, 3)
             if size != sample.n * sample.m:
                 raise ValueError(f"L = {size} does not fit the pooled sample of "
                                  f"{sample.n * sample.m} values")
-            first, line = seeds.setdefault(key, (seed, rows.line))
-            if seed != first:
-                raise ValueError(f"seed {seed} differs from seed {first} on line {line}")
-            ranks[key][site] = size
-    ensembles = {}
-    for key, sample in samples.items():
-        missing = sorted(set(sample.sites) - set(lines[key]))
+            if ranks is None:
+                days[key][1] = ranks = seed
+            if seed != ranks:
+                raise ValueError(f"seed {seed} differs from seed {ranks} on line {first_line}")
+    for key, (sample, _, _) in days.items():
+        missing = [s for s in sample.sites if (key, s) not in lines]
         if missing:
             raise CliError(f"{path.name}: {key} site {missing[0]} has no row (rerun `ecc`?)")
-        day = ranks.pop(key)  # a day's N-long ranks live only while it is rebuilt
-        if structure == "independence":
-            rng = np.random.default_rng(subseed(seeds[key][0], "independence", key))
-            day = ecc.shuffle_ranks(day, rng)
-        ensembles[key] = {site: ecc.apply_permutation(pi, sample.pooled(site))
-                          for site, pi in day.items()}
-    return ensembles
+    return {key: (sample, ranks) for key, (sample, ranks, _) in days.items()}
+
+
+def _reordered(key: str, sample: ecc.PredictiveSample, ranks) -> np.ndarray:
+    """The day's (S, N) ensemble from `_load_ensembles`: the ranks, or those
+    redrawn from the seed on the stream `ecc` has always used, reordered."""
+    from . import ecc
+
+    if np.ndim(ranks) == 0:  # the seed of an independence shuffle, L = N
+        rng = np.random.default_rng(subseed(ranks, "independence", key))
+        ranks = ecc.shuffle_ranks(len(sample.sites), sample.n * sample.m, rng)
+    return ecc.reorder(ranks, sample.pooled())
 
 
 def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.ScoreSeries,
                        pit_values: dict) -> None:
     from . import emos, verify
+    from .normal import ndtr
 
     m = cfg.get("m", 50, int)
 
@@ -515,8 +530,8 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
         key = day.isoformat()
         cases = table.on(day)
         on_day = {method: p.get(key) for method, p in preds.items()}
-        memos_sample = (emos.quantile_sample(*on_day["memos"], m) if on_day.get("memos")
-                        else None)
+        memos_rows = (dict(zip(on_day["memos"][0], emos.quantile_sample(
+            *on_day["memos"], m).pooled())) if on_day.get("memos") else {})
         y_of = dict(zip(cases.sites, cases.obs.tolist()))
         for station, members, y in zip(cases.sites, cases.members, cases.obs.tolist()):
             if math.isnan(y):
@@ -527,8 +542,8 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
             pit_values.setdefault("raw", []).append(
                 verify.verification_rank(members, y, rng)
             )
-            if memos_sample is not None and station in memos_sample.sites:
-                pooled = memos_sample.pooled(station)
+            if station in memos_rows:
+                pooled = memos_rows[station]
                 scores.add(key, station, "memos", "crps", verify.crps_empirical(pooled, y))
                 scores.add(key, station, "memos", "ae", verify.abs_error(pooled, y))
                 pit_values.setdefault("memos", []).append(
@@ -549,7 +564,7 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
             for j, c, u, v in zip(cols, crps, mu, y):
                 scores.add(key, sites[j], method, "crps", c)
                 scores.add(key, sites[j], method, "ae", abs(u - v))
-            pit_values.setdefault(method, []).extend(emos.GaussianForecast(mu, sigma).cdf(y))
+            pit_values.setdefault(method, []).extend(ndtr((y - mu) / sigma))
 
 
 def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
@@ -569,17 +584,19 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
                 continue
             cases = table.on(day)
             obs = dict(zip(cases.sites, cases.obs.tolist()))
-            sites = sorted(s for s in per_day[key] if not math.isnan(obs.get(s, math.nan)))
-            if len(sites) < 2:
+            sample, ranks = per_day[key]
+            cols = [j for j, s in enumerate(sample.sites) if not math.isnan(obs.get(s, math.nan))]
+            if len(cols) < 2:
                 continue
-            ens = np.array([per_day[key][s] for s in sites]).T  # (members, d)
-            y = np.array([obs[s] for s in sites])
+            # (members, d), C-ordered site rows transposed: the norms sum in memory order
+            ens = _reordered(key, sample, ranks)[cols].T
+            y = np.array([obs[sample.sites[j]] for j in cols])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
             mv_ranks.setdefault(label, []).append(
                 (verify.multivariate_rank(ens, y, rng), len(ens) + 1)
             )
-        del per_day  # so two labels' ensembles are never held at once
+        del per_day  # so two labels' samples are never held at once
 
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
@@ -588,7 +605,7 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
 
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    bins = verify.HistogramSpec()
+    bins = 17
     outputs = []
 
     preds = {method: _load_predictions(out, method) for method in METHODS_FIT
@@ -636,16 +653,15 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     histograms = {}
     for method, values in sorted(pit_values.items()):
         if method == "raw":
-            spec = verify.HistogramSpec(min(bins.bins, table.m + 1))
-            counts = verify.histogram(np.asarray(values), spec, rank_max=table.m + 1)
+            counts = verify.histogram(np.asarray(values), min(bins, table.m + 1),
+                                      rank_max=table.m + 1)
         else:
             counts = verify.histogram(np.asarray(values), bins)
         histograms[f"hist_{method}"] = (method, counts)
     for label, ranked in sorted(mv_ranks.items()):
         rank_max = ranked[0][1]
-        spec = verify.HistogramSpec(min(bins.bins, rank_max))
         histograms[f"mvhist_{label}"] = (label, verify.histogram(
-            np.asarray([r for r, _ in ranked]), spec, rank_max=rank_max))
+            np.asarray([r for r, _ in ranked]), min(bins, rank_max), rank_max=rank_max))
     for name, (label, counts) in histograms.items():
         hist_path = out / f"{name}.csv"
         with open(hist_path, "w", newline="") as fh:

@@ -7,12 +7,13 @@ raw-derived permutation independently to each of the n posterior
 subsamples, merging them into one N = m·n member ensemble.  Independence
 shuffling destroys dependence on purpose and serves as a baseline.
 
-Both reorderings are a RankPermutation per site, and one rule applies
-either: ranks of length L reorder each consecutive block of L values of
-the site's pooled sample (see `apply_permutation`).  ECC draws L = m ranks
-from the raw members; the independence shuffle draws one permutation of
-L = N.  The CLI stores the ECC ranks and, for the shuffle, the seed and L
-it redraws it from, never the reordered values.
+A day's sample is one (S, N) array of pooled values (`PredictiveSample.pooled`)
+and its reordering one (S, L) array of ranks, row s a permutation of 1..L for
+site s.  One rule applies either way: each row's ranks reorder every
+consecutive block of L values of that site's row (`reorder`).  ECC ranks the
+raw members, L = m (`rank_permutation`); the independence shuffle draws
+L = N (`shuffle_ranks`).  The CLI stores the ECC ranks and, for the shuffle,
+the seed and L it redraws them from, never the reordered values.
 
 The module needs numpy only, so the CLI's `ecc --method raw` loads no scipy.
 """
@@ -42,53 +43,45 @@ class PredictiveSample:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def at_site(self, site: str) -> np.ndarray:
-        """The (n, m) sample grouped by subsample for one site."""
-        return self.values[:, :, self.sites.index(site)]
-
-    def pooled(self, site: str) -> np.ndarray:
-        """All N = m·n values at a site, subsample-major order."""
-        return self.at_site(site).reshape(-1)
+    def pooled(self) -> np.ndarray:
+        """The (S, N) values, row s the N = m·n values of sites[s] in
+        subsample-major order."""
+        return self.values.transpose(2, 0, 1).reshape(len(self.sites), -1)
 
 
-@dataclass(frozen=True)
-class RankPermutation:
-    """A permutation of 1..L: pi[k] is the rank of member k within its
-    block (for ECC, the raw members' ranks with ties broken at random)."""
-
-    pi: tuple
-
-    def __post_init__(self):
-        if not self.pi or sorted(self.pi) != list(range(1, len(self.pi) + 1)):
-            raise ValueError("pi must be a permutation of 1..L")
-
-    def __len__(self):
-        return len(self.pi)
-
-
-def rank_permutation(raw, rng: np.random.Generator = None) -> RankPermutation:
-    """Order-statistic ranks of the raw members, ties resolved at random."""
+def rank_permutation(raw, rng: np.random.Generator = None) -> np.ndarray:
+    """Order-statistic ranks 1..m of the raw members along the last axis, ties
+    resolved at random: an (S, m) array of members gives (S, m) ranks, drawing
+    the tie-breaks of row s after those of rows 0..s−1."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or len(raw) < 1:
-        raise ValueError("raw must be a nonempty 1-d member list")
+    if raw.ndim not in (1, 2) or raw.shape[-1] < 1:
+        raise ValueError("raw must be a nonempty member list or an (S, m) array of them")
     if rng is None:
         rng = np.random.default_rng()
-    tiebreak = rng.random(len(raw))
-    order = np.lexsort((tiebreak, raw))
-    pi = np.empty(len(raw), dtype=int)
-    pi[order] = np.arange(1, len(raw) + 1)
-    return RankPermutation(pi=tuple(int(r) for r in pi))
+    order = np.lexsort((rng.random(raw.shape), raw), axis=-1)
+    return order.argsort(axis=-1) + 1
 
 
-def apply_permutation(pi: RankPermutation, sample) -> np.ndarray:
-    """Reorder each consecutive block of len(pi) values: member k of a block
-    takes that block's value at rank pi[k]."""
-    sample = np.asarray(sample, dtype=float)
-    if len(sample) % len(pi):
-        raise ValueError(
-            f"sample size {len(sample)} is not a multiple of ensemble size {len(pi)}"
-        )
-    return sample.reshape(-1, len(pi))[:, np.asarray(pi.pi) - 1].reshape(-1)
+def shuffle_ranks(S: int, L: int, rng: np.random.Generator) -> np.ndarray:
+    """(S, L) uniform random permutations of 1..L: row s, for the s-th site in
+    sorted order, is the s-th of S `rng.permutation(L)` draws, plus one."""
+    ranks = np.tile(np.arange(1, L + 1), (S, 1))
+    for row in ranks:
+        rng.shuffle(row)
+    return ranks
+
+
+def reorder(ranks, pooled) -> np.ndarray:
+    """Reorder each consecutive block of L values of each row of `pooled`
+    (S, N) by that row's ranks (S, L): member k of a block takes that block's
+    value at rank ranks[s, k].  One-dimensional rows work alike."""
+    ranks, pooled = np.asarray(ranks), np.asarray(pooled, dtype=float)
+    size = ranks.shape[-1]
+    if pooled.shape[-1] % size:
+        raise ValueError(f"sample size {pooled.shape[-1]} is not a multiple of "
+                         f"ensemble size {size}")
+    blocks = pooled.reshape(*pooled.shape[:-1], -1, size)
+    return np.take_along_axis(blocks, ranks[..., None, :] - 1, axis=-1).reshape(pooled.shape)
 
 
 def ecc_q(raw, post_sample, rng: np.random.Generator = None) -> np.ndarray:
@@ -106,55 +99,44 @@ def ecc_q(raw, post_sample, rng: np.random.Generator = None) -> np.ndarray:
         )
     if np.any(np.diff(post_sample) < 0):
         raise ValueError("post_sample must be sorted ascending")
-    return apply_permutation(rank_permutation(raw, rng), post_sample)
+    return reorder(rank_permutation(raw, rng), post_sample)
 
 
 def ecc_ranks(raw_by_site: dict, sample: PredictiveSample,
-              rng: np.random.Generator = None) -> dict:
-    """One rank permutation per site of a grouped sample, from its raw members.
+              rng: np.random.Generator = None) -> np.ndarray:
+    """The (S, m) ranks of a grouped sample's raw members, row s for
+    sample.sites[s], drawn in that order from the one stream.
 
     The n subsamples must arrive sorted (as the quantile construction
-    produces them) with one value per raw member.  Ranks are drawn in
-    sample.sites order from the one stream.
+    produces them) with one value per raw member.
     """
     if not isinstance(sample, PredictiveSample):
         raise ValueError("subsample grouping metadata missing: expected a PredictiveSample")
     missing = [s for s in sample.sites if s not in raw_by_site]
     if missing:
         raise ValueError(f"raw ensemble missing for sites {missing}")
-    ranks = {}
-    for site in sample.sites:
-        raw = np.asarray(raw_by_site[site], dtype=float)
-        grouped = sample.at_site(site)  # (n, m)
-        if grouped.shape[1] != len(raw):
-            raise ValueError(
-                f"site {site}: subsample size {grouped.shape[1]} does not match "
-                f"raw ensemble size {len(raw)}"
-            )
-        if np.any(np.diff(grouped, axis=1) < 0):
-            raise ValueError(f"site {site}: subsamples must be sorted ascending")
-        ranks[site] = rank_permutation(raw, rng)
-    return ranks
-
-
-def shuffle_ranks(sizes: dict, rng: np.random.Generator) -> dict:
-    """A uniform random permutation of 1..sizes[site] per site, drawn in
-    sorted site order."""
-    return {site: RankPermutation(pi=tuple((rng.permutation(sizes[site]) + 1).tolist()))
-            for site in sorted(sizes)}
+    raw = np.array([raw_by_site[site] for site in sample.sites], dtype=float)
+    if raw.shape != (len(sample.sites), sample.m):
+        raise ValueError(f"raw ensembles of shape {raw.shape} do not match the sample's "
+                         f"{len(sample.sites)} sites × {sample.m} members")
+    unsorted = np.any(np.diff(sample.values, axis=1) < 0, axis=(0, 1))
+    if unsorted.any():
+        raise ValueError(f"site {sample.sites[unsorted.argmax()]}: "
+                         "subsamples must be sorted ascending")
+    return rank_permutation(raw, rng)
 
 
 def ecc_memos(raw_by_site: dict, sample: PredictiveSample,
               rng: np.random.Generator = None) -> dict:
     """Per-subsample reordering of a grouped posterior predictive sample:
-    each site's `ecc_ranks` permutation reorders each of its n subsamples.
+    each site's `ecc_ranks` row reorders each of its n subsamples.
     Returns the merged N = m·n values per site, subsample-major."""
-    return {site: apply_permutation(pi, sample.pooled(site))
-            for site, pi in ecc_ranks(raw_by_site, sample, rng).items()}
+    ranks = ecc_ranks(raw_by_site, sample, rng)
+    return dict(zip(sample.sites, reorder(ranks, sample.pooled())))
 
 
 def independence_shuffle(sample_by_site: dict, rng: np.random.Generator) -> dict:
-    """Independent uniform random permutation of the values at each site."""
-    values = {site: np.asarray(v, dtype=float) for site, v in sample_by_site.items()}
-    ranks = shuffle_ranks({site: len(v) for site, v in values.items()}, rng)
-    return {site: apply_permutation(pi, values[site]) for site, pi in ranks.items()}
+    """Independent uniform random permutation of the values at each site,
+    drawn in sorted site order."""
+    return {site: reorder(shuffle_ranks(1, len(values), rng)[0], values)
+            for site, values in sorted(sample_by_site.items())}

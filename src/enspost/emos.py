@@ -251,15 +251,6 @@ def fit_local(table: CaseTable, valid_date: dt.date, stations, length: int = 25,
     return fits
 
 
-@dataclass(frozen=True)
-class GaussianForecast:
-    mu: float
-    sigma: float
-
-    def cdf(self, x):
-        return ndtr((x - self.mu) / self.sigma)
-
-
 def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
     """Grouped m-quantile sample of an equally weighted Gaussian mixture.
 
@@ -272,8 +263,3 @@ def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
     values = mu[:, None, :] + sigma[:, None, :] * z[None, :, None]
     return PredictiveSample(sites=list(sites), values=values)
-
-
-def predict(params: EmosParams, fbar: float) -> GaussianForecast:
-    """Predictive distribution N(a + b·f̄, σ²)."""
-    return GaussianForecast(mu=params.a + params.b * float(fbar), sigma=params.sigma)

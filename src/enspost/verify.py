@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -135,18 +134,8 @@ def multivariate_rank(ensemble, y, rng: np.random.Generator) -> int:
     return 1 + below + int(rng.integers(0, ties + 1))
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
-    bins: int = 17
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("need at least one bin")
-
-
-def histogram(values, spec: HistogramSpec = HistogramSpec(),
-              rank_max: Optional[int] = None) -> np.ndarray:
-    """Normalized counts over `spec.bins` bins.
+def histogram(values, bins: int = 17, rank_max: int | None = None) -> np.ndarray:
+    """Normalized counts over `bins` ≥ 1 bins.
 
     With `rank_max` given, values are integer ranks 1..rank_max and
     consecutive ranks are aggregated; when the bin count does not divide
@@ -154,14 +143,16 @@ def histogram(values, spec: HistogramSpec = HistogramSpec(),
     the last bin backward.  Without `rank_max`, values live in [0, 1] and
     the bins are equal width.
     """
+    if bins < 1:
+        raise ValueError("need at least one bin")
     values = np.asarray(values)
     if len(values) == 0:
         raise ValueError("no values to bin")
     if rank_max is not None:
-        base, extra = divmod(rank_max, spec.bins)
+        base, extra = divmod(rank_max, bins)
         if base == 0:
-            raise ValueError(f"{spec.bins} bins need rank_max >= bins")
-        sizes = np.full(spec.bins, base, dtype=int)
+            raise ValueError(f"{bins} bins need rank_max >= bins")
+        sizes = np.full(bins, base, dtype=int)
         if extra:
             sizes[-extra:] += 1
         edges = np.concatenate([[0], np.cumsum(sizes)])  # ranks in (edges[k], edges[k+1]]
@@ -172,8 +163,8 @@ def histogram(values, spec: HistogramSpec = HistogramSpec(),
         vals = values.astype(float)
         if np.any((vals < 0) | (vals > 1)):
             raise ValueError("unit-interval values required without rank_max")
-        idx = np.minimum((vals * spec.bins).astype(int), spec.bins - 1)
-    counts = np.bincount(idx, minlength=spec.bins).astype(float)
+        idx = np.minimum((vals * bins).astype(int), bins - 1)
+    counts = np.bincount(idx, minlength=bins).astype(float)
     return counts / counts.sum()
 
 

@@ -10,7 +10,8 @@ scan over every case instead of the table's date and station indexes, a
 left-to-right fold of Python additions instead of a cumulative sum,
 one `locate` per query point instead of one per distinct point, a
 sum over the union pattern instead of direct band-storage positions, and
-an N × N dominance matrix instead of packed prefix bits.
+an N × N dominance matrix instead of packed prefix bits, and one site at
+a time instead of one (S, m) rank array per day.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -400,6 +401,32 @@ def multivariate_rank_by_dominance(ensemble, y, rng) -> int:
     below = int(np.sum(prerank[1:] < prerank[0]))
     ties = int(np.sum(prerank[1:] == prerank[0]))
     return 1 + below + int(rng.integers(0, ties + 1))
+
+
+def ecc_ranks_per_site(raw, rng) -> np.ndarray:
+    """`ecc.rank_permutation` of an (S, m) member array one site at a time:
+    per row, m tie-break uniforms from `rng`, a lexsort of that row alone and
+    its ranks scattered through the order."""
+    rows = []
+    for members in np.asarray(raw, dtype=float):
+        tiebreak = rng.random(len(members))
+        order = np.lexsort((tiebreak, members))
+        pi = np.empty(len(members), dtype=int)
+        pi[order] = np.arange(1, len(members) + 1)
+        rows.append(pi)
+    return np.array(rows).reshape(np.shape(raw))
+
+
+def reorder_per_site(ranks, pooled) -> np.ndarray:
+    """`ecc.reorder` one site at a time: each row of `pooled` cut into blocks
+    of L values, each block indexed by that site's ranks minus one."""
+    return np.array([np.asarray(row, dtype=float).reshape(-1, len(pi))[:, np.asarray(pi) - 1]
+                     .reshape(-1) for pi, row in zip(ranks, pooled)]).reshape(np.shape(pooled))
+
+
+def shuffle_ranks_per_site(S: int, L: int, rng) -> np.ndarray:
+    """`ecc.shuffle_ranks` as S calls of `rng.permutation(L)`, plus one."""
+    return np.array([rng.permutation(L) + 1 for _ in range(S)]).reshape(S, L)
 
 
 def conditional_gaussian(Q_prior, A, noise_prec: float, y):

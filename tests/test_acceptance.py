@@ -133,8 +133,9 @@ def _recovery_run(seed, n_days_eval=60, window=25):
                                        mesh=msh, config=mc, init=init)
         init, step = draws.theta[-1], draws.final_step
         sample = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), m=50)
+        pooled = dict(zip(sample.sites, sample.pooled()))
         for s, y in zip(cases.sites, cases.obs):
-            crps["memos"].append(verify.crps_empirical(sample.pooled(s), y))
+            crps["memos"].append(verify.crps_empirical(pooled[s], y))
     return {k: float(np.mean(v)) for k, v in crps.items()}
 
 
@@ -205,9 +206,10 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
         sample = memos.predictive_sample(
             draws, dict(zip([l.id for l in locs], f)), m=50
         )
+        pooled = dict(zip(sample.sites, sample.pooled()))
         for j, loc in enumerate(locs):
-            pits.append(verify.normalized_rank(sample.pooled(loc.id), y[j], rng))
-    counts = verify.histogram(np.array(pits), verify.HistogramSpec(17)) * len(pits)
+            pits.append(verify.normalized_rank(pooled[loc.id], y[j], rng))
+    counts = verify.histogram(np.array(pits), 17) * len(pits)
     expected = len(pits) / 17
     return float(((counts - expected) ** 2 / expected).sum())
 

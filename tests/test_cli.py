@@ -154,6 +154,24 @@ class TestPipelineContract:
         expected = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), 8)
         assert np.array_equal(rebuilt.values, expected.values)
 
+    @pytest.mark.parametrize("method", ["global", "local"])
+    def test_emos_predict_rows_are_the_fitted_gaussians(self, pipeline, method):
+        """predict_<method>.csv holds one N(a + b·f̄, σ²) per (date, site),
+        with the day's fitted (a, b, σ) and the site's ensemble mean f̄."""
+        config, out = pipeline
+        fits = json.loads((out / f"params_{method}.json").read_text())
+        table = data.load_cases(out / "cases.csv")
+        rows = 0
+        with open(out / f"predict_{method}.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                cases = table.on(dt.date.fromisoformat(row["date"]))
+                fbar = float(cases.fbar[cases.sites.index(row["site"])])
+                params = fits[row["date"]] if method == "global" else fits[row["date"]][row["site"]]
+                assert float(row["mu"]) == params["a"] + params["b"] * fbar
+                assert float(row["sigma"]) == params["sigma"]
+                rows += 1
+        assert rows == 6 * 10
+
     def test_fit_manifest_lists_the_draws_sidecars(self, pipeline):
         config, out = pipeline
         outputs = json.loads((out / "manifest_fit.json").read_text())["outputs"]
@@ -173,8 +191,8 @@ class TestPipelineContract:
         config, out = pipeline
         table = data.load_cases(out / "cases.csv")
         by_key = {(date, site): list(values)
-                  for date, by_site in cli._load_ensembles(out, "raw_ecc", table, {}, 8).items()
-                  for site, values in by_site.items()}
+                  for date, day in cli._load_ensembles(out, "raw_ecc", table, {}, 8).items()
+                  for site, values in zip(day[0].sites, cli._reordered(date, *day))}
         cases = {}
         with open(out / "cases.csv", newline="") as fh:
             for row in csv_mod.DictReader(fh):
@@ -197,7 +215,8 @@ class TestPipelineContract:
         preds = {"memos": cli._load_predictions(out, "memos")}
         for label in ("memos_ecc", "memos_independence", "raw_ecc"):
             method, structure = label.rsplit("_", 1)
-            rebuilt = cli._load_ensembles(out, label, table, preds, 8)
+            rebuilt = {key: dict(zip(day[0].sites, cli._reordered(key, *day)))
+                       for key, day in cli._load_ensembles(out, label, table, preds, 8).items()}
             assert sorted(rebuilt) == [f"2010-06-{d}" for d in range(16, 22)]
             for key, by_site in rebuilt.items():
                 cases = table.on(dt.date.fromisoformat(key))
@@ -213,7 +232,7 @@ class TestPipelineContract:
                 else:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
                     expected = ecc.independence_shuffle(
-                        {s: sample.pooled(s) for s in sample.sites}, rng)
+                        dict(zip(sample.sites, sample.pooled())), rng)
                 assert sorted(by_site) == sorted(expected) == cases.sites
                 for site, values in expected.items():
                     assert np.array_equal(by_site[site], values)
@@ -244,8 +263,7 @@ class TestPipelineContract:
         for key, components in preds.items():
             sample = emos.quantile_sample(*components, 8)
             rng = np.random.default_rng(cli.subseed(3, "independence", key))
-            baseline = ecc.independence_shuffle(
-                {s: sample.pooled(s) for s in sample.sites}, rng)
+            baseline = ecc.independence_shuffle(dict(zip(sample.sites, sample.pooled())), rng)
             cases = table.on(dt.date.fromisoformat(key))
             obs = dict(zip(cases.sites, cases.obs))
             sites = sorted(s for s in baseline if not np.isnan(obs[s]))
@@ -629,6 +647,31 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out), *args])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("method, edit, message", [
+        ("local", lambda day: day.pop("S01"),
+         "no fitted parameters for {date} station S01 in {path}"),
+        ("local", lambda day: day["S02"].pop("sigma"),
+         "no fitted 'sigma' for {date} station S02 in {path}"),
+        ("global", lambda day: day.pop("a"), "no fitted 'a' for {date} in {path}"),
+    ], ids=["station-missing", "local-key-missing", "global-key-missing"])
+    def test_incomplete_params(self, pipeline, tmp_path, capsys, method, edit, message):
+        """A day of params_<method>.json without one of the day's stations, or
+        without a, b or sigma, ends `predict` with one line naming the file,
+        the date and what is missing."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / f"params_{method}.json"
+        fits = json.loads(path.read_text())
+        date = min(fits)
+        edit(fits[date])
+        path.write_text(json.dumps(fits))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", method])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(date=date, path=path)}\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0][:4] + ["sd"]] + rows[1:],

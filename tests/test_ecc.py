@@ -4,30 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ecc_ranks_per_site, reorder_per_site, shuffle_ranks_per_site
+
 from enspost import ecc
 
 
 class TestRankPermutation:
     def test_basic_ranks(self):
         pi = ecc.rank_permutation([3.0, 1.0, 2.0], np.random.default_rng(0))
-        assert pi.pi == (3, 1, 2)
+        assert pi.tolist() == [3, 1, 2]
 
     def test_sorted_input_identity(self):
         pi = ecc.rank_permutation([1.0, 2.0, 5.0, 9.0], np.random.default_rng(0))
-        assert pi.pi == (1, 2, 3, 4)
+        assert pi.tolist() == [1, 2, 3, 4]
 
     def test_all_ties_uniform(self):
         counts = np.zeros((3, 3))
         for seed in range(3000):
             pi = ecc.rank_permutation([2.0, 2.0, 2.0], np.random.default_rng(seed))
-            for k, r in enumerate(pi.pi):
+            for k, r in enumerate(pi):
                 counts[k, r - 1] += 1
         freqs = counts / 3000
         assert np.all(np.abs(freqs - 1 / 3) < 0.04)
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            ecc.RankPermutation(pi=(1, 1, 3))
 
 
 class TestEccQ:
@@ -74,8 +72,8 @@ class TestEccQ:
         raw = rng.normal(0, 1, 12)
         sample = np.sort(rng.normal(0, 2, 12))
         pi = ecc.rank_permutation(raw, np.random.default_rng(0))
-        once = ecc.apply_permutation(pi, sample)
-        twice = ecc.apply_permutation(pi, np.sort(once))
+        once = ecc.reorder(pi, sample)
+        twice = ecc.reorder(pi, np.sort(once))
         assert np.array_equal(once, twice)
 
 
@@ -155,3 +153,36 @@ class TestIndependenceShuffle:
             out = ecc.independence_shuffle({"A": [1.0, 2.0]}, np.random.default_rng(seed))
             hits += out["A"][0] == 1.0
         assert abs(hits / trials - 0.5) < 0.02
+
+
+class TestBatchedAgainstPerSite:
+    """One (S, m) rank array per day against the per-site loop it replaced
+    (`oracles`): the same ranks, the same reordered values and the same
+    generator state afterwards.  Members rounded to 0.5 make ties common."""
+
+    @given(st.integers(1, 60), st.integers(1, 30), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_ecc_ranks_and_reorder(self, S, m, n, seed):
+        data = np.random.default_rng(seed)
+        raw = np.round(data.normal(0.0, 1.0, (S, m)) * 2) / 2
+        sample = ecc.PredictiveSample(
+            sites=list(range(S)), values=np.sort(np.round(data.normal(0.0, 2.0, (n, m, S)) * 2)
+                                                  / 2, axis=1))
+        batched, per_site = np.random.default_rng(seed), np.random.default_rng(seed)
+        ranks = ecc.rank_permutation(raw, batched)
+        assert np.array_equal(ranks, ecc_ranks_per_site(raw, per_site))
+        assert batched.bit_generator.state == per_site.bit_generator.state
+        pooled = sample.pooled()
+        assert np.array_equal(ecc.reorder(ranks, pooled), reorder_per_site(ranks, pooled))
+
+    @given(st.integers(1, 60), st.integers(1, 30), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffle_ranks(self, S, m, n, seed):
+        batched, per_site = np.random.default_rng(seed), np.random.default_rng(seed)
+        ranks = ecc.shuffle_ranks(S, m * n, batched)
+        assert np.array_equal(ranks, shuffle_ranks_per_site(S, m * n, per_site))
+        assert batched.bit_generator.state == per_site.bit_generator.state
+        pooled = np.round(np.random.default_rng(seed).normal(0.0, 2.0, (S, m * n)) * 2) / 2
+        assert np.array_equal(ecc.reorder(ranks, pooled), reorder_per_site(ranks, pooled))

@@ -243,25 +243,12 @@ class TestNewtonAgainstNelderMead:
 
 
 class TestPredict:
-    def test_identity_coefficients(self):
-        forecast = emos.predict(emos.EmosParams(0.0, 1.0, 1.0), 3.0)
-        assert forecast.mu == 3.0
-
-    def test_zero_slope(self):
-        forecast = emos.predict(emos.EmosParams(2.0, 0.0, 1.0), 123.4)
-        assert forecast.mu == 2.0
-
-    def test_negative_slope(self):
-        forecast = emos.predict(emos.EmosParams(1.0, -0.5, 1.0), 4.0)
-        assert forecast.mu == pytest.approx(-1.0)
-
     def test_quantile_sample_sorted_symmetric(self):
-        """A Gaussian forecast is the one-component case of the shared
-        mixture quantile sample."""
-        forecast = emos.GaussianForecast(1.0, 2.0)
-        sample = emos.quantile_sample(["s"], [[forecast.mu]], [[forecast.sigma]], 50)
+        """A Gaussian forecast N(1, 2²) is the one-component case of the
+        shared mixture quantile sample."""
+        sample = emos.quantile_sample(["s"], [[1.0]], [[2.0]], 50)
         assert sample.values.shape == (1, 50, 1)
-        q = sample.pooled("s")
+        q = sample.pooled()[0]
         assert np.all(np.diff(q) > 0)
         assert q[0] + q[-1] == pytest.approx(2.0, abs=1e-9)  # symmetry about mu
         assert q[0] == pytest.approx(1.0 + 2.0 * norm.ppf(0.01), abs=1e-9)

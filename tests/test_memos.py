@@ -364,8 +364,9 @@ class TestSamplePosterior:
                 config=memos.McmcConfig(burn_in=400, thin=3),
             )
             sample = memos.predictive_sample(draws, fbar, m=20)
+            pooled = dict(zip(sample.sites, sample.pooled()))
             scores = [
-                verify.crps_empirical(sample.pooled(s), y)
+                verify.crps_empirical(pooled[s], y)
                 for s, y in zip(cases.sites, cases.obs)
             ]
             means.append(float(np.mean(scores)))
@@ -376,9 +377,10 @@ class TestSamplePosterior:
                 part = ecc.PredictiveSample(
                     sites=sample.sites, values=sample.values[10 * k : 10 * (k + 1)]
                 )
+                pooled = dict(zip(part.sites, part.pooled()))
                 subset_means.append(
                     np.mean([
-                        verify.crps_empirical(part.pooled(s), y)
+                        verify.crps_empirical(pooled[s], y)
                         for s, y in zip(cases.sites, cases.obs)
                     ])
                 )
@@ -404,7 +406,7 @@ class TestPredictiveSample:
     def test_two_member_quartiles(self):
         draws = self.single_draw(0.0, 0.0, 1.0)
         sample = memos.predictive_sample(draws, {"X": 0.0}, m=2)
-        assert sample.pooled("X") == pytest.approx([-0.67449, 0.67449], abs=1e-5)
+        assert sample.pooled()[0] == pytest.approx([-0.67449, 0.67449], abs=1e-5)
 
     def test_first_of_fifty_quantiles(self):
         draws = self.single_draw(0.0, 0.0, 1.0)
@@ -437,7 +439,7 @@ class TestMixtureCdf:
             acceptance=1.0,
         )
         sample = memos.predictive_sample(draws, {"X": 5.0}, m=100)  # N = 5000
-        values = np.sort(sample.pooled("X"))
+        values = np.sort(sample.pooled()[0])
         grid = np.linspace(values[0] - 1, values[-1] + 1, 300)
         ecdf = np.searchsorted(values, grid, side="right") / len(values)
         # the mixture CDF (1/n)Σ Φ((x − a_i − b_i f̄)/σ_i)

@@ -108,10 +108,11 @@ class TestVerificationRank:
 
 class TestPitAndNormalizedRank:
     def test_gaussian_median_pit(self):
-        """`verify` takes the PIT of a Gaussian forecast as its cdf(y)."""
-        from enspost.emos import GaussianForecast
+        """`verify` takes the PIT of a Gaussian forecast N(mu, sigma²) as
+        ndtr((y − mu)/sigma)."""
+        from enspost.normal import ndtr
 
-        assert GaussianForecast(2.0, 3.0).cdf(2.0) == 0.5
+        assert ndtr((2.0 - 2.0) / 3.0) == 0.5
 
     def test_all_members_above_gives_zero(self):
         nr = verify.normalized_rank([1.0, 2.0, 3.0], 0.0, np.random.default_rng(0))
@@ -128,7 +129,7 @@ class TestPitAndNormalizedRank:
             sd = rng.uniform(0.5, 2.0, 400)
             y = rng.normal(mu, sd)
             pits = norm.cdf(y, mu, sd)
-            counts = verify.histogram(pits, verify.HistogramSpec(17)) * 400
+            counts = verify.histogram(pits, 17) * 400
             stat = ((counts - 400 / 17) ** 2 / (400 / 17)).sum()
             passes += stat < crit
         assert passes >= 95
@@ -198,31 +199,34 @@ class TestPackedPreRanks:
 class TestHistogram:
     def test_51_ranks_even_bins(self):
         ranks = np.arange(1, 52)
-        counts = verify.histogram(ranks, verify.HistogramSpec(17), rank_max=51)
+        counts = verify.histogram(ranks, 17, rank_max=51)
         assert np.allclose(counts, 3 / 51)
 
     def test_uniform_pit_grid_flat(self):
         pits = (np.arange(1700) + 0.5) / 1700
-        counts = verify.histogram(pits, verify.HistogramSpec(17))
+        counts = verify.histogram(pits, 17)
         assert np.allclose(counts, 1 / 17)
 
     def test_all_mass_at_rank_one(self):
-        counts = verify.histogram(np.ones(40, dtype=int), verify.HistogramSpec(17),
-                                  rank_max=51)
+        counts = verify.histogram(np.ones(40, dtype=int), 17, rank_max=51)
         assert counts[0] == 1.0
         assert np.all(counts[1:] == 0.0)
 
     def test_remainder_absorbed_from_last_bin_backward(self):
         # 52 ranks in 17 bins: the last bin takes 4 consecutive ranks
         ranks = np.arange(1, 53)
-        counts = verify.histogram(ranks, verify.HistogramSpec(17), rank_max=52)
+        counts = verify.histogram(ranks, 17, rank_max=52)
         assert counts[-1] == pytest.approx(4 / 52)
         assert np.allclose(counts[:-1], 3 / 52)
 
     def test_counts_normalize(self):
         rng = np.random.default_rng(0)
-        counts = verify.histogram(rng.uniform(0, 1, 1000), verify.HistogramSpec(17))
+        counts = verify.histogram(rng.uniform(0, 1, 1000), 17)
         assert counts.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_needs_a_bin(self):
+        with pytest.raises(ValueError, match="at least one bin"):
+            verify.histogram([0.5], 0)
 
 
 class TestDmTest:
