@@ -39,11 +39,11 @@ loading the whole library costs.  So this module imports only the standard
 library, numpy and ``data`` at module level, and each command imports the
 model modules it calls where it calls them.  ``fit`` and ``predict`` for
 global and local EMOS, ``predict --method memos`` (which reads the draws
-with ``data.PosteriorDraws``) and ``ecc`` for every method run on numpy
-alone: Φ and Φ⁻¹ come from ``normal``, not from SciPy.  ``verify`` loads
-``scipy.spatial`` (and with it ``scipy.sparse``) only to score ``ens_*``
-files, and only ``mesh``, ``fit --method memos`` and ``simulate`` load
-``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that fails on valid
+with ``data.PosteriorDraws``), ``ecc`` for every method and ``verify`` run
+on numpy alone: Φ and Φ⁻¹ come from ``normal``, and the energy score sums
+its pair distances from centred Gram blocks, not from SciPy.  Only
+``mesh``, ``fit --method memos`` and ``simulate`` load SciPy, ``mesh``,
+``spde`` or ``memos``.  A fit, chain or mesh that fails on valid
 input raises a subclass of ``data.ModelError``; ``main`` reports it, a
 ValueError or an OSError as one ``error:`` line and exit 1.
 
@@ -342,7 +342,13 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
         params_path = out / f"params_{method}.json"
         if not params_path.exists():
             raise CliError(f"missing upstream file: {params_path} (run `fit` first?)")
-        fits = json.loads(params_path.read_text())
+
+        def mapping(value, what):
+            if not isinstance(value, dict):
+                raise CliError(f"{what} must be a mapping, got {value!r}, in {params_path}")
+            return value
+
+        fits = mapping(json.loads(params_path.read_text()), "the fitted parameters")
 
     def components(key, day):
         """The day's sites, their (n, sites) component means and sigmas."""
@@ -360,14 +366,31 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             return day.sites, mu, np.broadcast_to(draws.sigma[:, None], mu.shape)
         if key not in fits:
             raise CliError(f"no fitted parameters for {key} in {params_path}")
-        entries = [fits[key] if method == "global" else fits[key].get(s) for s in day.sites]
-        for site, entry in zip(day.sites, entries):
-            where = key if method == "global" else f"{key} station {site}"
-            lacking = ["parameters"] if entry is None else [
-                repr(k) for k in ("a", "b", "sigma") if k not in entry]
+        if method == "global":
+            wheres, entries = [key] * len(day.sites), [fits[key]] * len(day.sites)
+        else:
+            by_site = mapping(fits[key], f"parameters for {key}")
+            wheres = [f"{key} station {s}" for s in day.sites]
+            entries = [by_site.get(s) for s in day.sites]
+        for where, entry in zip(wheres, entries):
+            if entry is None:
+                raise CliError(f"no fitted parameters for {where} in {params_path}")
+            lacking = [repr(k) for k in ("a", "b", "sigma")
+                       if k not in mapping(entry, f"parameters for {where}")]
             if lacking:
                 raise CliError(f"no fitted {lacking[0]} for {where} in {params_path}")
-        a, b, sigma = (np.array([[e[k] for e in entries]]) for k in ("a", "b", "sigma"))
+        columns = []
+        for k in ("a", "b", "sigma"):
+            # a string, null, bool, list or mapping becomes NaN and fails the check
+            col = np.array([[e[k] if type(e[k]) in (int, float) else math.nan for e in entries]])
+            bad = ~np.isfinite(col[0]) | ((col[0] <= 0.0) if k == "sigma" else False)
+            if bad.any():
+                i = int(bad.argmax())
+                need = "finite and > 0" if k == "sigma" else "a finite number"
+                raise CliError(f"{k} must be {need}, got {entries[i][k]!r}, for {wheres[i]} "
+                               f"in {params_path}")
+            columns.append(col)
+        a, b, sigma = columns
         return day.sites, a + b * day.fbar, sigma
 
     path = out / f"predict_{method}.csv"

@@ -46,9 +46,21 @@ def abs_error(sample, y: float) -> float:
     return abs(sample_median(sample) - float(y))
 
 
+PAIR_BLOCK = 512  # rows of the N × N distance matrix held at once
+
+
 def energy_score(sample, y) -> float:
     """Energy score of a d-variate sample forecast: (1/N)Σ‖x_i−y‖ −
-    (1/(2N²))ΣΣ‖x_i−x_j‖."""
+    (1/(2N²))ΣΣ‖x_i−x_j‖.
+
+    The double sum runs in blocks of `PAIR_BLOCK` rows, each against itself
+    and every later row: pairs within a block count in both orders, pairs
+    past it once, doubled.  With the members centred, a block's squared
+    distances are |x_i|² + |x_j|² − 2 x_i·x_j from one matrix product; a
+    pair whose value cancels below 1e-4·(|x_i|² + |x_j|²), the diagonal
+    always among them, is recomputed as the squared norm of x_i − x_j, so
+    identical members are exactly 0 apart.
+    """
     x = np.atleast_2d(np.asarray(sample, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape[1] != len(yv):
@@ -57,13 +69,22 @@ def energy_score(sample, y) -> float:
     if n == 1:
         # a point forecast scores exactly its Euclidean distance
         return float(np.linalg.norm(x[0] - yv))
-    # loaded here: scipy.spatial pulls in scipy.sparse and scipy.linalg,
-    # which no other score needs
-    from scipy.spatial.distance import pdist
-
     term1 = float(np.mean(np.linalg.norm(x - yv[None, :], axis=1)))
-    term2 = 2.0 * float(pdist(x).sum()) / (n * n)
-    return term1 - 0.5 * term2
+    c = x - x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    total = 0.0
+    for lo in range(0, n, PAIR_BLOCK):
+        block, rest = c[lo:lo + PAIR_BLOCK], c[lo:]
+        scale = sq[lo:lo + PAIR_BLOCK, None] + sq[lo:]
+        d2 = (-2.0 * block) @ rest.T
+        d2 += scale
+        scale *= 1e-4
+        close = np.flatnonzero(d2 <= scale)
+        i, j = np.divmod(close, n - lo)
+        d2.flat[close] = np.square(block[i] - rest[j]).sum(axis=1)
+        dist = np.sqrt(d2, out=d2)
+        total += float(dist[:, :PAIR_BLOCK].sum()) + 2.0 * float(dist[:, PAIR_BLOCK:].sum())
+    return term1 - 0.5 * total / (n * n)
 
 
 def verification_rank(ensemble, y: float, rng: np.random.Generator) -> int:

@@ -10,8 +10,9 @@ scan over every case instead of the table's date and station indexes, a
 left-to-right fold of Python additions instead of a cumulative sum,
 one `locate` per query point instead of one per distinct point, a
 sum over the union pattern instead of direct band-storage positions, and
-an N × N dominance matrix instead of packed prefix bits, and one site at
-a time instead of one (S, m) rank array per day.
+an N × N dominance matrix instead of packed prefix bits, one site at a
+time instead of one (S, m) rank array per day, and SciPy's pairwise
+distances of the raw members instead of centred Gram blocks.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -25,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
+from scipy.spatial.distance import pdist
 from scipy.special import ndtr, ndtri
 
 from enspost import data, emos, memos, mesh, spde
@@ -401,6 +403,17 @@ def multivariate_rank_by_dominance(ensemble, y, rng) -> int:
     below = int(np.sum(prerank[1:] < prerank[0]))
     ties = int(np.sum(prerank[1:] == prerank[0]))
     return 1 + below + int(rng.integers(0, ties + 1))
+
+
+def energy_score_by_pdist(sample, y) -> float:
+    """`verify.energy_score` with the spread term from `pdist`: each
+    unordered pair's distance ‖x_i − x_j‖ of the uncentred members, summed
+    once and doubled."""
+    x = np.atleast_2d(np.asarray(sample, dtype=float))
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    n = len(x)
+    term1 = float(np.mean(np.linalg.norm(x - yv[None, :], axis=1)))
+    return term1 - float(pdist(x).sum()) / (n * n)
 
 
 def ecc_ranks_per_site(raw, rng) -> np.ndarray:

@@ -419,8 +419,8 @@ class TestBlasThreads:
         assert self.probe(env, "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"
 
 
-# modules of the sparse, spatial and LAPACK stack that only mesh, verify,
-# the MEMOS commands and simulate need
+# modules of the sparse, spatial and LAPACK stack that only mesh, the MEMOS
+# commands and simulate need
 SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
                 "enspost.memos", "enspost.mesh", "enspost.spde")
 
@@ -462,7 +462,7 @@ class TestImports:
         (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "memos"), "", ("scipy.spatial",)),
-        (("verify",), "", ("enspost.memos", "enspost.spde")),
+        (("verify",), "", ("scipy",) + SPARSE_STACK),
         (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
     ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "ecc-memos-independence",
             "predict-local", "predict-memos",
@@ -654,11 +654,21 @@ class TestErrors:
         ("local", lambda day: day["S02"].pop("sigma"),
          "no fitted 'sigma' for {date} station S02 in {path}"),
         ("global", lambda day: day.pop("a"), "no fitted 'a' for {date} in {path}"),
-    ], ids=["station-missing", "local-key-missing", "global-key-missing"])
+        ("local", lambda day: day["S01"].update(a="x"),
+         "a must be a finite number, got 'x', for {date} station S01 in {path}"),
+        ("local", lambda day: day.update(S01=5),
+         "parameters for {date} station S01 must be a mapping, got 5, in {path}"),
+        ("global", lambda day: day.update(sigma=float("nan")),
+         "sigma must be finite and > 0, got nan, for {date} in {path}"),
+        ("local", lambda day: day["S02"].update(sigma=0.0),
+         "sigma must be finite and > 0, got 0.0, for {date} station S02 in {path}"),
+    ], ids=["station-missing", "local-key-missing", "global-key-missing", "non-numeric-a",
+            "station-entry-a-number", "nan-global-sigma", "zero-local-sigma"])
     def test_incomplete_params(self, pipeline, tmp_path, capsys, method, edit, message):
-        """A day of params_<method>.json without one of the day's stations, or
-        without a, b or sigma, ends `predict` with one line naming the file,
-        the date and what is missing."""
+        """A day of params_<method>.json without one of the day's stations or
+        without a, b or sigma, a station entry that is not a mapping, a value
+        that is not a finite number, or a sigma that is not > 0 ends `predict`
+        with one line naming the file, the date and what is wrong."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -672,6 +682,28 @@ class TestErrors:
                          "predict", "--method", method])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message.format(date=date, path=path)}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fits, date: [fits[date]], "the fitted parameters must be a mapping"),
+        (lambda fits, date: {**fits, date: 5}, "parameters for {date} must be a mapping"),
+    ], ids=["file-a-list", "day-a-number"])
+    def test_params_not_a_mapping(self, pipeline, tmp_path, capsys, edit, message):
+        """params_local.json, or one day of it, that is not a JSON object
+        ends `predict` with one line naming the file."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "params_local.json"
+        fits = json.loads(path.read_text())
+        date = min(fits)
+        path.write_text(json.dumps(edit(fits, date)))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "local"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(date=date)}, got ")
+        assert err.endswith(f", in {path}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0][:4] + ["sd"]] + rows[1:],

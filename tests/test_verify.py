@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2, norm
 
-from oracles import (crps_empirical_naive, multivariate_rank_by_dominance,
-                     pre_ranks_by_dominance)
+from oracles import (crps_empirical_naive, energy_score_by_pdist,
+                     multivariate_rank_by_dominance, pre_ranks_by_dominance)
 
 from enspost import verify
 
@@ -73,6 +73,39 @@ class TestEnergyScore:
     def test_dimension_mismatch_error(self):
         with pytest.raises(ValueError, match="dimension"):
             verify.energy_score([[0.0, 1.0]], [1.0, 2.0, 3.0])
+
+
+class TestEnergyScoreAgainstPdist:
+    """`verify.energy_score` sums centred Gram blocks of `verify.PAIR_BLOCK`
+    rows; `oracles.energy_score_by_pdist` sums SciPy's pairwise distances of
+    the raw members.  Values rounded to 0.1 make ties common, some samples
+    repeat a quarter of their rows or a single row, and N crosses the block
+    boundary more than once."""
+
+    @given(st.integers(1, 1200), st.integers(1, 7), st.sampled_from([0.05, 0.3, 2.0, 30.0]),
+           st.sampled_from(["drawn", "repeated", "identical"]), st.integers(0, 2**32 - 1))
+    @example(verify.PAIR_BLOCK, 2, 0.3, "drawn", 0).via("one full block")
+    @example(2 * verify.PAIR_BLOCK + 1, 3, 0.3, "repeated", 0).via("two blocks and one row")
+    @example(1200, 1, 0.05, "drawn", 1).via("nearly every pair tied")
+    @example(700, 7, 2.0, "identical", 2).via("every member the same")
+    @example(1, 4, 0.3, "identical", 12865966).via("one member: the exact point-score path")
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_pdist(self, n, d, spread, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(rng.normal(0.0, 10.0), spread, (n, d)), 1)
+        if rows == "repeated":
+            x = x[rng.integers(0, max(1, n // 4), n)]
+        elif rows == "identical":
+            x = np.repeat(x[:1], n, axis=0)
+        y = np.round(rng.normal(0.0, spread, d), 1)
+        es, oracle = verify.energy_score(x, y), energy_score_by_pdist(x, y)
+        if rows == "identical" and n > 1:
+            # no spread, and the same term-1 expression as the oracle; one
+            # member takes the point score's 1-d norm, which may differ in
+            # the last bit from the oracle's row norm
+            assert es == oracle
+        else:
+            assert abs(es - oracle) <= 1e-14 * abs(oracle)
 
 
 class TestVerificationRank:
