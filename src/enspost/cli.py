@@ -19,36 +19,37 @@ chain (n × 5 log hyperparameters).
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
-in posterior draw order, for MEMOS.  ``ecc`` and ``verify`` rebuild the
-grouped m-quantile sample of each day from those rows with
-``emos.quantile_sample`` (for raw: the sorted members, n = 1), pooled in
-one (S, N) array.  ``ecc`` writes ens_<method>_<structure>.csv with one row
-per (date, site) of the day's sample.  For ECC the columns are
-date,site,ranks: the site's m space-separated ranks of the raw members.  For
-independence they are date,site,seed,L: the seed ``ecc`` ran with and
-L = N = m·n; the day's (S, N) ranks are a pure function of them and the
-day's sites, so ``verify`` redraws them (``ecc.shuffle_ranks`` on
-``subseed(seed, "independence", date)``).  ``verify`` keeps one (S, m) rank
-array or one seed per day and rebuilds a day's ensemble only to score it:
-``ecc.reorder`` reorders every block of L values of a site's row by its
-ranks.  A day with a sample but no rows, or a site of it without its row,
-is an error.
+in posterior draw order, for MEMOS.  ``verify`` rebuilds the grouped
+m-quantile sample of each day from those rows with ``emos.quantile_sample``
+(for raw: the sorted members, n = 1), pooled in one (S, N) array.  ``ecc``
+writes ens_<method>_<structure>.csv with columns date,seed: one row per
+evaluation day, holding the seed it ran with.  The day's ranks are a pure
+function of that seed, the date and ``cases.csv``, so ``verify`` draws them
+again where it scores the day, on the streams ``ecc`` has always used:
+``ecc.ecc_ranks`` of the raw members on ``subseed(seed, "ecc-ties", date)``,
+or ``ecc.shuffle_ranks`` on ``subseed(seed, "independence", date)``, and
+``ecc.reorder`` reorders every block of L values of a site's row by them.
+A date without a sample, a repeated date, or a day with a sample but no
+row is an error.  mesh.json, params_<method>.json and the draws sidecars
+are read through ``data.read_json``, so one that does not parse names its
+file.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
 library, numpy and ``data`` at module level, and each command imports the
 model modules it calls where it calls them.  ``fit`` and ``predict`` for
 global and local EMOS, ``predict --method memos`` (which reads the draws
-with ``data.PosteriorDraws``), ``ecc`` for every method and ``verify`` run
-on numpy alone: Φ and Φ⁻¹ come from ``normal``, and the energy score sums
-its pair distances from centred Gram blocks, not from SciPy.  Only
-``mesh``, ``fit --method memos`` and ``simulate`` load SciPy, ``mesh``,
-``spde`` or ``memos``.  A fit, chain or mesh that fails on valid
-input raises a subclass of ``data.ModelError``; ``main`` reports it, a
+with ``data.PosteriorDraws``), ``ecc`` for every method (no model module
+at all) and ``verify`` run on numpy alone: Φ and Φ⁻¹ come from ``normal``,
+and the energy score sums its pair distances from centred Gram blocks, not
+from SciPy.  Only ``mesh``, ``fit --method memos`` and ``simulate`` load
+SciPy, ``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that fails on
+valid input raises a subclass of ``data.ModelError``; ``main`` reports it, a
 ValueError or an OSError as one ``error:`` line and exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
-an error, and a value that does not parse names its file, line and key:
+an error, and a value that does not parse, or a memos_burnin below 0 or
+memos_thin or n below 1, names its file, line and key:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                cases (cases.csv)
   eval_start (first date + window)                eval_days (rest of data)
@@ -98,7 +99,7 @@ CONFIG_KEYS = (
 
 # the columns of predict_<method>.csv and of ens_<method>_<structure>.csv
 PREDICT_HEADER = ("date", "site", "mu", "sigma")
-ENS_HEADER = {"ecc": ["date", "site", "ranks"], "independence": ["date", "site", "seed", "L"]}
+ENS_HEADER = ("date", "seed")
 
 
 class CliError(RuntimeError):
@@ -148,13 +149,19 @@ class RunConfig:
         cfg.seed = int(seed_override) if seed_override is not None else cfg.get("seed", 0, int)
         return cfg
 
-    def get(self, key, default=None, cast=str):
+    def get(self, key, default=None, cast=str, least=None):
+        """The value of `key` cast, or `default` if unset; a value below
+        `least` is an error."""
         if key not in self.raw or self.raw[key] == "":
             return default
         try:
-            return cast(self.raw[key])
+            value = cast(self.raw[key])
         except ValueError as exc:
             raise CliError(f"{self.origin.get(key, 'config')}: key {key!r}: {exc}") from exc
+        if least is not None and value < least:
+            raise CliError(f"{self.origin.get(key, 'config')}: key {key!r} must be >= {least}, "
+                           f"got {value}")
+        return value
 
     def date(self, key, default=None):
         return self.get(key, default, dt.date.fromisoformat)
@@ -183,8 +190,8 @@ class RunConfig:
         from . import memos
 
         return memos.McmcConfig(
-            burn_in=self.get("memos_burnin", 1000, int),
-            thin=self.get("memos_thin", 5, int),
+            burn_in=self.get("memos_burnin", 1000, int, least=0),
+            thin=self.get("memos_thin", 5, int, least=1),
             alpha=self.get("memos_alpha", 1, int),
         )
 
@@ -308,10 +315,11 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     else:
         from . import memos, mesh as mesh_mod
 
+        n, mcmc = cfg.get("n", 100, int, least=1), cfg.mcmc()
         mesh_path = out / "mesh.json"
         if not mesh_path.exists():
             raise CliError(f"missing upstream file: {mesh_path} (run `mesh` first?)")
-        msh = mesh_mod.Mesh.from_json(mesh_path.read_text())
+        msh = data.read_json(mesh_path, "mesh", mesh_mod.Mesh.from_json)
         draws_dir = out / "draws_memos"
         draws_dir.mkdir(exist_ok=True)
         sites = [table.locations[s] for s in table.stations]
@@ -322,11 +330,11 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
                 draws = memos.sample_posterior(
                     training,
                     sites,
-                    n=cfg.get("n", 100, int),
+                    n=n,
                     seed=subseed(cfg.seed, "memos-fit", day.isoformat()).generate_state(1)[0],
                     mesh=msh,
                     priors=cfg.priors(),
-                    config=cfg.mcmc(),
+                    config=mcmc,
                 )
             path = draws_dir / f"{day.isoformat()}.csv"
             draws.to_csv(path)
@@ -348,7 +356,8 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
                 raise CliError(f"{what} must be a mapping, got {value!r}, in {params_path}")
             return value
 
-        fits = mapping(json.loads(params_path.read_text()), "the fitted parameters")
+        fits = mapping(data.read_json(params_path, f"fit --method {method}"),
+                       "the fitted parameters")
 
     def components(key, day):
         """The day's sites, their (n, sites) component means and sigmas."""
@@ -447,97 +456,65 @@ def _ensemble_sample(method: str, rows, m: int) -> ecc.PredictiveSample:
     return ecc.PredictiveSample(sites=rows.sites, values=np.sort(rows.members, axis=1).T[None])
 
 
-def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
-    from . import ecc
+def _check_ecc_size(m: int, table, method: str, structure: str) -> None:
+    """ECC reorders each site's m quantiles by the ranks of its raw members."""
+    if structure == "ecc" and method != "raw" and m != table.m:
+        raise CliError(f"ECC reorders m = {m} quantiles by the ranks of {table.m} raw members; "
+                       f"set m = {table.m} in the config")
 
+
+def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table)
-    m = cfg.get("m", 50, int)
+    _check_ecc_size(cfg.get("m", 50, int), table, method, structure)
     preds = None if method == "raw" else _load_predictions(out, method)
     path = out / f"ens_{method}_{structure}.csv"
 
     with _replacing(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(ENS_HEADER[structure])
+        writer.writerow(ENS_HEADER)
         for day in days:
             key = day.isoformat()
-            cases = table.on(day)
-            rows = cases if preds is None else preds.get(key)
-            if rows is None:
+            if preds is not None and key not in preds:
                 raise CliError(f"no predictions for {key} in predict_{method}.csv "
                                "(run `predict` first?)")
-            sample = _ensemble_sample(method, rows, m)
-            if structure == "independence":
-                # verify redraws the shuffle from (seed, date, sites); L = N = m·n
-                writer.writerows([key, site, cfg.seed, sample.n * sample.m]
-                                 for site in sample.sites)
-                continue
-            rng = np.random.default_rng(subseed(cfg.seed, "ecc-ties", key))
-            ranks = ecc.ecc_ranks(dict(zip(cases.sites, cases.members)), sample, rng)
-            # the sample's sites are sorted, so these rows are too
-            writer.writerows([key, site, " ".join(map(str, pi))]
-                             for site, pi in zip(sample.sites, ranks.tolist()))
+            # verify redraws the day's ranks from (seed, date) and its sample
+            writer.writerow([key, cfg.seed])
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
 
-def _load_ensembles(out: Path, label: str, table, preds: dict, m: int) -> dict:
-    """ens_<label>.csv as {date: (sample, ranks)} for `_reordered`: the day's
-    `_ensemble_sample` and either its (S, m) ECC ranks, each row checked to be
-    a permutation of 1..m, or the independence seed that every row holds with
-    L = N.  Every site of a day's sample needs exactly one row, since a missing
-    or repeated row would change the day's scores (and the redrawn stream)."""
-    method, structure = label.rsplit("_", 1)
+def _load_ensembles(out: Path, label: str, sampled) -> dict:
+    """ens_<label>.csv as {date: the seed `ecc` ran with}.  Each date needs
+    a sample (a key of `sampled`) and one row, since a repeated row could
+    carry a second seed."""
     path = out / f"ens_{label}.csv"
+    method = label.rsplit("_", 1)[0]
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
-    by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
-    days, lines = {}, {}  # {date: [sample, ranks or seed, first line]}, {(date, site): line}
-    with data.CsvRows(path, ENS_HEADER[structure], name=path.name, rerun="ecc") as rows:
+    seeds, lines = {}, {}
+    with data.CsvRows(path, ENS_HEADER, name=path.name, rerun="ecc") as rows:
         for cells in rows:
-            key, site = cells[:2]
-            if key not in days:
-                day = table.on(dt.date.fromisoformat(key)) if by_day is None else by_day.get(key)
-                if day is None:
-                    raise ValueError(f"{key} site {site} has no row in {source}")
-                sample = _ensemble_sample(method, day, m)
-                days[key] = [sample, np.zeros((len(sample.sites), sample.m), dtype=np.intp)
-                             if structure == "ecc" else None, rows.line]
-            sample, ranks, first_line = days[key]
-            if site not in sample.sites:
-                raise ValueError(f"{key} site {site} has no row in {source}")
-            if (key, site) in lines:
-                raise ValueError(f"{key} site {site} repeats line {lines[key, site]}")
-            lines[key, site] = rows.line
-            if structure == "ecc":
-                pi = [int(r) for r in cells[2].split()]
-                if not pi or sorted(pi) != list(range(1, len(pi) + 1)):
-                    raise ValueError("pi must be a permutation of 1..L")
-                if len(pi) != sample.m:
-                    raise ValueError(f"{len(pi)} ranks for ensemble size {sample.m}")
-                ranks[sample.sites.index(site)] = pi
-                continue
-            seed, size = rows.integer(cells, 2), rows.integer(cells, 3)
-            if size != sample.n * sample.m:
-                raise ValueError(f"L = {size} does not fit the pooled sample of "
-                                 f"{sample.n * sample.m} values")
-            if ranks is None:
-                days[key][1] = ranks = seed
-            if seed != ranks:
-                raise ValueError(f"seed {seed} differs from seed {ranks} on line {first_line}")
-    for key, (sample, _, _) in days.items():
-        missing = [s for s in sample.sites if (key, s) not in lines]
-        if missing:
-            raise CliError(f"{path.name}: {key} site {missing[0]} has no row (rerun `ecc`?)")
-    return {key: (sample, ranks) for key, (sample, ranks, _) in days.items()}
+            key = cells[0]
+            if key not in sampled:
+                raise ValueError(f"{key} has no rows in {source}")
+            if key in lines:
+                raise ValueError(f"{key} repeats line {lines[key]}")
+            seeds[key], lines[key] = rows.integer(cells, 1), rows.line
+    return seeds
 
 
-def _reordered(key: str, sample: ecc.PredictiveSample, ranks) -> np.ndarray:
-    """The day's (S, N) ensemble from `_load_ensembles`: the ranks, or those
-    redrawn from the seed on the stream `ecc` has always used, reordered."""
+def _reordered(key: str, structure: str, seed: int, cases: data.Day,
+               sample: ecc.PredictiveSample) -> np.ndarray:
+    """The day's (S, N) ensemble: `sample` reordered by ranks drawn from
+    `seed` on the streams `ecc` has always used: the ECC ranks of the raw
+    members in `cases`, or the independence shuffle."""
     from . import ecc
 
-    if np.ndim(ranks) == 0:  # the seed of an independence shuffle, L = N
-        rng = np.random.default_rng(subseed(ranks, "independence", key))
+    if structure == "ecc":
+        rng = np.random.default_rng(subseed(seed, "ecc-ties", key))
+        ranks = ecc.ecc_ranks(dict(zip(cases.sites, cases.members)), sample, rng)
+    else:  # L = N
+        rng = np.random.default_rng(subseed(seed, "independence", key))
         ranks = ecc.shuffle_ranks(len(sample.sites), sample.n * sample.m, rng)
     return ecc.reorder(ranks, sample.pooled())
 
@@ -597,29 +574,32 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
     m = cfg.get("m", 50, int)
     for ens_path in sorted(out.glob("ens_*_*.csv")):
         label = ens_path.stem[len("ens_"):]
-        per_day = _load_ensembles(out, label, table, preds, m)
+        method, structure = label.rsplit("_", 1)
+        _check_ecc_size(m, table, method, structure)
+        by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
+        sampled = {d.isoformat() for d in table.dates} if by_day is None else by_day
+        seeds = _load_ensembles(out, label, sampled)
         for day in days:
             key = day.isoformat()
-            if key not in per_day:
-                # a day with a sample must have its rows
-                if label.startswith("raw_") or key in preds.get(label.rsplit("_", 1)[0], {}):
+            if key not in seeds:
+                # a day with a sample must have its row
+                if key in sampled:
                     raise CliError(f"{ens_path.name}: {key} has no rows (rerun `ecc`?)")
                 continue
             cases = table.on(day)
+            sample = _ensemble_sample(method, cases if by_day is None else by_day[key], m)
             obs = dict(zip(cases.sites, cases.obs.tolist()))
-            sample, ranks = per_day[key]
             cols = [j for j, s in enumerate(sample.sites) if not math.isnan(obs.get(s, math.nan))]
             if len(cols) < 2:
                 continue
             # (members, d), C-ordered site rows transposed: the norms sum in memory order
-            ens = _reordered(key, sample, ranks)[cols].T
+            ens = _reordered(key, structure, seeds[key], cases, sample)[cols].T
             y = np.array([obs[sample.sites[j]] for j in cols])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
             mv_ranks.setdefault(label, []).append(
                 (verify.multivariate_rank(ens, y, rng), len(ens) + 1)
             )
-        del per_day  # so two labels' samples are never held at once
 
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",

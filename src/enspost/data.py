@@ -94,6 +94,16 @@ class CsvRows:
             raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
 
 
+def read_json(path, rerun: str, parse=json.loads):
+    """parse(text of `path`), by default its JSON value.  A file that does
+    not parse, or a ValueError of `parse`, names the file and the command
+    that writes it."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc} (rerun `{rerun}`?)") from None
+
+
 class CaseError(ValueError):
     """A bad row of a `CaseTable`; `row` is its position in the input."""
 
@@ -367,16 +377,26 @@ class PosteriorDraws:
                              f"site {sites[gap % len(sites)]}")
         grid = values[np.argsort(cell), :2]  # cell is now a permutation of the (draw, site) grid
         sidecar = Path(path).with_suffix(".json")
-        health = json.loads(sidecar.read_text())
+        health = read_json(sidecar, "fit --method memos")
+        if not isinstance(health, dict):
+            raise ValueError(f"{sidecar} must hold a JSON object, got {type(health).__name__} "
+                             "(rerun `fit --method memos`)")
         try:
-            n = len(health["theta"])
+            try:
+                theta = np.array(health["theta"], dtype=float)
+            except (TypeError, ValueError):
+                theta = None
+            if theta is None or theta.ndim != 2 or theta.shape[1] != 5:
+                raise ValueError(f"{sidecar}: theta must be a list of n rows of 5 numbers "
+                                 "(rerun `fit --method memos`)")
+            n = len(theta)
             if draws.tolist() != list(range(1, n + 1)):
                 missing = sorted(set(range(1, n + 1)) - set(draws))
                 raise ValueError(f"{path}: draw {missing[0]} has no rows" if missing else
                                  f"{path}: draw {next(d for d in draws if not 1 <= d <= n)}"
                                  f" is outside the draws 1..{n} of {sidecar}")
             return cls(sites=sites, a=grid[:, 0].reshape(n, -1), b=grid[:, 1].reshape(n, -1),
-                       sigma=sigma, theta=np.array(health["theta"], dtype=float).reshape(n, 5),
+                       sigma=sigma, theta=theta,
                        seed=health["seed"], acceptance=health["acceptance"],
                        final_step=health["final_step"],
                        invalid_proposals=health["invalid_proposals"],

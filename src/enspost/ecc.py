@@ -12,10 +12,10 @@ and its reordering one (S, L) array of ranks, row s a permutation of 1..L for
 site s.  One rule applies either way: each row's ranks reorder every
 consecutive block of L values of that site's row (`reorder`).  ECC ranks the
 raw members, L = m (`rank_permutation`); the independence shuffle draws
-L = N (`shuffle_ranks`).  The CLI stores the ECC ranks and, for the shuffle,
-the seed and L it redraws them from, never the reordered values.
+L = N (`shuffle_ranks`).  The CLI stores neither ranks nor reordered values,
+only the seed of each day: `verify` draws the ranks again from it.
 
-The module needs numpy only, so the CLI's `ecc --method raw` loads no scipy.
+The module needs numpy only, so `verify` loads no scipy through it.
 """
 
 from __future__ import annotations

@@ -257,8 +257,11 @@ def sample_posterior(
     evaluated at the sites through the basis projector.  A proposal whose
     posterior cannot be factored counts as a rejection (target −∞) and in
     `invalid_proposals`; an invalid initial state raises.  Deterministic
-    for fixed (inputs, seed).
+    for fixed (inputs, seed).  Needs n >= 1, burn_in >= 0 and thin >= 1.
     """
+    if n < 1 or config.burn_in < 0 or config.thin < 1:
+        raise ValueError(f"need n >= 1, burn_in >= 0 and thin >= 1, got n = {n}, "
+                         f"burn_in = {config.burn_in} and thin = {config.thin}")
     sites = list(sites)
     site_coords = np.array([[loc.x, loc.y] for loc in sites])
     psi_sites = projector(mesh, site_coords)

@@ -75,9 +75,28 @@ class Mesh:
 
     @classmethod
     def from_json(cls, text: str) -> "Mesh":
+        """The mesh that `to_json` wrote.  A missing key, an entry that is not
+        a list of finite pairs or triples, or a triangle index that is not a
+        vertex raises ValueError."""
         obj = json.loads(text)
-        vertices = np.asarray(obj["vertices"], dtype=float)
-        triangles = np.asarray(obj["triangles"], dtype=int)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        arrays = []
+        for key, width in (("vertices", 2), ("triangles", 3)):
+            if key not in obj:
+                raise ValueError(f"no {key!r} entry")
+            try:
+                value = np.asarray(obj[key], dtype=float)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.ndim != 2 or value.shape[1] != width or not len(value) \
+                    or not np.isfinite(value).all():
+                raise ValueError(f"{key} must be a nonempty list of {width} finite numbers each")
+            arrays.append(value)
+        vertices, triangles = arrays[0], arrays[1].astype(int)
+        if (triangles != arrays[1]).any() or triangles.min() < 0 \
+                or triangles.max() >= len(vertices):
+            raise ValueError(f"triangles must hold vertex indices 0..{len(vertices) - 1}")
         return cls(vertices, triangles, _boundary_edges(triangles))
 
 

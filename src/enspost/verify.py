@@ -149,10 +149,7 @@ def multivariate_rank(ensemble, y, rng: np.random.Generator) -> int:
     if x.shape[1] != len(yv):
         raise ValueError(f"dimension mismatch: members have {x.shape[1]}, y has {len(yv)}")
     prerank = pre_ranks(np.vstack([yv[None, :], x]))
-    rho_obs = prerank[0]
-    below = int(np.sum(prerank[1:] < rho_obs))
-    ties = int(np.sum(prerank[1:] == rho_obs))
-    return 1 + below + int(rng.integers(0, ties + 1))
+    return verification_rank(prerank[1:], prerank[0], rng)
 
 
 def histogram(values, bins: int = 17, rank_max: int | None = None) -> np.ndarray:

@@ -186,45 +186,38 @@ class TestPipelineContract:
 
     def test_raw_ecc_equals_sorted_raw_reordered(self, pipeline):
         """The raw ensemble is invariant under the reordering."""
-        import csv as csv_mod
-
         config, out = pipeline
         table = data.load_cases(out / "cases.csv")
-        by_key = {(date, site): list(values)
-                  for date, day in cli._load_ensembles(out, "raw_ecc", table, {}, 8).items()
-                  for site, values in zip(day[0].sites, cli._reordered(date, *day))}
-        cases = {}
-        with open(out / "cases.csv", newline="") as fh:
-            for row in csv_mod.DictReader(fh):
-                cases[(row["date"], row["station"])] = [
-                    float(row[f"m{k}"]) for k in range(1, 9)
-                ]
-        checked = 0
-        for key, values in by_key.items():
-            if key in cases:
-                assert values == pytest.approx(cases[key])
-                checked += 1
-        assert checked > 0
+        seeds = cli._load_ensembles(out, "raw_ecc", {d.isoformat() for d in table.dates})
+        assert sorted(seeds) == [f"2010-06-{d}" for d in range(16, 22)]
+        for key, seed in seeds.items():
+            cases = table.on(dt.date.fromisoformat(key))
+            sample = cli._ensemble_sample("raw", cases, 8)
+            assert np.array_equal(cli._reordered(key, "ecc", seed, cases, sample), cases.members)
 
     def test_ecc_artifact_rebuilds_the_ecc_output(self, pipeline):
-        """The ensembles verify rebuilds from the rank rows equal ecc_memos and
+        """Each ens_* file holds one date,seed row per evaluation day, and the
+        ensembles verify redraws from them equal ecc_memos and
         independence_shuffle run on the day's sample with the ecc streams."""
         config, out = pipeline
         seed = cli.RunConfig.load(config).seed
         table = data.load_cases(out / "cases.csv")
-        preds = {"memos": cli._load_predictions(out, "memos")}
+        preds = cli._load_predictions(out, "memos")
+        days = [f"2010-06-{d}" for d in range(16, 22)]
         for label in ("memos_ecc", "memos_independence", "raw_ecc"):
             method, structure = label.rsplit("_", 1)
-            rebuilt = {key: dict(zip(day[0].sites, cli._reordered(key, *day)))
-                       for key, day in cli._load_ensembles(out, label, table, preds, 8).items()}
-            assert sorted(rebuilt) == [f"2010-06-{d}" for d in range(16, 22)]
-            for key, by_site in rebuilt.items():
+            with open(out / f"ens_{label}.csv", newline="") as fh:
+                assert list(csv.reader(fh)) == [list(cli.ENS_HEADER)] + [[d, str(seed)]
+                                                                         for d in days]
+            seeds = cli._load_ensembles(out, label, set(days))
+            assert seeds == dict.fromkeys(days, seed)
+            for key in days:
                 cases = table.on(dt.date.fromisoformat(key))
                 if method == "raw":
                     members = np.sort(cases.members, axis=1)
                     sample = ecc.PredictiveSample(sites=cases.sites, values=members.T[None])
                 else:
-                    sample = emos.quantile_sample(*preds[method][key], 8)
+                    sample = emos.quantile_sample(*preds[key], 8)
                 if structure == "ecc":
                     rng = np.random.default_rng(cli.subseed(seed, "ecc-ties", key))
                     raw = dict(zip(cases.sites, cases.members))
@@ -233,45 +226,45 @@ class TestPipelineContract:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
                     expected = ecc.independence_shuffle(
                         dict(zip(sample.sites, sample.pooled())), rng)
-                assert sorted(by_site) == sorted(expected) == cases.sites
-                for site, values in expected.items():
-                    assert np.array_equal(by_site[site], values)
-            with open(out / f"ens_{label}.csv", newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == cli.ENS_HEADER[structure]
-            if structure == "ecc":
-                assert all(re.fullmatch(r"[0-9]+( [0-9]+)*", row[2]) for row in rows[1:])
-            else:  # the seed and L = N, no ranks
-                assert all(row[2:] == [str(seed), "160"] for row in rows[1:])
-            assert len({tuple(row[:2]) for row in rows[1:]}) == len(rows) - 1 == sum(
-                len(by_site) for by_site in rebuilt.values())
+                rows = cases if method == "raw" else preds[key]
+                rebuilt = cli._reordered(key, structure, seeds[key], cases,
+                                         cli._ensemble_sample(method, rows, 8))
+                assert sorted(expected) == sample.sites == cases.sites
+                assert np.array_equal(rebuilt, [expected[s] for s in sample.sites])
 
     def test_verify_redraws_the_baseline_of_the_ecc_seed(self, pipeline, tmp_path):
-        """`ecc --seed 3 --structure independence` then `verify --seed 4`
-        scores the seed-3 shuffle: the seed travels in the rows."""
+        """`ecc --seed 3` then `verify --seed 4` scores the seed-3 ECC ties
+        and the seed-3 independence shuffle: the seed travels in the rows."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        run_cli(config, out, "--seed", "3", "ecc", "--method", "memos",
-                "--structure", "independence")
+        for structure in ("ecc", "independence"):
+            run_cli(config, out, "--seed", "3", "ecc", "--method", "memos",
+                    "--structure", structure)
         run_cli(config, out, "--seed", "4", "verify")
         table = data.load_cases(out / "cases.csv")
         preds = cli._load_predictions(out, "memos")
-        scored = {d: v for d, _, label, score, v in read_scores(out / "scores.csv").rows()
-                  if (label, score) == ("memos_independence", "es")}
+        scores = list(read_scores(out / "scores.csv").rows())
         checked = 0
-        for key, components in preds.items():
-            sample = emos.quantile_sample(*components, 8)
-            rng = np.random.default_rng(cli.subseed(3, "independence", key))
-            baseline = ecc.independence_shuffle(dict(zip(sample.sites, sample.pooled())), rng)
-            cases = table.on(dt.date.fromisoformat(key))
-            obs = dict(zip(cases.sites, cases.obs))
-            sites = sorted(s for s in baseline if not np.isnan(obs[s]))
-            es = verify.energy_score(np.array([baseline[s] for s in sites]).T,
-                                     [obs[s] for s in sites])
-            assert scored[key] == es
-            checked += 1
-        assert checked == 6
+        for structure in ("ecc", "independence"):
+            scored = {d: v for d, _, label, score, v in scores
+                      if (label, score) == (f"memos_{structure}", "es")}
+            for key, components in preds.items():
+                sample = emos.quantile_sample(*components, 8)
+                cases = table.on(dt.date.fromisoformat(key))
+                stream = "ecc-ties" if structure == "ecc" else "independence"
+                rng = np.random.default_rng(cli.subseed(3, stream, key))
+                if structure == "ecc":
+                    ens = ecc.ecc_memos(dict(zip(cases.sites, cases.members)), sample, rng)
+                else:
+                    ens = ecc.independence_shuffle(dict(zip(sample.sites, sample.pooled())), rng)
+                obs = dict(zip(cases.sites, cases.obs))
+                sites = sorted(s for s in ens if not np.isnan(obs[s]))
+                es = verify.energy_score(np.array([ens[s] for s in sites]).T,
+                                         [obs[s] for s in sites])
+                assert scored[key] == es
+                checked += 1
+        assert checked == 12
 
 
 class TestMixtureCrpsOracle:
@@ -423,6 +416,8 @@ class TestBlasThreads:
 # commands and simulate need
 SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
                 "enspost.memos", "enspost.mesh", "enspost.spde")
+# `ecc` only checks its inputs and writes seeds: it loads no model module
+ECC_ABSENT = ("scipy", "enspost.ecc", "enspost.emos") + SPARSE_STACK
 
 
 class TestImports:
@@ -452,11 +447,10 @@ class TestImports:
 
     @pytest.mark.parametrize("args, drop, absent", [
         ((), "", ("scipy",)),
-        (("ecc", "--method", "raw"), "", ("scipy",)),
-        (("ecc", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
-        (("ecc", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
-        (("ecc", "--method", "memos", "--structure", "independence"), "",
-         ("scipy",) + SPARSE_STACK),
+        (("ecc", "--method", "raw"), "", ECC_ABSENT),
+        (("ecc", "--method", "global"), "", ECC_ABSENT),
+        (("ecc", "--method", "memos"), "", ECC_ABSENT),
+        (("ecc", "--method", "memos", "--structure", "independence"), "", ECC_ABSENT),
         (("predict", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
         (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
         (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
@@ -541,13 +535,6 @@ def _first_row(change):
     return lambda rows: [rows[0], change(rows[1])] + rows[2:]
 
 
-def _repeat_first_row_swapped(rows):
-    """Append a second row for the first (date, site), its first two ranks
-    swapped: still a valid permutation, so only the repeat is wrong."""
-    first, second, *rest = rows[1][2].split()
-    return rows + [rows[1][:2] + [" ".join([second, first, *rest])]]
-
-
 class TestErrors:
     @pytest.mark.parametrize("method, upstream, missing, hint", [
         ("global", [], "cases.csv", "simulate"),
@@ -568,36 +555,21 @@ class TestErrors:
         assert err == f"error: missing upstream file: {out / missing} (run `{hint}` first?)\n"
 
     @pytest.mark.parametrize("label, edit, message", [
-        ("memos_ecc", _first_row(lambda row: row[:2] + ["1 1 2 3 4 5 6 7"]),
-         "ens_memos_ecc.csv line 2: pi must be a permutation of 1..L"),
-        ("memos_independence", _first_row(lambda row: row[:3] + ["7"]),
-         "ens_memos_independence.csv line 2: L = 7 does not fit the pooled sample of "
-         "160 values"),
-        ("memos_ecc", _first_row(lambda row: row[:2] + ["2 1 4 3"]),
-         "ens_memos_ecc.csv line 2: 4 ranks for ensemble size 8"),
-        ("memos_ecc", _first_row(lambda row: [row[0], "nowhere", row[2]]),
-         "ens_memos_ecc.csv line 2: {date} site nowhere has no row in predict_memos.csv"),
-        ("memos_independence", _first_row(lambda row: row[:2] + ["x", row[3]]),
+        ("memos_ecc", lambda rows: [["date", "site", "ranks"]] + rows[1:],
+         "ens_memos_ecc.csv line 1: expected the header date,seed (rerun `ecc`?)"),
+        ("memos_ecc", _first_row(lambda row: ["2010-06-22", row[1]]),
+         "ens_memos_ecc.csv line 2: 2010-06-22 has no rows in predict_memos.csv"),
+        ("memos_independence", _first_row(lambda row: [row[0], "x"]),
          "ens_memos_independence.csv line 2: seed must be an integer, got 'x'"),
-        ("memos_independence", _first_row(lambda row: row[:3] + ["160.0"]),
-         "ens_memos_independence.csv line 2: L must be an integer, got '160.0'"),
-        ("memos_independence", lambda rows: rows[:2] + [rows[2][:2] + ["12", rows[2][3]]]
-         + rows[3:],
-         "ens_memos_independence.csv line 3: seed 12 differs from seed 11 on line 2"),
-        ("memos_ecc", _repeat_first_row_swapped,
-         "ens_memos_ecc.csv line {last}: {date} site {site} repeats line 2"),
-        ("memos_ecc", lambda rows: rows[:1] + rows[2:],
-         "ens_memos_ecc.csv: {date} site {site} has no row (rerun `ecc`?)"),
-        ("memos_independence", lambda rows: rows[:1] + rows[2:],
-         "ens_memos_independence.csv: {date} site {site} has no row (rerun `ecc`?)"),
+        ("memos_ecc", lambda rows: rows + [rows[1]],
+         "ens_memos_ecc.csv line {last}: {date} repeats line 2"),
         ("memos_ecc", lambda rows: [row for row in rows if row[0] != rows[1][0]],
          "ens_memos_ecc.csv: {date} has no rows (rerun `ecc`?)"),
-    ], ids=["not-a-permutation", "length-not-a-divisor", "ecc-length-not-m",
-            "site-not-predicted", "malformed-seed", "malformed-length", "seeds-differ",
-            "repeated-row", "missing-row", "missing-independence-row", "day-without-rows"])
+    ], ids=["bad-header", "site-not-predicted", "malformed-seed", "repeated-row",
+            "day-without-rows"])
     def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, edit, message):
-        """A bad cell, or a day with a sample whose rows do not hold each site
-        of that sample exactly once, ends `verify` with one line naming the
+        """A bad header or cell, a date without a sample, or a day with a
+        sample but not exactly one row ends `verify` with one line naming the
         file."""
         config, done = pipeline
         out = tmp_path / "out"
@@ -605,7 +577,7 @@ class TestErrors:
         path = out / f"ens_{label}.csv"
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        date, site = rows[1][:2]
+        date = rows[1][0]
         rows = edit(rows)
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -613,7 +585,7 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out), "verify"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: " + message.format(date=date, site=site, last=len(rows)) + "\n"
+        assert err == "error: " + message.format(date=date, last=len(rows)) + "\n"
 
     @pytest.mark.parametrize("args, edit, message", [
         (("ecc", "--method", "local"), lambda row: row.rsplit(",", 1)[0],
@@ -839,6 +811,120 @@ class TestErrors:
                                            "predict_memos.csv (run `predict` first?)\n")
         assert (out / "ens_memos_ecc.csv").read_bytes() == previous
         assert sorted(out.glob("*.tmp")) == []
+
+    def test_ecc_m_not_the_member_count(self, pipeline, tmp_path, capsys):
+        """ECC needs one quantile per raw member, so `ecc --structure ecc`
+        with m other than the member count of cases.csv stops before it
+        writes, though it builds no sample, and so does `verify` on an
+        ens_*_ecc.csv file."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        other = tmp_path / "m5.cfg"
+        other.write_text(CONFIG.replace("\nm = 8\n", "\nm = 5\n"))
+        previous = (out / "ens_memos_ecc.csv").read_bytes()
+        capsys.readouterr()
+        for args in (("ecc", "--method", "memos"), ("verify",)):
+            code = cli.main(["--config", str(other), "--out", str(out), *args])
+            assert code == 1
+            assert capsys.readouterr().err == ("error: ECC reorders m = 5 quantiles by the ranks "
+                                               "of 8 raw members; set m = 8 in the config\n")
+        assert (out / "ens_memos_ecc.csv").read_bytes() == previous
+
+    @pytest.mark.parametrize("line, message", [
+        ("memos_burnin = -5", "key 'memos_burnin' must be >= 0, got -5"),
+        ("memos_thin = 0", "key 'memos_thin' must be >= 1, got 0"),
+        ("n = 0", "key 'n' must be >= 1, got 0"),
+    ], ids=["negative-burn-in", "zero-thin", "no-draws"])
+    def test_chain_setting_out_of_range(self, pipeline, tmp_path, capsys, line, message):
+        """A burn-in below 0, a thinning below 1 or n below 1 ends `fit
+        --method memos` before the chain runs, with no draws written;
+        otherwise the draws would hold uninitialised memory."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        shutil.rmtree(out / "draws_memos")
+        text = re.sub(rf"^{line.split()[0]} = .*$", line, CONFIG, flags=re.M)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
+        assert code == 1
+        lineno = text.splitlines().index(line) + 1
+        assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
+        assert not (out / "draws_memos").exists()
+
+    @pytest.mark.parametrize("name, args, rerun", [
+        ("params_local.json", ("predict", "--method", "local"), "fit --method local"),
+        ("mesh.json", ("fit", "--method", "memos"), "mesh"),
+        ("draws_memos/2010-06-16.json", ("predict", "--method", "memos"), "fit --method memos"),
+    ], ids=["params", "mesh", "draws-sidecar"])
+    def test_json_that_does_not_parse(self, pipeline, tmp_path, capsys, name, args, rerun):
+        """A truncated JSON artifact ends the command with one line naming
+        the file and the command that writes it."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / name
+        path.write_text(path.read_text()[:9] + "\t")
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.endswith(f" (rerun `{rerun}`?)\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.pop("triangles"), "no 'triangles' entry"),
+        (lambda obj: obj["triangles"][0].__setitem__(1, len(obj["vertices"])),
+         "triangles must hold vertex indices 0..{last}"),
+        (lambda obj: obj["triangles"][0].__setitem__(1, 1.5),
+         "triangles must hold vertex indices 0..{last}"),
+        (lambda obj: obj.update(vertices=[[0.0, 1.0], [2.0]]),
+         "vertices must be a nonempty list of 2 finite numbers each"),
+        (lambda obj: obj.update(vertices={}),
+         "vertices must be a nonempty list of 2 finite numbers each"),
+    ], ids=["no-triangles", "index-past-the-vertices", "fractional-index", "ragged-vertices",
+            "vertices-a-mapping"])
+    def test_badly_shaped_mesh(self, pipeline, tmp_path, capsys, edit, message):
+        """mesh.json without its keys, with entries of the wrong shape or
+        with a triangle index that is not a vertex ends `fit --method memos`
+        with one line, not a traceback."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "mesh.json"
+        obj = json.loads(path.read_text())
+        last = len(obj["vertices"]) - 1
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {path}: {message.format(last=last)} "
+                                           "(rerun `mesh`?)\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda health: [health], "{sidecar} must hold a JSON object, got list"),
+        (lambda health: {**health, "theta": 5}, "{sidecar}: theta must be a list of n rows of "
+                                                "5 numbers"),
+        (lambda health: {**health, "theta": [row[:2] for row in health["theta"]]},
+         "{sidecar}: theta must be a list of n rows of 5 numbers"),
+        (lambda health: {**health, "theta": {"a": 1}},
+         "{sidecar}: theta must be a list of n rows of 5 numbers"),
+    ], ids=["a-list", "theta-a-number", "theta-two-wide", "theta-a-mapping"])
+    def test_badly_shaped_draws_sidecar(self, pipeline, tmp_path, capsys, edit, message):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        sidecar = out / "draws_memos" / "2010-06-16.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {message.format(sidecar=sidecar)} "
+                                           "(rerun `fit --method memos`)\n")
 
     @pytest.mark.parametrize("drop, args, message", [
         (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local", "--daily-mean"),

@@ -287,6 +287,15 @@ class TestSamplePosterior:
                 init=np.array([0.0, 0.0, 0.0, 0.0, 1000.0]),
             )
 
+    @pytest.mark.parametrize("n, burn_in, thin", [(0, 10, 1), (5, -5, 1), (5, 10, 0)],
+                             ids=["no-draws", "negative-burn-in", "zero-thin"])
+    def test_chain_settings_out_of_range_raise(self, small_problem, n, burn_in, thin):
+        """Otherwise the kept arrays would hold uninitialised memory."""
+        locs, msh, ops, training = small_problem
+        with pytest.raises(ValueError, match="need n >= 1, burn_in >= 0 and thin >= 1"):
+            memos.sample_posterior(training, locs, n=n, seed=4, mesh=msh,
+                                   config=memos.McmcConfig(burn_in=burn_in, thin=thin))
+
     def test_reproducible_given_seed(self, small_problem):
         locs, msh, ops, training = small_problem
         kwargs = dict(n=10, seed=7, mesh=msh,
