@@ -6,10 +6,11 @@ manifest recording the config hash and seed, and is deterministic given
 (config, seed).  Evaluation days are processed in date order and only ever
 read data strictly before each valid date.
 
-Artifacts: ``data.load_cases`` reads cases.csv into row arrays (NaN for a
-missing observation, f̄ the members' cumulative sum over m divided by m),
-and every artifact is read through ``data.CsvRows``, so a bad header, row
-length or cell ends the command with ``error: <file> line <n>: <reason>``.
+Artifacts: ``files.read_cases`` reads and checks cases.csv, and
+``data.load_cases`` builds row arrays on its rows (NaN for a missing
+observation, f̄ the members' cumulative sum over m divided by m).  Every
+artifact is read through ``files.CsvRows``, so a bad header, row length or
+cell ends the command with ``error: <file> line <n>: <reason>``.
 ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
 ``fit --method memos`` writes the posterior draws of each day to
 draws_memos/<date>.csv and the chain's health next to them in
@@ -30,26 +31,33 @@ again where it scores the day, on the streams ``ecc`` has always used:
 or ``ecc.shuffle_ranks`` on ``subseed(seed, "independence", date)``, and
 ``ecc.reorder`` reorders every block of L values of a site's row by them.
 A date without a sample, a repeated date, or a day with a sample but no
-row is an error.  mesh.json, params_<method>.json and the draws sidecars
-are read through ``data.read_json``, so one that does not parse names its
-file.
+row is an error, and so is, for ``--structure ecc`` of a postprocessed
+method, a predicted site without a case on that date: ``ecc`` checks it,
+and ``verify`` names the ens_* file and the date.  mesh.json,
+params_<method>.json and the draws sidecars are read through
+``files.read_json``, so one that does not parse names its file.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
-library, numpy and ``data`` at module level, and each command imports the
-model modules it calls where it calls them.  ``fit`` and ``predict`` for
-global and local EMOS, ``predict --method memos`` (which reads the draws
-with ``data.PosteriorDraws``), ``ecc`` for every method (no model module
-at all) and ``verify`` run on numpy alone: Φ and Φ⁻¹ come from ``normal``,
-and the energy score sums its pair distances from centred Gram blocks, not
-from SciPy.  Only ``mesh``, ``fit --method memos`` and ``simulate`` load
-SciPy, ``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that fails on
-valid input raises a subclass of ``data.ModelError``; ``main`` reports it, a
-ValueError or an OSError as one ``error:`` line and exit 1.
+library and ``files`` at module level, after it sets the BLAS thread
+default, and each command imports numpy, ``data`` and the model modules it
+calls where it calls them.  ``ecc`` for every method and structure only
+checks its inputs and writes seeds, so it runs on the standard library
+alone: it reads cases.csv with ``files.read_cases`` and predict_<method>.csv
+with ``_read_predictions``, whose array form ``_load_predictions`` only
+``verify`` builds.  ``fit`` and ``predict`` for global and local EMOS,
+``predict --method memos`` (which reads the draws with
+``data.PosteriorDraws``) and ``verify`` run on numpy alone: Φ and Φ⁻¹ come
+from ``normal``, and the energy score sums its pair distances from centred
+Gram blocks, not from SciPy.  Only ``mesh``, ``fit --method memos`` and
+``simulate`` load SciPy, ``mesh``, ``spde`` or ``memos``.  A fit, chain or
+mesh that fails on valid input raises a subclass of ``files.ModelError``;
+``main`` reports it, a ValueError or an OSError as one ``error:`` line and
+exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
 an error, and a value that does not parse, or a memos_burnin below 0 or
-memos_thin or n below 1, names its file, line and key:
+memos_thin, n, window, m or eval_days below 1, names its file, line and key:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                cases (cases.csv)
   eval_start (first date + window)                eval_days (rest of data)
@@ -78,13 +86,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Every factorization here is small and banded: one BLAS thread, unless set.
+# This runs before any command imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np  # noqa: E402
 
-from . import data  # noqa: E402
+from . import files  # noqa: E402
 
 if TYPE_CHECKING:
-    from . import ecc, memos, verify
+    import numpy as np
+
+    from . import data, ecc, memos, verify
 
 METHODS_FIT = ("global", "local", "memos")
 METHODS_ALL = ("raw",) + METHODS_FIT
@@ -116,7 +126,7 @@ def _naming(*where):
         yield
     except StationError as exc:
         raise CliError(f"{' '.join(where)} station {exc.station}: {exc}") from exc
-    except data.ModelError as exc:
+    except files.ModelError as exc:
         raise CliError(f"{' '.join(where)}: {exc}") from exc
 
 
@@ -173,6 +183,8 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def sim_config(self) -> data.SimConfig:
+        from . import data
+
         return data.SimConfig(
             n_stations=self.get("sim_stations", 50, int),
             n_days=self.get("sim_days", 60, int),
@@ -197,6 +209,8 @@ class RunConfig:
 
 
 def subseed(seed: int, *keys) -> np.random.SeedSequence:
+    import numpy as np
+
     parts = [int(seed) & 0xFFFFFFFF]
     for key in keys:
         parts.append(zlib.crc32(str(key).encode()))
@@ -236,24 +250,32 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _load_table(cfg: RunConfig, out: Path) -> data.CaseTable:
+def _cases_path(cfg: RunConfig, out: Path) -> Path:
     cases = out / cfg.get("cases", "cases.csv")
     if not cases.exists():
         raise CliError(f"missing upstream file: {cases} (run `simulate` first?)")
-    return data.load_cases(cases)
+    return cases
 
 
-def _eval_days(cfg: RunConfig, table: data.CaseTable) -> list:
-    window = cfg.get("window", 25, int)
-    dates = table.dates
+def _load_table(cfg: RunConfig, out: Path) -> data.CaseTable:
+    from . import data
+
+    return data.load_cases(_cases_path(cfg, out))
+
+
+def _eval_days(cfg: RunConfig, dates: list) -> list:
+    """The evaluation days among `dates`, the sorted dates with a case."""
+    window = cfg.get("window", 25, int, least=1)
     start = cfg.date("eval_start", dates[0] + dt.timedelta(days=window))
-    n_days = cfg.get("eval_days", max(1, (dates[-1] - start).days + 1), int)
+    n_days = cfg.get("eval_days", max(1, (dates[-1] - start).days + 1), int, least=1)
     present = set(dates)
     return [start + dt.timedelta(days=i) for i in range(n_days)
             if start + dt.timedelta(days=i) in present]
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> list:
+    from . import data
+
     table, truth = data.simulate(cfg.sim_config(), cfg.seed)
     cases_path = out / cfg.get("cases", "cases.csv")
     data.write_cases(table, cases_path)
@@ -288,11 +310,13 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
 
 
 def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
+    from . import data
+
     table = _load_table(cfg, out)
-    days = _eval_days(cfg, table)
+    days = _eval_days(cfg, table.dates)
     if not days:
         raise CliError("no evaluation days fall inside the dataset")
-    window = cfg.get("window", 25, int)
+    window = cfg.get("window", 25, int, least=1)
     min_train = cfg.get("min_train", 10, int)
     outputs = []
 
@@ -319,7 +343,7 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         mesh_path = out / "mesh.json"
         if not mesh_path.exists():
             raise CliError(f"missing upstream file: {mesh_path} (run `mesh` first?)")
-        msh = data.read_json(mesh_path, "mesh", mesh_mod.Mesh.from_json)
+        msh = files.read_json(mesh_path, "mesh", mesh_mod.Mesh.from_json)
         draws_dir = out / "draws_memos"
         draws_dir.mkdir(exist_ok=True)
         sites = [table.locations[s] for s in table.stations]
@@ -344,8 +368,12 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
 
 
 def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
+    import numpy as np
+
+    from . import data
+
     table = _load_table(cfg, out)
-    days = _eval_days(cfg, table)
+    days = _eval_days(cfg, table.dates)
     if method != "memos":
         params_path = out / f"params_{method}.json"
         if not params_path.exists():
@@ -356,7 +384,7 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
                 raise CliError(f"{what} must be a mapping, got {value!r}, in {params_path}")
             return value
 
-        fits = mapping(data.read_json(params_path, f"fit --method {method}"),
+        fits = mapping(files.read_json(params_path, f"fit --method {method}"),
                        "the fitted parameters")
 
     def components(key, day):
@@ -415,15 +443,16 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     return [path]
 
 
-def _load_predictions(out: Path, method: str) -> dict:
-    """predict_<method>.csv -> {date: (sorted sites, mu, sigma)}, with (n, sites)
-    arrays of the components in row order.  Every mu must be finite, every
-    sigma finite and > 0, and every site of a day needs the same n."""
+def _read_predictions(out: Path, method: str) -> dict:
+    """predict_<method>.csv -> {date: {site: (mus, sigmas)}}, lists of the
+    components in row order.  Every mu must be finite, every sigma finite
+    and > 0, every site of a day needs the same n, and global and local
+    EMOS one component per site."""
     path = out / f"predict_{method}.csv"
     if not path.exists():
         raise CliError(f"missing upstream file: {path} (run `predict` first?)")
     by_day: dict = {}
-    with data.CsvRows(path, PREDICT_HEADER, name=path.name, rerun="predict") as rows:
+    with files.CsvRows(path, PREDICT_HEADER, name=path.name, rerun="predict") as rows:
         for key, site, mu, sigma in rows:
             mu, sigma = float(mu), float(sigma)
             if not math.isfinite(mu):
@@ -442,6 +471,17 @@ def _load_predictions(out: Path, method: str) -> dict:
                                f"but {len(by_site[site][0])} at site {site}")
         if method != "memos" and n != 1:
             raise CliError(f"{path.name}: {key} has {n} components per site, not one")
+    return by_day
+
+
+def _load_predictions(out: Path, method: str) -> dict:
+    """predict_<method>.csv -> {date: (sorted sites, mu, sigma)}, with (n, sites)
+    arrays of the components in row order; `_read_predictions` checks it."""
+    import numpy as np
+
+    by_day = {}
+    for key, by_site in _read_predictions(out, method).items():
+        sites = sorted(by_site)
         by_day[key] = (sites, *(np.array([by_site[s][k] for s in sites]).T for k in (0, 1)))
     return by_day
 
@@ -449,6 +489,8 @@ def _load_predictions(out: Path, method: str) -> dict:
 def _ensemble_sample(method: str, rows, m: int) -> ecc.PredictiveSample:
     """The day's sample that ECC reorders: for raw, the sorted members of a
     `data.Day` (n = 1); else the m-quantile sample of (sites, mu, sigma)."""
+    import numpy as np
+
     from . import ecc, emos
 
     if method != "raw":
@@ -456,18 +498,20 @@ def _ensemble_sample(method: str, rows, m: int) -> ecc.PredictiveSample:
     return ecc.PredictiveSample(sites=rows.sites, values=np.sort(rows.members, axis=1).T[None])
 
 
-def _check_ecc_size(m: int, table, method: str, structure: str) -> None:
+def _check_ecc_size(m: int, members: int, method: str, structure: str) -> None:
     """ECC reorders each site's m quantiles by the ranks of its raw members."""
-    if structure == "ecc" and method != "raw" and m != table.m:
-        raise CliError(f"ECC reorders m = {m} quantiles by the ranks of {table.m} raw members; "
-                       f"set m = {table.m} in the config")
+    if structure == "ecc" and method != "raw" and m != members:
+        raise CliError(f"ECC reorders m = {m} quantiles by the ranks of {members} raw members; "
+                       f"set m = {members} in the config")
 
 
 def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
-    table = _load_table(cfg, out)
-    days = _eval_days(cfg, table)
-    _check_ecc_size(cfg.get("m", 50, int), table, method, structure)
-    preds = None if method == "raw" else _load_predictions(out, method)
+    cases = files.read_cases(_cases_path(cfg, out))
+    days = _eval_days(cfg, cases.dates)
+    _check_ecc_size(cfg.get("m", 50, int, least=1), cases.m, method, structure)
+    preds = None if method == "raw" else _read_predictions(out, method)
+    ids = list(cases.stations)
+    cased = {(o, ids[k]) for o, k in zip(cases.ordinal, cases.station)}
     path = out / f"ens_{method}_{structure}.csv"
 
     with _replacing(path) as fh:
@@ -478,6 +522,12 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
             if preds is not None and key not in preds:
                 raise CliError(f"no predictions for {key} in predict_{method}.csv "
                                "(run `predict` first?)")
+            if preds is not None and structure == "ecc":
+                # verify ranks the raw members of every predicted site
+                for site in sorted(preds[key]):
+                    if (day.toordinal(), site) not in cased:
+                        raise CliError(f"predict_{method}.csv: {key} has rows for site {site}, "
+                                       "which has no case on that date in cases.csv")
             # verify redraws the day's ranks from (seed, date) and its sample
             writer.writerow([key, cfg.seed])
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
@@ -492,7 +542,7 @@ def _load_ensembles(out: Path, label: str, sampled) -> dict:
     method = label.rsplit("_", 1)[0]
     source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
     seeds, lines = {}, {}
-    with data.CsvRows(path, ENS_HEADER, name=path.name, rerun="ecc") as rows:
+    with files.CsvRows(path, ENS_HEADER, name=path.name, rerun="ecc") as rows:
         for cells in rows:
             key = cells[0]
             if key not in sampled:
@@ -508,6 +558,8 @@ def _reordered(key: str, structure: str, seed: int, cases: data.Day,
     """The day's (S, N) ensemble: `sample` reordered by ranks drawn from
     `seed` on the streams `ecc` has always used: the ECC ranks of the raw
     members in `cases`, or the independence shuffle."""
+    import numpy as np
+
     from . import ecc
 
     if structure == "ecc":
@@ -519,12 +571,12 @@ def _reordered(key: str, structure: str, seed: int, cases: data.Day,
     return ecc.reorder(ranks, sample.pooled())
 
 
-def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.ScoreSeries,
-                       pit_values: dict) -> None:
+def _univariate_scores(cfg: RunConfig, table, days, preds: dict, m: int,
+                       scores: verify.ScoreSeries, pit_values: dict) -> None:
+    import numpy as np
+
     from . import emos, verify
     from .normal import ndtr
-
-    m = cfg.get("m", 50, int)
 
     for day in days:
         key = day.isoformat()
@@ -567,15 +619,16 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, scores: verify.
             pit_values.setdefault(method, []).extend(ndtr((y - mu) / sigma))
 
 
-def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
+def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict, m: int,
                          scores: verify.ScoreSeries, mv_ranks: dict) -> None:
+    import numpy as np
+
     from . import verify
 
-    m = cfg.get("m", 50, int)
     for ens_path in sorted(out.glob("ens_*_*.csv")):
         label = ens_path.stem[len("ens_"):]
         method, structure = label.rsplit("_", 1)
-        _check_ecc_size(m, table, method, structure)
+        _check_ecc_size(m, table.m, method, structure)
         by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
         sampled = {d.isoformat() for d in table.dates} if by_day is None else by_day
         seeds = _load_ensembles(out, label, sampled)
@@ -592,8 +645,12 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
             cols = [j for j, s in enumerate(sample.sites) if not math.isnan(obs.get(s, math.nan))]
             if len(cols) < 2:
                 continue
+            try:
+                ens = _reordered(key, structure, seeds[key], cases, sample)
+            except ValueError as exc:
+                raise CliError(f"{ens_path.name}: {key}: {exc}") from exc
             # (members, d), C-ordered site rows transposed: the norms sum in memory order
-            ens = _reordered(key, structure, seeds[key], cases, sample)[cols].T
+            ens = ens[cols].T
             y = np.array([obs[sample.sites[j]] for j in cols])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
@@ -604,10 +661,13 @@ def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict,
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
                daily_mean: bool = False, lag: int = 0) -> list:
+    import numpy as np
+
     from . import verify
 
     table = _load_table(cfg, out)
-    days = _eval_days(cfg, table)
+    days = _eval_days(cfg, table.dates)
+    m = cfg.get("m", 50, int, least=1)
     bins = 17
     outputs = []
 
@@ -615,9 +675,9 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
              if (out / f"predict_{method}.csv").exists()}
     scores = verify.ScoreSeries()
     pit_values: dict = {}
-    _univariate_scores(cfg, table, days, preds, scores, pit_values)
+    _univariate_scores(cfg, table, days, preds, m, scores, pit_values)
     mv_ranks: dict = {}
-    _multivariate_scores(cfg, out, table, days, preds, scores, mv_ranks)
+    _multivariate_scores(cfg, out, table, days, preds, m, scores, mv_ranks)
 
     # the DM test runs before any output is written, so a rejected --compare
     # leaves them as they were
@@ -740,7 +800,7 @@ def main(argv=None) -> int:
             outputs = cmd_verify(cfg, out, compare=args.compare, score=args.score,
                                  daily_mean=args.daily_mean, lag=args.lag)
         _write_manifest(out, args.command, cfg, [args.config], outputs)
-    except (CliError, ValueError, OSError, data.ModelError) as exc:
+    except (CliError, ValueError, OSError, files.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

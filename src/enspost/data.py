@@ -1,16 +1,17 @@
-"""Forecast/observation cases, rolling training windows, synthetic data,
-the on-disk MEMOS posterior draws, and `CsvRows`, which reads every CSV
-artifact: a bad header, field count or cell is one ``<file> line <n>:
-<reason>`` error.
+"""Forecast/observation cases, rolling training windows, synthetic data
+and the on-disk MEMOS posterior draws: the half of the package's data
+handling that computes with numpy.  Reading and checking the files, on the
+standard library alone, is `files`.
 
 The on-disk case format is a CSV with columns ``date,station,lon,lat,obs,
 m1,...,mK`` (ISO-8601 dates, ``.`` decimal separator, empty ``obs`` for a
-missing observation).  A `CaseTable` holds the cases as row arrays sorted
-by (date, station), NaN marking a missing observation, and f̄ as the
-members' cumulative sum over m (left to right, one rounding per addition)
-divided by m.  Longitude/latitude are projected to planar km with an
-equirectangular projection about the domain centroid, so that field range
-parameters live in a metric space.
+missing observation).  `files.read_cases` makes every check of a case
+file; `load_cases` builds a `CaseTable` on its rows.  A `CaseTable` holds
+the cases as row arrays sorted by (date, station), NaN marking a missing
+observation, and f̄ as the members' cumulative sum over m (left to right,
+one rounding per addition) divided by m.  Longitude/latitude are projected
+to planar km with an equirectangular projection about the domain centroid,
+so that field range parameters live in a metric space.
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .files import CASE_COLUMNS, CsvRows, read_cases, read_json
+
 EARTH_RADIUS_KM = 6371.0088
-
-
-class ModelError(RuntimeError):
-    """A fit, chain or mesh that fails on valid input (`emos.FitError`,
-    `memos.McmcError`, `mesh.MeshRefinementError`).  Defined here so that
-    callers can catch any of them without importing the model modules."""
 
 
 @dataclass(frozen=True)
@@ -45,71 +42,6 @@ class Location:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates for station {self.id!r}")
-
-
-class CsvRows:
-    """``with CsvRows(path, header) as rows: for cells in rows: ...`` reads a
-    CSV file whose first line must be `header` (None leaves that check to
-    the caller, as ``rows.header``), skips blank rows and requires as many
-    fields as the header on every other row.  A ValueError raised in the
-    block, by the caller's parsing too, leaves it as ``<name> line <n>:
-    <reason>``, with `name` the path unless given."""
-
-    def __init__(self, path, header=None, *, name=None, rerun=None):
-        self.path, self.expected, self.rerun = path, header, rerun
-        self.name, self.line = str(path) if name is None else name, 1
-
-    def __enter__(self) -> "CsvRows":
-        self._fh = open(self.path, newline="")
-        self._reader = csv.reader(self._fh)
-        self.header = next(self._reader, None)
-        if self.expected is not None and self.header != list(self.expected):
-            self._fh.close()
-            raise self.error(f"expected the header {','.join(self.expected)}"
-                             + (f" (rerun `{self.rerun}`?)" if self.rerun else ""))
-        return self
-
-    def __iter__(self):
-        width = len(self.header or ())
-        for cells in self._reader:
-            self.line = self._reader.line_num
-            if any(map(str.strip, cells)):
-                if len(cells) != width:
-                    raise ValueError(f"expected {width} fields, got {len(cells)}")
-                yield cells
-
-    def __exit__(self, kind, exc, tb):
-        self._fh.close()
-        if isinstance(exc, (ValueError, csv.Error)):
-            raise self.error(exc) from exc
-
-    def error(self, reason, line=None) -> ValueError:
-        return ValueError(f"{self.name} line {self.line if line is None else line}: {reason}")
-
-    def integer(self, cells, k) -> int:
-        """cells[k] as an int; the error names the column."""
-        try:
-            return int(cells[k])
-        except ValueError:
-            raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
-
-
-def read_json(path, rerun: str, parse=json.loads):
-    """parse(text of `path`), by default its JSON value.  A file that does
-    not parse, or a ValueError of `parse`, names the file and the command
-    that writes it."""
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc} (rerun `{rerun}`?)") from None
-
-
-class CaseError(ValueError):
-    """A bad row of a `CaseTable`; `row` is its position in the input."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 class Day(NamedTuple):
@@ -128,12 +60,14 @@ class CaseTable:
     m ensemble members ``members[r]``, the observation ``obs[r]`` (NaN if
     missing) and ``fbar[r] = cumsum(members[r])[-1] / m``.  `dates` holds
     the dates with a case and `stations` the ids of `locations`, both
-    sorted; at most one case exists per (date, station).
+    sorted.
     """
 
     def __init__(self, locations, ordinal, station, members, obs):
         """Rows in any order, `ordinal` being ``date.toordinal()`` and `station`
-        an index into `locations`; a repeated or non-finite case raises CaseError."""
+        an index into `locations`, at most one per (date, station), with
+        finite members and observations finite or NaN: `files.read_cases`
+        checks a file for this, and `simulate` draws such rows."""
         locs = list(locations)
         by_id = sorted(range(len(locs)), key=lambda k: locs[k].id)
         self.stations = [locs[k].id for k in by_id]
@@ -145,16 +79,6 @@ class CaseTable:
         members = np.asarray(members, dtype=float)  # (rows, m)
         ordinals, day = np.unique(ordinal, return_inverse=True)
         order = np.lexsort((station, day))
-        key = day[order] * len(locs) + station[order]
-        for row, message in (
-            (order[1:][key[1:] == key[:-1]], "duplicate case for"),
-            (np.flatnonzero(~np.isfinite(members).all(axis=1)), "non-finite member value at"),
-            (np.flatnonzero(np.isinf(obs)), "non-finite observation at"),
-        ):
-            if len(row):
-                r = int(row.min())
-                raise CaseError(r, f"{message} {dt.date.fromordinal(int(ordinal[r]))} "
-                                   f"{self.stations[station[r]]}")
         self.dates = [dt.date.fromordinal(int(o)) for o in ordinals]
         self.day, self.station = day[order], station[order]
         self.members, self.obs = members[order], obs[order]
@@ -214,73 +138,15 @@ def _unproject_km(x: np.ndarray, y: np.ndarray) -> tuple:
     return lon, lat
 
 
-CASE_COLUMNS = ("date", "station", "lon", "lat", "obs")
-
-
 def load_cases(path) -> CaseTable:
-    """Read a case CSV into a CaseTable.
-
-    Member columns are `m1..mK` in the header; K fixes the ensemble size
-    for the whole file.  An empty observation cell is a missing observation
-    (NaN); an empty member cell, or a non-finite member or observation, is
-    an error naming the file and line.
-    """
-    with CsvRows(path) as rows:
-        header = rows.header
-        if header is None:
-            raise ValueError("empty file")
-        for col in CASE_COLUMNS:
-            if col not in header:
-                raise ValueError(f"header missing column {col!r}")
-        numbered = sorted((int(name[1:]), k) for k, name in enumerate(header)
-                          if name.startswith("m") and name[1:].isdigit())
-        if not numbered:
-            raise ValueError("no member columns with prefix 'm'")
-        if [n for n, _ in numbered] != list(range(1, len(numbered) + 1)):
-            raise ValueError("member columns must be numbered 1..K without gaps")
-        i_date, i_station, i_lon, i_lat, i_obs = map(header.index, CASE_COLUMNS)
-        midx = [k for _, k in numbered]
-
-        ordinal_of, index_of, coords = {}, {}, []
-        ordinals, stations, obs, values, lines = [], [], [], [], []
-        for cells in rows:
-            text = cells[i_date]
-            if text not in ordinal_of:
-                ordinal_of[text] = dt.date.fromisoformat(text.strip()).toordinal()
-            name = cells[i_station].strip()
-            lonlat = float(cells[i_lon]), float(cells[i_lat])
-            k = index_of.setdefault(name, len(coords))
-            if k == len(coords):
-                coords.append(lonlat)
-            elif coords[k] != lonlat:
-                raise ValueError(f"station {name!r} moved between rows")
-            cell = cells[i_obs].strip()
-            y = float(cell) if cell else math.nan
-            if cell and not math.isfinite(y):
-                raise ValueError(f"non-finite observation at {text.strip()} {name}")
-            try:
-                values.extend(map(float, map(cells.__getitem__, midx)))
-            except ValueError:
-                if not all(cells[j].strip() for j in midx):
-                    raise ValueError("inconsistent ensemble size (missing member values; "
-                                     f"expected {len(midx)})") from None
-                raise
-            ordinals.append(ordinal_of[text])
-            stations.append(k)
-            obs.append(y)
-            lines.append(rows.line)
-        if not lines:
-            raise ValueError("no cases")
-
-    ids = sorted(index_of)
-    lons, lats = np.array([coords[index_of[s]] for s in ids]).T
-    xs, ys = _project_lonlat(lons, lats)
+    """Read a case CSV into a CaseTable: `files.read_cases` reads and checks
+    its rows, and the stations' lon/lat are projected to planar km."""
+    cases = read_cases(path)
+    ids = sorted(cases.stations)
+    xs, ys = _project_lonlat(*np.array([cases.stations[s] for s in ids]).T)
     located = {s: Location(s, float(x), float(y)) for s, x, y in zip(ids, xs, ys)}
-    try:
-        return CaseTable([located[s] for s in index_of], ordinals, stations,
-                         np.array(values).reshape(len(lines), len(midx)), obs)
-    except CaseError as exc:
-        raise rows.error(exc, lines[exc.row]) from None
+    return CaseTable([located[s] for s in cases.stations], cases.ordinal, cases.station,
+                     np.array(cases.members).reshape(len(cases.obs), cases.m), cases.obs)
 
 
 def write_cases(table: CaseTable, path) -> None:

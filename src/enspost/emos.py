@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CaseTable, ModelError, TrainingSet, rolling_window
+from .data import CaseTable, TrainingSet, rolling_window
 from .ecc import PredictiveSample
+from .files import ModelError
 from .normal import ndtr, ndtri
 
 SIGMA_FLOOR = 1e-4

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ecc, emos
-from .data import ModelError, PosteriorDraws, TrainingSet
+from .data import PosteriorDraws, TrainingSet
+from .files import ModelError
 from .mesh import Mesh, projector
 from .spde import (
     BandPattern,

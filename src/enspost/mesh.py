@@ -25,7 +25,8 @@ from typing import Iterable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Location, ModelError
+from .data import Location
+from .files import ModelError
 
 _DEDUP_TOL_KM = 1e-9
 

@@ -416,8 +416,9 @@ class TestBlasThreads:
 # commands and simulate need
 SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
                 "enspost.memos", "enspost.mesh", "enspost.spde")
-# `ecc` only checks its inputs and writes seeds: it loads no model module
-ECC_ABSENT = ("scipy", "enspost.ecc", "enspost.emos") + SPARSE_STACK
+# `ecc` only checks its inputs and writes seeds: it loads no model module,
+# and reads its inputs on the standard library alone
+ECC_ABSENT = ("numpy", "scipy", "enspost.data", "enspost.ecc", "enspost.emos") + SPARSE_STACK
 
 
 class TestImports:
@@ -446,7 +447,7 @@ class TestImports:
         assert probe == "[]"
 
     @pytest.mark.parametrize("args, drop, absent", [
-        ((), "", ("scipy",)),
+        ((), "", ("numpy", "scipy", "enspost.data")),
         (("ecc", "--method", "raw"), "", ECC_ABSENT),
         (("ecc", "--method", "global"), "", ECC_ABSENT),
         (("ecc", "--method", "memos"), "", ECC_ABSENT),
@@ -854,6 +855,59 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
         assert not (out / "draws_memos").exists()
 
+    @pytest.mark.parametrize("line, commands", [
+        ("eval_days = 0", ("fit", "predict", "ecc", "verify")),
+        ("window = 0", ("fit", "predict", "ecc", "verify")),
+        ("m = 0", ("ecc", "verify")),
+    ], ids=["no-evaluation-days", "empty-window", "no-quantiles"])
+    def test_day_setting_below_one(self, pipeline, tmp_path, capsys, line, commands):
+        """eval_days, window or m below 1 ends every command that reads it
+        with one line naming the key.  Before, at eval_days = 0 `predict`,
+        `ecc` and `verify` ran no day and exited 0, and m = 0 ended `verify`
+        with an error that named no key."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        key, value = line.split(" = ")
+        text = re.sub(rf"^{key} = .*$", line, CONFIG, flags=re.M)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        lineno = text.splitlines().index(line) + 1
+        capsys.readouterr()
+        for command in commands:
+            args = (command,) if command == "verify" else (command, "--method", "memos")
+            assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
+            assert capsys.readouterr().err == (f"error: {config}:{lineno}: key {key!r} must be "
+                                               f">= 1, got {value}\n")
+
+    def test_predicted_site_without_a_case(self, pipeline, tmp_path, capsys):
+        """ECC ranks the raw members of every predicted site.  A day of
+        predict_memos.csv with a site that cases.csv lacks on that date ends
+        `ecc --structure ecc` with one line naming the file, the date and
+        the site, and ends `verify` on the ens_* file of an earlier run with
+        one line naming that file and the date.  The independence baseline
+        needs no raw members."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        date = "2010-06-18"
+        path = out / "cases.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(row for row in lines if not row.startswith(f"{date},S01,"))
+                        + "\n")
+        previous = (out / "ens_memos_ecc.csv").read_bytes()
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: predict_memos.csv: {date} has rows for site "
+                                           "S01, which has no case on that date in cases.csv\n")
+        assert (out / "ens_memos_ecc.csv").read_bytes() == previous
+        code = cli.main(["--config", str(config), "--out", str(out), "verify"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: ens_memos_ecc.csv: {date}: raw ensemble "
+                                           "missing for sites ['S01']\n")
+        run_cli(config, out, "ecc", "--method", "memos", "--structure", "independence")
+
     @pytest.mark.parametrize("name, args, rerun", [
         ("params_local.json", ("predict", "--method", "local"), "fit --method local"),
         ("mesh.json", ("fit", "--method", "memos"), "mesh"),
@@ -1023,7 +1077,7 @@ class TestErrors:
     ], ids=["mesh", "fit-global"])
     def test_model_error_is_one_line(self, tmp_path, monkeypatch, capsys, args, message):
         """A MeshRefinementError or a FitError reaches `main` as a
-        data.ModelError: one line, exit 1."""
+        files.ModelError: one line, exit 1."""
         from enspost import mesh
 
         def mesh_fails(*args, **kwargs):

@@ -9,13 +9,60 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import fbar_fold, rolling_window_scan
 
-from enspost import data
+from enspost import cli, data
 
 
 def write_csv(tmp_path, text, name="cases.csv"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
     return path
+
+
+# a bad row after a good row and a blank line, so on line 4, and its error
+BAD_ROWS = [
+    ("2010-10-01,A,10.0,50.0,5.5,4.0", "duplicate case for 2010-10-01 A"),
+    ("2010-10-02,A,10.0,50.0,5.5,nan", "non-finite member value at 2010-10-02 A"),
+    ("2010-10-02,A,10.0,50.0,5.5,-inf", "non-finite member value at 2010-10-02 A"),
+    ("2010-10-02,A,10.0,50.0,nan,4.0", "non-finite observation at 2010-10-02 A"),
+    ("2010-10-02,A,10.0,50.0,inf,4.0", "non-finite observation at 2010-10-02 A"),
+]
+BAD_ROW_IDS = ["repeated-case", "nan-member", "inf-member", "nan-obs", "inf-obs"]
+
+# every bad case file of these tests
+BAD_FILES = {
+    "inconsistent-member-count": """\
+        date,station,lon,lat,obs,m1,m2,m3
+        2010-10-01,A,10.0,50.0,5.5,5.0,6.0,7.0
+        2010-10-02,A,10.0,50.0,5.5,5.0,6.0,
+        """,
+    "malformed-row": """\
+        date,station,lon,lat,obs,m1
+        2010-10-01,A,10.0,50.0,5.5,4.0
+        2010-10-02,A,10.0,not-a-number,5.5,4.0
+        """,
+    "header-missing-column": """\
+        date,station,lon,obs,m1
+        2010-10-01,A,10.0,5.5,4.0
+        """,
+    "no-member-columns": """\
+        date,station,lon,lat,obs
+        2010-10-01,A,10.0,50.0,5.5
+        """,
+    "station-moved": """\
+        date,station,lon,lat,obs,m1
+        2010-10-01,A,10.0,50.0,5.5,4.0
+        2010-10-02,A,11.0,50.0,5.5,4.0
+        """,
+    "non-finite-member-before-a-repeat": """\
+        date,station,lon,lat,obs,m1
+        2010-10-01,A,10.0,50.0,5.5,4.0
+        2010-10-02,A,10.0,50.0,5.5,nan
+        2010-10-02,B,10.5,50.5,5.5,4.0
+        2010-10-01,A,10.0,50.0,5.5,4.0
+        """,
+    **{name: "date,station,lon,lat,obs,m1\n2010-10-01,A,10.0,50.0,5.5,4.0\n\n" + row + "\n"
+       for name, (row, _) in zip(BAD_ROW_IDS, BAD_ROWS)},
+}
 
 
 class TestLoadCases:
@@ -48,76 +95,45 @@ class TestLoadCases:
         assert np.isnan(table.obs[0])
 
     def test_inconsistent_member_count(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            """\
-            date,station,lon,lat,obs,m1,m2,m3
-            2010-10-01,A,10.0,50.0,5.5,5.0,6.0,7.0
-            2010-10-02,A,10.0,50.0,5.5,5.0,6.0,
-            """,
-        )
+        path = write_csv(tmp_path, BAD_FILES["inconsistent-member-count"])
         with pytest.raises(ValueError, match="inconsistent ensemble size"):
             data.load_cases(path)
 
     def test_malformed_row_names_line(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            """\
-            date,station,lon,lat,obs,m1
-            2010-10-01,A,10.0,50.0,5.5,4.0
-            2010-10-02,A,10.0,not-a-number,5.5,4.0
-            """,
-        )
+        path = write_csv(tmp_path, BAD_FILES["malformed-row"])
         with pytest.raises(ValueError, match=r"cases\.csv line 3: could not convert"):
             data.load_cases(path)
 
-    @pytest.mark.parametrize("row, message", [
-        ("2010-10-01,A,10.0,50.0,5.5,4.0", "duplicate case for 2010-10-01 A"),
-        ("2010-10-02,A,10.0,50.0,5.5,nan", "non-finite member value at 2010-10-02 A"),
-        ("2010-10-02,A,10.0,50.0,5.5,-inf", "non-finite member value at 2010-10-02 A"),
-        ("2010-10-02,A,10.0,50.0,nan,4.0", "non-finite observation at 2010-10-02 A"),
-        ("2010-10-02,A,10.0,50.0,inf,4.0", "non-finite observation at 2010-10-02 A"),
-    ], ids=["repeated-case", "nan-member", "inf-member", "nan-obs", "inf-obs"])
-    def test_bad_case_names_file_and_line(self, tmp_path, row, message):
+    @pytest.mark.parametrize("name, message", [
+        (name, message) for name, (_, message) in zip(BAD_ROW_IDS, BAD_ROWS)], ids=BAD_ROW_IDS)
+    def test_bad_case_names_file_and_line(self, tmp_path, name, message):
         """A repeated (date, station) or a non-finite cell names the file and
         the line; a blank line still counts toward the line number."""
-        path = write_csv(tmp_path, "date,station,lon,lat,obs,m1\n"
-                                   "2010-10-01,A,10.0,50.0,5.5,4.0\n\n" + row + "\n")
+        path = write_csv(tmp_path, BAD_FILES[name])
         with pytest.raises(ValueError) as info:
             data.load_cases(path)
         assert str(info.value) == f"{path} line 4: {message}"
 
+    def test_first_bad_line_wins(self, tmp_path):
+        """Every case check runs as its row is read, so a non-finite member
+        on line 3 is reported before the repeated case on line 5."""
+        path = write_csv(tmp_path, BAD_FILES["non-finite-member-before-a-repeat"])
+        with pytest.raises(ValueError) as info:
+            data.load_cases(path)
+        assert str(info.value) == f"{path} line 3: non-finite member value at 2010-10-02 A"
+
     def test_header_missing_column(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            """\
-            date,station,lon,obs,m1
-            2010-10-01,A,10.0,5.5,4.0
-            """,
-        )
+        path = write_csv(tmp_path, BAD_FILES["header-missing-column"])
         with pytest.raises(ValueError, match="missing column 'lat'"):
             data.load_cases(path)
 
     def test_no_member_columns(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            """\
-            date,station,lon,lat,obs
-            2010-10-01,A,10.0,50.0,5.5
-            """,
-        )
+        path = write_csv(tmp_path, BAD_FILES["no-member-columns"])
         with pytest.raises(ValueError, match="member columns"):
             data.load_cases(path)
 
     def test_station_moved_error(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            """\
-            date,station,lon,lat,obs,m1
-            2010-10-01,A,10.0,50.0,5.5,4.0
-            2010-10-02,A,11.0,50.0,5.5,4.0
-            """,
-        )
+        path = write_csv(tmp_path, BAD_FILES["station-moved"])
         with pytest.raises(ValueError, match="moved"):
             data.load_cases(path)
 
@@ -148,6 +164,23 @@ class TestLoadCases:
         table = data.load_cases(path)
         ax, bx = table.locations["A"].x, table.locations["B"].x
         assert abs(abs(bx - ax) - 111.19) < 0.1
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
+    def test_ecc_and_fit_end_with_the_load_cases_error(self, tmp_path, capsys, name):
+        """`ecc`, which reads cases.csv on the standard library alone, and
+        `fit`, which builds the case table, end with load_cases' error."""
+        path = write_csv(tmp_path, BAD_FILES[name])
+        with pytest.raises(ValueError) as info:
+            data.load_cases(path)
+        config = tmp_path / "run.cfg"
+        config.write_text("")
+        errors = []
+        for args in (("ecc", "--method", "raw"), ("fit", "--method", "global")):
+            assert cli.main(["--config", str(config), "--out", str(tmp_path), *args]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {info.value}\n"] * 2
 
 
 class TestFbar:
