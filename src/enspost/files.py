@@ -167,8 +167,8 @@ def read_cases(path) -> Cases:
         if not ordinals:
             raise ValueError("no cases")
 
-    for name, k in index_of.items():
-        if not all(map(math.isfinite, coords[k])):
+    located = dict(zip(index_of, coords))
+    for name, lonlat in located.items():
+        if not all(map(math.isfinite, lonlat)):
             raise ValueError(f"non-finite coordinates for station {name!r}")
-    return Cases({name: coords[k] for name, k in index_of.items()}, ordinals, stations, obs,
-                 values, len(midx))
+    return Cases(located, ordinals, stations, obs, values, len(midx))

@@ -53,6 +53,11 @@ BAD_FILES = {
         2010-10-01,A,10.0,50.0,5.5,4.0
         2010-10-02,A,11.0,50.0,5.5,4.0
         """,
+    "non-finite-coordinates": """\
+        date,station,lon,lat,obs,m1
+        2010-10-01,A,10.0,50.0,5.5,4.0
+        2010-10-01,B,nan,50.5,5.5,4.0
+        """,
     "non-finite-member-before-a-repeat": """\
         date,station,lon,lat,obs,m1
         2010-10-01,A,10.0,50.0,5.5,4.0
@@ -121,6 +126,12 @@ class TestLoadCases:
         with pytest.raises(ValueError) as info:
             data.load_cases(path)
         assert str(info.value) == f"{path} line 3: non-finite member value at 2010-10-02 A"
+
+    def test_non_finite_coordinates_name_the_station(self, tmp_path):
+        path = write_csv(tmp_path, BAD_FILES["non-finite-coordinates"])
+        with pytest.raises(ValueError) as info:
+            data.load_cases(path)
+        assert str(info.value) == "non-finite coordinates for station 'B'"
 
     def test_header_missing_column(self, tmp_path):
         path = write_csv(tmp_path, BAD_FILES["header-missing-column"])
