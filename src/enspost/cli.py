@@ -20,20 +20,21 @@ chain (n × 5 log hyperparameters).
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
-in posterior draw order, for MEMOS.  ``verify`` rebuilds the grouped
-m-quantile sample of each day from those rows with ``emos.quantile_sample``
-(for raw: the sorted members, n = 1), pooled in one (S, N) array.  ``ecc``
-writes ens_<method>_<structure>.csv with columns date,seed: one row per
-evaluation day, holding the seed it ran with.  The day's ranks are a pure
-function of that seed, the date and ``cases.csv``, so ``verify`` draws them
-again where it scores the day, on the streams ``ecc`` has always used:
-``ecc.ecc_ranks`` of the raw members on ``subseed(seed, "ecc-ties", date)``,
-or ``ecc.shuffle_ranks`` on ``subseed(seed, "independence", date)``, and
-``ecc.reorder`` reorders every block of L values of a site's row by them.
-A date without a sample, a repeated date, or a day with a sample but no
-row is an error, and so is, for ``--structure ecc`` of a postprocessed
-method, a predicted site without a case on that date: ``ecc`` checks it,
-and ``verify`` names the ens_* file and the date.  mesh.json,
+in posterior draw order, for MEMOS.  ``ecc`` checks its inputs and writes
+ens_<method>_<structure>.csv: the header ``seed`` and the one seed it ran
+with.  ``verify`` scores each evaluation day in one pass: it builds each
+method's (S, N) sample once (``emos.quantile_sample`` of its rows; for
+raw, the sorted members, n = 1), scores the CRPS, AE and PIT (of global
+and local EMOS in closed form), then reorders the sample of each ens_*
+label by ranks drawn again from its seed and the date, on the streams
+``ecc`` has always used: ``ecc.ecc_ranks`` of the raw members on
+``subseed(seed, "ecc-ties", date)``, or ``ecc.shuffle_ranks`` on
+``subseed(seed, "independence", date)``; ``ecc.reorder`` reorders every
+block of L values of a site's row by them.  An ens_* file named for no
+method and structure, or without exactly one seed row, is an error, and
+so is, for ``--structure ecc`` of a postprocessed method, a predicted
+site without a case on that date: ``ecc`` checks it, and ``verify`` names
+the ens_* file and the date.  mesh.json,
 params_<method>.json and the draws sidecars are read through
 ``files.read_json``, so one that does not parse names its file.
 
@@ -42,7 +43,7 @@ loading the whole library costs.  So this module imports only the standard
 library and ``files`` at module level, after it sets the BLAS thread
 default, and each command imports numpy, ``data`` and the model modules it
 calls where it calls them.  ``ecc`` for every method and structure only
-checks its inputs and writes seeds, so it runs on the standard library
+checks its inputs and writes its seed, so it runs on the standard library
 alone: it reads cases.csv with ``files.read_cases`` and predict_<method>.csv
 with ``_read_predictions``, whose array form ``_load_predictions`` only
 ``verify`` builds.  ``fit`` and ``predict`` for global and local EMOS,
@@ -57,7 +58,8 @@ exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
 an error, and a value that does not parse, or a memos_burnin below 0 or
-memos_thin, n, window, m or eval_days below 1, names its file, line and key:
+memos_thin, n, window, min_train, m or eval_days below 1, names its file,
+line and key:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                cases (cases.csv)
   eval_start (first date + window)                eval_days (rest of data)
@@ -109,7 +111,8 @@ CONFIG_KEYS = (
 
 # the columns of predict_<method>.csv and of ens_<method>_<structure>.csv
 PREDICT_HEADER = ("date", "site", "mu", "sigma")
-ENS_HEADER = ("date", "seed")
+ENS_HEADER = ("seed",)
+STRUCTURES = ("ecc", "independence")
 
 
 class CliError(RuntimeError):
@@ -118,15 +121,16 @@ class CliError(RuntimeError):
 
 @contextlib.contextmanager
 def _naming(*where):
-    """Re-raise a model failure, or any failure of one station inside a
-    batched local fit, as a CliError that names where it happened."""
+    """Re-raise a model failure, a training window that is too small, or any
+    failure of one station inside a batched local fit, as a CliError that
+    names where it happened."""
     from .emos import StationError  # every fit loads emos (memos samples through it)
 
     try:
         yield
     except StationError as exc:
         raise CliError(f"{' '.join(where)} station {exc.station}: {exc}") from exc
-    except files.ModelError as exc:
+    except (files.ModelError, ValueError) as exc:
         raise CliError(f"{' '.join(where)}: {exc}") from exc
 
 
@@ -317,7 +321,7 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     if not days:
         raise CliError("no evaluation days fall inside the dataset")
     window = cfg.get("window", 25, int, least=1)
-    min_train = cfg.get("min_train", 10, int)
+    min_train = cfg.get("min_train", 10, int, least=1)
     outputs = []
 
     if method in ("global", "local"):
@@ -348,9 +352,9 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         draws_dir.mkdir(exist_ok=True)
         sites = [table.locations[s] for s in table.stations]
         for day in days:
-            training = data.rolling_window(table, day, length=window, mode="global",
-                                           min_cases=min_train)
             with _naming("fit memos", day.isoformat()):
+                training = data.rolling_window(table, day, length=window, mode="global",
+                                               min_cases=min_train)
                 draws = memos.sample_posterior(
                     training,
                     sites,
@@ -486,18 +490,6 @@ def _load_predictions(out: Path, method: str) -> dict:
     return by_day
 
 
-def _ensemble_sample(method: str, rows, m: int) -> ecc.PredictiveSample:
-    """The day's sample that ECC reorders: for raw, the sorted members of a
-    `data.Day` (n = 1); else the m-quantile sample of (sites, mu, sigma)."""
-    import numpy as np
-
-    from . import ecc, emos
-
-    if method != "raw":
-        return emos.quantile_sample(*rows, m)
-    return ecc.PredictiveSample(sites=rows.sites, values=np.sort(rows.members, axis=1).T[None])
-
-
 def _check_ecc_size(m: int, members: int, method: str, structure: str) -> None:
     """ECC reorders each site's m quantiles by the ranks of its raw members."""
     if structure == "ecc" and method != "raw" and m != members:
@@ -512,45 +504,40 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     preds = None if method == "raw" else _read_predictions(out, method)
     ids = list(cases.stations)
     cased = {(o, ids[k]) for o, k in zip(cases.ordinal, cases.station)}
+    for day in days if preds is not None else ():
+        key = day.isoformat()
+        if key not in preds:
+            raise CliError(f"no predictions for {key} in predict_{method}.csv "
+                           "(run `predict` first?)")
+        # verify ranks the raw members of every predicted site
+        uncased = [site for site in sorted(preds[key]) if (day.toordinal(), site) not in cased]
+        if structure == "ecc" and uncased:
+            raise CliError(f"predict_{method}.csv: {key} has rows for site {uncased[0]}, "
+                           "which has no case on that date in cases.csv")
+    # verify redraws each day's ranks from this seed, the date and its sample
     path = out / f"ens_{method}_{structure}.csv"
-
-    with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENS_HEADER)
-        for day in days:
-            key = day.isoformat()
-            if preds is not None and key not in preds:
-                raise CliError(f"no predictions for {key} in predict_{method}.csv "
-                               "(run `predict` first?)")
-            if preds is not None and structure == "ecc":
-                # verify ranks the raw members of every predicted site
-                for site in sorted(preds[key]):
-                    if (day.toordinal(), site) not in cased:
-                        raise CliError(f"predict_{method}.csv: {key} has rows for site {site}, "
-                                       "which has no case on that date in cases.csv")
-            # verify redraws the day's ranks from (seed, date) and its sample
-            writer.writerow([key, cfg.seed])
+    path.write_text(f"{ENS_HEADER[0]}\n{cfg.seed}\n")
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 
 
-def _load_ensembles(out: Path, label: str, sampled) -> dict:
-    """ens_<label>.csv as {date: the seed `ecc` ran with}.  Each date needs
-    a sample (a key of `sampled`) and one row, since a repeated row could
-    carry a second seed."""
-    path = out / f"ens_{label}.csv"
-    method = label.rsplit("_", 1)[0]
-    source = "cases.csv" if method == "raw" else f"predict_{method}.csv"
-    seeds, lines = {}, {}
-    with files.CsvRows(path, ENS_HEADER, name=path.name, rerun="ecc") as rows:
-        for cells in rows:
-            key = cells[0]
-            if key not in sampled:
-                raise ValueError(f"{key} has no rows in {source}")
-            if key in lines:
-                raise ValueError(f"{key} repeats line {lines[key]}")
-            seeds[key], lines[key] = rows.integer(cells, 1), rows.line
-    return seeds
+def _read_ensembles(out: Path, m: int, members: int) -> dict:
+    """{label: (method, structure, seed)} of every ens_<label>.csv in `out`,
+    each holding the one seed `ecc` ran with."""
+    ensembles = {}
+    for path in sorted(out.glob("ens_*.csv")):
+        label = path.stem[len("ens_"):]
+        method, _, structure = label.rpartition("_")
+        if method not in METHODS_ALL or structure not in STRUCTURES:
+            raise CliError(f"{path.name}: not an ens_<method>_<structure>.csv of `ecc`, with "
+                           f"method {'/'.join(METHODS_ALL)} and structure {'/'.join(STRUCTURES)}")
+        _check_ecc_size(m, members, method, structure)
+        with files.CsvRows(path, ENS_HEADER, name=path.name, rerun="ecc") as rows:
+            seeds = [rows.integer(cells, 0) for cells in rows]
+        if len(seeds) != 1:
+            raise CliError(f"{path.name}: expected one seed row, got {len(seeds)} (rerun `ecc`?)")
+        ensembles[label] = (method, structure, seeds[0])
+    return ensembles
 
 
 def _reordered(key: str, structure: str, seed: int, cases: data.Day,
@@ -571,19 +558,27 @@ def _reordered(key: str, structure: str, seed: int, cases: data.Day,
     return ecc.reorder(ranks, sample.pooled())
 
 
-def _univariate_scores(cfg: RunConfig, table, days, preds: dict, m: int,
-                       scores: verify.ScoreSeries, pit_values: dict) -> None:
+def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: int) -> tuple:
+    """(scores, PIT values, multivariate ranks) of every evaluation day, in
+    one pass: each day's sample of raw, memos and every ens_* method is
+    built once and serves both the per-site and the multivariate scores."""
     import numpy as np
 
-    from . import emos, verify
+    from . import ecc, emos, verify
     from .normal import ndtr
 
+    scores, pit_values, mv_ranks = verify.ScoreSeries(), {}, {}
+    sampled = {"memos"} | {method for method, _, _ in ensembles.values()}
     for day in days:
         key = day.isoformat()
         cases = table.on(day)
-        on_day = {method: p.get(key) for method, p in preds.items()}
-        memos_rows = (dict(zip(on_day["memos"][0], emos.quantile_sample(
-            *on_day["memos"], m).pooled())) if on_day.get("memos") else {})
+        samples = {method: emos.quantile_sample(*preds[method][key], m) for method in sampled
+                   if key in preds.get(method, ())}
+        if "raw" in sampled:
+            samples["raw"] = ecc.PredictiveSample(cases.sites,
+                                                  np.sort(cases.members, axis=1).T[None])
+        memos = samples.get("memos")
+        memos_rows = dict(zip(memos.sites, memos.pooled())) if memos else {}
         y_of = dict(zip(cases.sites, cases.obs.tolist()))
         for station, members, y in zip(cases.sites, cases.members, cases.obs.tolist()):
             if math.isnan(y):
@@ -591,22 +586,18 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, m: int,
             rng = np.random.default_rng(subseed(cfg.seed, "verify-rank", key, station))
             scores.add(key, station, "raw", "crps", verify.crps_empirical(members, y))
             scores.add(key, station, "raw", "ae", verify.abs_error(members, y))
-            pit_values.setdefault("raw", []).append(
-                verify.verification_rank(members, y, rng)
-            )
+            pit_values.setdefault("raw", []).append(verify.verification_rank(members, y, rng))
             if station in memos_rows:
                 pooled = memos_rows[station]
                 scores.add(key, station, "memos", "crps", verify.crps_empirical(pooled, y))
                 scores.add(key, station, "memos", "ae", verify.abs_error(pooled, y))
-                pit_values.setdefault("memos", []).append(
-                    verify.normalized_rank(pooled, y, rng)
-                )
+                pit_values.setdefault("memos", []).append(verify.normalized_rank(pooled, y, rng))
         # one array call per method and day: a call of Φ has a fixed cost of
         # about 0.1 ms whatever its length
         for method in ("global", "local"):
-            if not on_day.get(method):
+            if key not in preds.get(method, ()):
                 continue
-            sites, mu, sigma = on_day[method]
+            sites, mu, sigma = preds[method][key]
             cols = [j for j, s in enumerate(sites) if not math.isnan(y_of.get(s, math.nan))]
             if not cols:
                 continue
@@ -617,46 +608,24 @@ def _univariate_scores(cfg: RunConfig, table, days, preds: dict, m: int,
                 scores.add(key, sites[j], method, "crps", c)
                 scores.add(key, sites[j], method, "ae", abs(u - v))
             pit_values.setdefault(method, []).extend(ndtr((y - mu) / sigma))
-
-
-def _multivariate_scores(cfg: RunConfig, out: Path, table, days, preds: dict, m: int,
-                         scores: verify.ScoreSeries, mv_ranks: dict) -> None:
-    import numpy as np
-
-    from . import verify
-
-    for ens_path in sorted(out.glob("ens_*_*.csv")):
-        label = ens_path.stem[len("ens_"):]
-        method, structure = label.rsplit("_", 1)
-        _check_ecc_size(m, table.m, method, structure)
-        by_day = None if method == "raw" else preds.get(method) or _load_predictions(out, method)
-        sampled = {d.isoformat() for d in table.dates} if by_day is None else by_day
-        seeds = _load_ensembles(out, label, sampled)
-        for day in days:
-            key = day.isoformat()
-            if key not in seeds:
-                # a day with a sample must have its row
-                if key in sampled:
-                    raise CliError(f"{ens_path.name}: {key} has no rows (rerun `ecc`?)")
+        for label, (method, structure, seed) in ensembles.items():
+            sample = samples.get(method)
+            if sample is None:
                 continue
-            cases = table.on(day)
-            sample = _ensemble_sample(method, cases if by_day is None else by_day[key], m)
-            obs = dict(zip(cases.sites, cases.obs.tolist()))
-            cols = [j for j, s in enumerate(sample.sites) if not math.isnan(obs.get(s, math.nan))]
+            cols = [j for j, s in enumerate(sample.sites) if not math.isnan(y_of.get(s, math.nan))]
             if len(cols) < 2:
                 continue
             try:
-                ens = _reordered(key, structure, seeds[key], cases, sample)
+                # (members, d), C-ordered site rows transposed: the norms sum in memory order
+                ens = _reordered(key, structure, seed, cases, sample)[cols].T
             except ValueError as exc:
-                raise CliError(f"{ens_path.name}: {key}: {exc}") from exc
-            # (members, d), C-ordered site rows transposed: the norms sum in memory order
-            ens = ens[cols].T
-            y = np.array([obs[sample.sites[j]] for j in cols])
+                raise CliError(f"ens_{label}.csv: {key}: {exc}") from exc
+            y = np.array([y_of[sample.sites[j]] for j in cols])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
-            mv_ranks.setdefault(label, []).append(
-                (verify.multivariate_rank(ens, y, rng), len(ens) + 1)
-            )
+            rank = verify.multivariate_rank(ens, y, rng)
+            mv_ranks.setdefault(label, []).append((rank, len(ens) + 1))
+    return scores, pit_values, mv_ranks
 
 
 def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
@@ -671,13 +640,12 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     bins = 17
     outputs = []
 
+    ensembles = _read_ensembles(out, m, table.m)
+    # an ens_* method needs its predictions
+    wanted = {method for method, _, _ in ensembles.values()}
     preds = {method: _load_predictions(out, method) for method in METHODS_FIT
-             if (out / f"predict_{method}.csv").exists()}
-    scores = verify.ScoreSeries()
-    pit_values: dict = {}
-    _univariate_scores(cfg, table, days, preds, m, scores, pit_values)
-    mv_ranks: dict = {}
-    _multivariate_scores(cfg, out, table, days, preds, m, scores, mv_ranks)
+             if method in wanted or (out / f"predict_{method}.csv").exists()}
+    scores, pit_values, mv_ranks = _score_days(cfg, table, days, preds, ensembles, m)
 
     # the DM test runs before any output is written, so a rejected --compare
     # leaves them as they were
@@ -688,21 +656,18 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
                 raise CliError(f"--compare: no {score} scores for {method}; methods with "
                                f"{score} scores: {', '.join(scored) or 'none'}")
         method_a, method_b = compare
-        if daily_mean:
-            _, series_a = scores.daily_mean(method_a, score)
-            _, series_b = scores.daily_mean(method_b, score)
-        else:
-            rows_a, rows_b = {}, {}
-            for d, s, meth, sc, v in scores.rows():
-                if sc != score:
-                    continue
-                if meth == method_a:
-                    rows_a[(d, s)] = v
-                elif meth == method_b:
-                    rows_b[(d, s)] = v
-            keys = sorted(set(rows_a) & set(rows_b))
-            series_a = np.array([rows_a[k] for k in keys])
-            series_b = np.array([rows_b[k] for k in keys])
+
+        def keyed(method):
+            if daily_mean:
+                return dict(zip(*scores.daily_mean(method, score)))
+            return {(d, s): v for d, s, meth, sc, v in scores.rows()
+                    if (meth, sc) == (method, score)}
+
+        # {date: daily mean} or {(date, site): score}, paired on the common keys
+        rows_a, rows_b = keyed(method_a), keyed(method_b)
+        keys = sorted(rows_a.keys() & rows_b.keys())
+        series_a = np.array([rows_a[k] for k in keys])
+        series_b = np.array([rows_b[k] for k in keys])
         try:
             result = verify.dm_test(series_a, series_b, lag=lag)
         except ValueError as exc:
@@ -774,7 +739,7 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=METHODS_FIT, required=True)
     p = sub.add_parser("ecc")
     p.add_argument("--method", choices=METHODS_ALL, required=True)
-    p.add_argument("--structure", choices=("ecc", "independence"), default="ecc")
+    p.add_argument("--structure", choices=STRUCTURES, default="ecc")
     p = sub.add_parser("verify")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"))
     p.add_argument("--score", default="crps", choices=("crps", "ae", "es"))

@@ -58,6 +58,22 @@ def read_scores(path):
     return scores
 
 
+def dm_of_scores(out, method_a, method_b, score="crps"):
+    """The dm_<a>_<b>_<score>.csv row of `verify.dm_test` on the daily means
+    that scores.csv holds for the two methods, paired by date."""
+    scores = read_scores(out / "scores.csv")
+    a, b = (dict(zip(*scores.daily_mean(method, score))) for method in (method_a, method_b))
+    dates = sorted(a.keys() & b.keys())
+    result = verify.dm_test([a[d] for d in dates], [b[d] for d in dates])
+    return [method_a, method_b, score, repr(result.statistic), repr(result.pvalue),
+            repr(result.mean_difference), str(len(dates))]
+
+
+def read_dm(out, method_a, method_b, score="crps"):
+    with open(out / f"dm_{method_a}_{method_b}_{score}.csv", newline="") as fh:
+        return list(csv.reader(fh))[1]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -103,6 +119,45 @@ class TestPipelineContract:
         fields = dm[1].split(",")
         assert fields[0] == "memos" and fields[1] == "local"
         assert 0.0 <= float(fields[4]) <= 1.0
+
+    def test_dm_output_is_dm_test_on_the_daily_means(self, pipeline):
+        config, out = pipeline
+        assert read_dm(out, "memos", "local") == dm_of_scores(out, "memos", "local")
+        assert read_dm(out, "memos", "local")[-1] == "6"
+
+    def test_daily_means_pair_by_date(self, pipeline, tmp_path):
+        """memos predicted for 06-16..21 and local, refitted from 06-17, for
+        06-17..22: over seven days `--daily-mean` pairs the two series on
+        their five common dates, not by position (which gave n = 6)."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        shifted, seven = tmp_path / "shifted.cfg", tmp_path / "seven.cfg"
+        shifted.write_text(CONFIG.replace("eval_start = 2010-06-16", "eval_start = 2010-06-17"))
+        seven.write_text(CONFIG.replace("eval_days = 6", "eval_days = 7"))
+        for method in ("fit", "predict"):
+            run_cli(shifted, out, method, "--method", "local")
+        run_cli(seven, out, "verify", "--compare", "memos", "local", "--daily-mean")
+        row = read_dm(out, "memos", "local")
+        assert row == dm_of_scores(out, "memos", "local")
+        assert row[-1] == "5"
+
+    def test_verify_builds_each_sample_once(self, pipeline, tmp_path, monkeypatch):
+        """`verify` builds the memos m-quantile sample once per evaluation
+        day; its CRPS and both memos ens_* labels share it."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        build, calls = emos.quantile_sample, []
+
+        def counted(sites, mu, sigma, m):
+            calls.append(len(mu))
+            return build(sites, mu, sigma, m)
+
+        monkeypatch.setattr(emos, "quantile_sample", counted)
+        run_cli(config, out, "verify")
+        assert calls == [20] * 6  # n components of memos, on each of six days
+        assert (out / "scores.csv").read_bytes() == (done / "scores.csv").read_bytes()
 
     def test_histograms_normalized(self, pipeline):
         config, out = pipeline
@@ -188,29 +243,28 @@ class TestPipelineContract:
         """The raw ensemble is invariant under the reordering."""
         config, out = pipeline
         table = data.load_cases(out / "cases.csv")
-        seeds = cli._load_ensembles(out, "raw_ecc", {d.isoformat() for d in table.dates})
-        assert sorted(seeds) == [f"2010-06-{d}" for d in range(16, 22)]
-        for key, seed in seeds.items():
-            cases = table.on(dt.date.fromisoformat(key))
-            sample = cli._ensemble_sample("raw", cases, 8)
+        seed = cli._read_ensembles(out, 8, 8)["raw_ecc"][2]
+        for day in cli._eval_days(cli.RunConfig.load(config), table.dates):
+            key, cases = day.isoformat(), table.on(day)
+            members = np.sort(cases.members, axis=1)
+            sample = ecc.PredictiveSample(sites=cases.sites, values=members.T[None])
             assert np.array_equal(cli._reordered(key, "ecc", seed, cases, sample), cases.members)
 
     def test_ecc_artifact_rebuilds_the_ecc_output(self, pipeline):
-        """Each ens_* file holds one date,seed row per evaluation day, and the
-        ensembles verify redraws from them equal ecc_memos and
+        """Each ens_* file holds the header seed and the one seed ecc ran
+        with, and the ensembles verify redraws from it equal ecc_memos and
         independence_shuffle run on the day's sample with the ecc streams."""
         config, out = pipeline
         seed = cli.RunConfig.load(config).seed
         table = data.load_cases(out / "cases.csv")
         preds = cli._load_predictions(out, "memos")
         days = [f"2010-06-{d}" for d in range(16, 22)]
-        for label in ("memos_ecc", "memos_independence", "raw_ecc"):
+        labels = ("memos_ecc", "memos_independence", "raw_ecc")
+        ensembles = cli._read_ensembles(out, 8, 8)
+        assert ensembles == {label: (*label.rsplit("_", 1), seed) for label in labels}
+        for label in labels:
             method, structure = label.rsplit("_", 1)
-            with open(out / f"ens_{label}.csv", newline="") as fh:
-                assert list(csv.reader(fh)) == [list(cli.ENS_HEADER)] + [[d, str(seed)]
-                                                                         for d in days]
-            seeds = cli._load_ensembles(out, label, set(days))
-            assert seeds == dict.fromkeys(days, seed)
+            assert (out / f"ens_{label}.csv").read_bytes() == f"seed\n{seed}\n".encode()
             for key in days:
                 cases = table.on(dt.date.fromisoformat(key))
                 if method == "raw":
@@ -226,9 +280,7 @@ class TestPipelineContract:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
                     expected = ecc.independence_shuffle(
                         dict(zip(sample.sites, sample.pooled())), rng)
-                rows = cases if method == "raw" else preds[key]
-                rebuilt = cli._reordered(key, structure, seeds[key], cases,
-                                         cli._ensemble_sample(method, rows, 8))
+                rebuilt = cli._reordered(key, structure, seed, cases, sample)
                 assert sorted(expected) == sample.sites == cases.sites
                 assert np.array_equal(rebuilt, [expected[s] for s in sample.sites])
 
@@ -531,11 +583,6 @@ class TestConfigKeys:
         assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
 
 
-def _first_row(change):
-    """An edit of an ens_* table that replaces its first data row."""
-    return lambda rows: [rows[0], change(rows[1])] + rows[2:]
-
-
 class TestErrors:
     @pytest.mark.parametrize("method, upstream, missing, hint", [
         ("global", [], "cases.csv", "simulate"),
@@ -555,38 +602,47 @@ class TestErrors:
         assert code == 1
         assert err == f"error: missing upstream file: {out / missing} (run `{hint}` first?)\n"
 
-    @pytest.mark.parametrize("label, edit, message", [
-        ("memos_ecc", lambda rows: [["date", "site", "ranks"]] + rows[1:],
-         "ens_memos_ecc.csv line 1: expected the header date,seed (rerun `ecc`?)"),
-        ("memos_ecc", _first_row(lambda row: ["2010-06-22", row[1]]),
-         "ens_memos_ecc.csv line 2: 2010-06-22 has no rows in predict_memos.csv"),
-        ("memos_independence", _first_row(lambda row: [row[0], "x"]),
+    @pytest.mark.parametrize("label, text, message", [
+        ("memos_ecc", "date,seed\n2010-06-16,11\n",
+         "ens_memos_ecc.csv line 1: expected the header seed (rerun `ecc`?)"),
+        ("memos_independence", "seed\nx\n",
          "ens_memos_independence.csv line 2: seed must be an integer, got 'x'"),
-        ("memos_ecc", lambda rows: rows + [rows[1]],
-         "ens_memos_ecc.csv line {last}: {date} repeats line 2"),
-        ("memos_ecc", lambda rows: [row for row in rows if row[0] != rows[1][0]],
-         "ens_memos_ecc.csv: {date} has no rows (rerun `ecc`?)"),
-    ], ids=["bad-header", "site-not-predicted", "malformed-seed", "repeated-row",
-            "day-without-rows"])
-    def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, edit, message):
-        """A bad header or cell, a date without a sample, or a day with a
-        sample but not exactly one row ends `verify` with one line naming the
-        file."""
+        ("memos_ecc", "seed\n11\n11\n",
+         "ens_memos_ecc.csv: expected one seed row, got 2 (rerun `ecc`?)"),
+        ("memos_ecc", "seed\n",
+         "ens_memos_ecc.csv: expected one seed row, got 0 (rerun `ecc`?)"),
+    ], ids=["bad-header", "malformed-seed", "repeated-row", "day-without-rows"])
+    def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, text, message):
+        """An ens_* file of an earlier version (one date,seed row per day), a
+        bad seed cell, or other than one seed row ends `verify` with one line
+        naming the file."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / f"ens_{label}.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        date = rows[1][0]
-        rows = edit(rows)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        (out / f"ens_{label}.csv").write_text(text)
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), "verify"])
-        err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: " + message.format(date=date, last=len(rows)) + "\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["ens_memos_ecc.bak.csv", "ens_raw_old.csv",
+                                      "ens_memos_local_ecc.csv"])
+    def test_stray_ens_file(self, pipeline, tmp_path, capsys, name):
+        """A copy of an ens_* file under a name that is not
+        ens_<method>_<structure>.csv ends `verify` with one line naming it,
+        where before it was scored under a label of its own."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        shutil.copy(out / "ens_memos_ecc.csv", out / name)
+        previous = (out / "scores.csv").read_bytes()
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "verify"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {name}: not an ens_<method>_<structure>.csv of `ecc`, with method "
+            "raw/global/local/memos and structure ecc/independence\n")
+        assert (out / "scores.csv").read_bytes() == previous
 
     @pytest.mark.parametrize("args, edit, message", [
         (("ecc", "--method", "local"), lambda row: row.rsplit(",", 1)[0],
@@ -859,7 +915,8 @@ class TestErrors:
         ("eval_days = 0", ("fit", "predict", "ecc", "verify")),
         ("window = 0", ("fit", "predict", "ecc", "verify")),
         ("m = 0", ("ecc", "verify")),
-    ], ids=["no-evaluation-days", "empty-window", "no-quantiles"])
+        ("min_train = 0", ("fit",)),
+    ], ids=["no-evaluation-days", "empty-window", "no-quantiles", "no-training-cases"])
     def test_day_setting_below_one(self, pipeline, tmp_path, capsys, line, commands):
         """eval_days, window or m below 1 ends every command that reads it
         with one line naming the key.  Before, at eval_days = 0 `predict`,
@@ -1128,6 +1185,35 @@ class TestErrors:
         err = self.fit_local_error(tmp_path, capsys, drop_obs)
         assert err == ("error: fit local 2010-06-16 station S03: insufficient training data: "
                        "7 cases before 2010-06-16 (minimum 8)\n")
+
+    @pytest.mark.parametrize("method, settings, message", [
+        ("global", "window = 1\nmin_train = 1\n", "need at least 2 training cases"),
+        ("memos", "window = 1\nmin_train = 2\n",
+         "insufficient training data: 1 cases before 2010-06-16 (minimum 2)"),
+    ], ids=["global-one-case", "memos-window-below-min-train"])
+    def test_training_window_too_small(self, pipeline, tmp_path, capsys, method, settings,
+                                       message):
+        """A training window too small for the fit names the method and the
+        date, as `fit local` does: 2010-06-15 keeps one observed case for the
+        one-day window of 2010-06-16."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "cases.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if row[0] == "2010-06-15" and row[1] != "S01":
+                row[4] = ""
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        config = tmp_path / "run.cfg"
+        config.write_text(re.sub(r"^(window|min_train) = .*\n", "", CONFIG, flags=re.M)
+                          + settings)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", method])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: fit {method} 2010-06-16: {message}\n"
 
     def test_non_converging_station(self, tmp_path, capsys, monkeypatch):
         from enspost import emos
