@@ -13,10 +13,12 @@ artifact is read through ``files.CsvRows``, so a bad header, row length or
 cell ends the command with ``error: <file> line <n>: <reason>``.
 ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
 ``fit --method memos`` writes the posterior draws of each day to
-draws_memos/<date>.csv and the chain's health next to them in
-draws_memos/<date>.json: seed, acceptance overall and after burn-in
-(acceptance_post), final proposal step, invalid_proposals and the kept θ
-chain (n × 5 log hyperparameters).
+draws_memos/<date>.csv, one row per draw: its five log hyperparameters θ
+(log_kappa_a, log_tau_a, log_kappa_b, log_tau_b, log_sigma), its σ, then
+a(s) and b(s) at every station, as columns a:<site> and b:<site>.  The
+chain's health sits next to them in draws_memos/<date>.json: seed,
+acceptance overall and after burn-in (acceptance_post), final proposal
+step, invalid_proposals and the draw count n.
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
 mixture, so one row per (date, site) for global and local EMOS and n rows,
@@ -57,9 +59,10 @@ mesh that fails on valid input raises a subclass of ``files.ModelError``;
 exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
-an error, and a value that does not parse, or a memos_burnin below 0 or
-memos_thin, n, window, min_train, m or eval_days below 1, names its file,
-line and key:
+an error, and a value that does not parse, or a memos_burnin or sim_sigma
+below 0, memos_thin, n, window, min_train, m, eval_days, sim_days or sim_m
+below 1, sim_stations below 3, a mesh_min_angle outside 0 < angle <= 34 or
+a memos_alpha other than 1 or 2, names its file, line and key:
   seed (0)                 window (25)            min_train (10)
   m (50)                   n (100)                cases (cases.csv)
   eval_start (first date + window)                eval_days (rest of data)
@@ -75,7 +78,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import datetime as dt
 import hashlib
 import json
@@ -163,17 +165,20 @@ class RunConfig:
         cfg.seed = int(seed_override) if seed_override is not None else cfg.get("seed", 0, int)
         return cfg
 
-    def get(self, key, default=None, cast=str, least=None):
-        """The value of `key` cast, or `default` if unset; a value below
-        `least` is an error."""
+    def get(self, key, default=None, cast=str, least=None, must=None):
+        """The value of `key` cast, or `default` if unset.  A value below
+        `least`, or one that fails `must`, a pair (test, "must ..."), is an
+        error naming the file, line and key."""
         if key not in self.raw or self.raw[key] == "":
             return default
         try:
             value = cast(self.raw[key])
         except ValueError as exc:
             raise CliError(f"{self.origin.get(key, 'config')}: key {key!r}: {exc}") from exc
-        if least is not None and value < least:
-            raise CliError(f"{self.origin.get(key, 'config')}: key {key!r} must be >= {least}, "
+        if least is not None:
+            must = (lambda v: v >= least, f"must be >= {least}")
+        if must is not None and not must[0](value):
+            raise CliError(f"{self.origin.get(key, 'config')}: key {key!r} {must[1]}, "
                            f"got {value}")
         return value
 
@@ -190,12 +195,18 @@ class RunConfig:
         from . import data
 
         return data.SimConfig(
-            n_stations=self.get("sim_stations", 50, int),
-            n_days=self.get("sim_days", 60, int),
-            m=self.get("sim_m", 50, int),
-            sigma=self.get("sim_sigma", 1.5, float),
-            mesh_min_angle=self.get("mesh_min_angle", 20.0, float),
+            n_stations=self.get("sim_stations", 50, int, least=3),
+            n_days=self.get("sim_days", 60, int, least=1),
+            m=self.get("sim_m", 50, int, least=1),
+            sigma=self.get("sim_sigma", 1.5, float, least=0),
+            mesh_min_angle=self.min_angle(),
         )
+
+    def min_angle(self) -> float:
+        """The smallest triangle angle of a mesh, in degrees: refinement
+        provably ends only up to 34."""
+        return self.get("mesh_min_angle", 20.0, float,
+                        must=(lambda v: 0 < v <= 34, "must lie in (0, 34]"))
 
     def priors(self) -> memos.Priors:
         from . import memos
@@ -208,7 +219,8 @@ class RunConfig:
         return memos.McmcConfig(
             burn_in=self.get("memos_burnin", 1000, int, least=0),
             thin=self.get("memos_thin", 5, int, least=1),
-            alpha=self.get("memos_alpha", 1, int),
+            alpha=self.get("memos_alpha", 1, int,
+                           must=(lambda v: v in (1, 2), "must be 1 or 2")),
         )
 
 
@@ -238,20 +250,6 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) ->
     (out / f"manifest_{command}.json").write_text(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
     )
-
-
-@contextlib.contextmanager
-def _replacing(path: Path):
-    """Write `path` under a temporary name in its directory and rename it into
-    place only if the block succeeds, so a failed run leaves the previous
-    artifact as it was and no partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _cases_path(cfg: RunConfig, out: Path) -> Path:
@@ -306,7 +304,7 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
 
     table = _load_table(cfg, out)
     locs = [table.locations[s] for s in table.stations]
-    msh = mesh_mod.build_mesh(locs, min_angle=cfg.get("mesh_min_angle", 20.0, float))
+    msh = mesh_mod.build_mesh(locs, min_angle=cfg.min_angle())
     path = out / "mesh.json"
     path.write_text(msh.to_json() + "\n")
     print(f"mesh: {msh.n_vertices} vertices, {len(msh.triangles)} triangles -> {path}")
@@ -401,7 +399,7 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
             # `fit --method memos` predicts at every station of the table
             missing = sorted(set(table.stations) - set(draws.sites))
             if missing:
-                raise CliError(f"{draws_path}: site {missing[0]} has no rows")
+                raise CliError(f"{draws_path}: site {missing[0]} has no columns")
             cols = np.searchsorted(draws.sites, day.sites)
             mu = draws.a[:, cols] + draws.b[:, cols] * day.fbar
             return day.sites, mu, np.broadcast_to(draws.sigma[:, None], mu.shape)
@@ -434,15 +432,15 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
         a, b, sigma = columns
         return day.sites, a + b * day.fbar, sigma
 
-    path = out / f"predict_{method}.csv"
-    with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICT_HEADER)
+    def rows():
         for day in days:
             key = day.isoformat()
             sites, mu, sigma = components(key, table.on(day))
             for site, u, v in zip(sites, mu.T.tolist(), sigma.T.tolist()):
-                writer.writerows([key, site, repr(x), repr(y)] for x, y in zip(u, v))
+                yield from ([key, site, repr(x), repr(y)] for x, y in zip(u, v))
+
+    path = out / f"predict_{method}.csv"
+    files.write_rows(path, PREDICT_HEADER, rows())
     print(f"predict[{method}]: {len(days)} day(s)")
     return [path]
 
@@ -692,11 +690,8 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
             np.asarray([r for r, _ in ranked]), min(bins, rank_max), rank_max=rank_max))
     for name, (label, counts) in histograms.items():
         hist_path = out / f"{name}.csv"
-        with open(hist_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "bin", "frequency"])
-            writer.writerows([label, b, repr(float(freq))]
-                             for b, freq in enumerate(counts, start=1))
+        files.write_rows(hist_path, ["method", "bin", "frequency"],
+                         ([label, b, repr(float(freq))] for b, freq in enumerate(counts, start=1)))
         outputs.append(hist_path)
 
     with_crps = scores.methods("crps")
@@ -706,13 +701,10 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
 
     if compare:
         dm_path = out / f"dm_{method_a}_{method_b}_{score}.csv"
-        with open(dm_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method_a", "method_b", "score", "statistic", "pvalue",
-                             "mean_difference", "n"])
-            writer.writerow([method_a, method_b, score, repr(result.statistic),
-                             repr(result.pvalue), repr(result.mean_difference),
-                             len(series_a)])
+        files.write_rows(dm_path, ["method_a", "method_b", "score", "statistic", "pvalue",
+                                   "mean_difference", "n"],
+                         [[method_a, method_b, score, repr(result.statistic),
+                           repr(result.pvalue), repr(result.mean_difference), len(series_a)]])
         outputs.append(dm_path)
         print(
             f"verify: DM {method_a} vs {method_b} on {score}"

@@ -12,11 +12,14 @@ observation, and f̄ as the members' cumulative sum over m (left to right,
 one rounding per addition) divided by m.  Longitude/latitude are projected
 to planar km with an equirectangular projection about the domain centroid,
 so that field range parameters live in a metric space.
+
+A day's MEMOS posterior draws are one CSV row per draw (`PosteriorDraws`):
+the five log hyperparameters θ, σ, then a(s) and b(s) at every site, with
+the chain's health and the draw count n in a JSON sidecar.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import math
@@ -26,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .files import CASE_COLUMNS, CsvRows, read_cases, read_json
+from .files import CASE_COLUMNS, CsvRows, read_cases, read_json, write_rows
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -154,28 +157,30 @@ def write_cases(table: CaseTable, path) -> None:
     xs, ys = np.array([(table.locations[s].x, table.locations[s].y) for s in table.stations]).T
     lonlat = [(repr(float(lon)), repr(float(lat))) for lon, lat in zip(*_unproject_km(xs, ys))]
     dates = [d.isoformat() for d in table.dates]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(CASE_COLUMNS) + [f"m{k}" for k in range(1, table.m + 1)])
-        for day, station, y, members in zip(table.day.tolist(), table.station.tolist(),
-                                            table.obs.tolist(), table.members.tolist()):
-            writer.writerow([dates[day], table.stations[station], *lonlat[station],
-                             "" if math.isnan(y) else repr(y), *map(repr, members)])
+    write_rows(path, list(CASE_COLUMNS) + [f"m{k}" for k in range(1, table.m + 1)],
+               ([dates[day], table.stations[station], *lonlat[station],
+                 "" if math.isnan(y) else repr(y), *map(repr, members)]
+                for day, station, y, members in zip(table.day.tolist(), table.station.tolist(),
+                                                    table.obs.tolist(), table.members.tolist())))
 
 
-DRAWS_HEADER = ("draw", "site", "a", "b", "sigma")
+# the columns of a draws file before its a:<site> and b:<site> columns: θ, then σ
+DRAWS_HEADER = ("log_kappa_a", "log_tau_a", "log_kappa_b", "log_tau_b", "log_sigma", "sigma")
+RERUN_FIT = "fit --method memos"
 
 
 @dataclass
 class PosteriorDraws:
     """Joint posterior draws of (a(s), b(s), σ) at the prediction sites, as
-    `memos.sample_posterior` returns them and `fit --method memos` stores them."""
+    `memos.sample_posterior` returns them and `fit --method memos` stores them:
+    draw i is the kept chain state θ = theta[i], its σ = sigma[i] and the
+    fields a[i], b[i] at the sites."""
 
     sites: list
     a: np.ndarray       # (n, S)
     b: np.ndarray       # (n, S)
     sigma: np.ndarray   # (n,)
-    theta: np.ndarray   # (n, 5) log-scale chain states
+    theta: np.ndarray   # (n, 5) log-scale chain states, in DRAWS_HEADER order
     seed: int
     acceptance: float
     final_step: float = float("nan")
@@ -187,88 +192,65 @@ class PosteriorDraws:
         return len(self.sigma)
 
     def to_csv(self, path) -> None:
-        """Write the draws to `path` and the chain's health (seed,
-        acceptance overall and after burn-in, final step, invalid proposals,
-        kept θ chain) to the sidecar `path` with suffix .json."""
+        """Write one row per draw to `path`, under the header ``DRAWS_HEADER,
+        a:<site>..., b:<site>...``: its θ, its σ, then a and b at the sites in
+        the same order.  The chain's health (seed, acceptance overall and
+        after burn-in, final step, invalid proposals) and the draw count n go
+        to the sidecar `path` with suffix .json."""
         health = {"seed": self.seed, "acceptance": float(self.acceptance),
                   "acceptance_post": float(self.acceptance_post),
                   "final_step": float(self.final_step),
-                  "invalid_proposals": int(self.invalid_proposals),
-                  "theta": self.theta.tolist()}
+                  "invalid_proposals": int(self.invalid_proposals), "n": self.n}
         Path(path).with_suffix(".json").write_text(
             json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DRAWS_HEADER)
-            for i in range(self.n):
-                for j, site in enumerate(self.sites):
-                    writer.writerow(
-                        [i + 1, site, repr(float(self.a[i, j])),
-                         repr(float(self.b[i, j])), repr(float(self.sigma[i]))]
-                    )
+        write_rows(path, [*DRAWS_HEADER, *(f"a:{s}" for s in self.sites),
+                          *(f"b:{s}" for s in self.sites)],
+                   (map(repr, [*theta, sigma, *a, *b]) for theta, sigma, a, b in zip(
+                       self.theta.tolist(), self.sigma.tolist(), self.a.tolist(),
+                       self.b.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
-        """Read the draws that `to_csv` wrote, with their sidecar.  Every a
-        and b must be finite and every sigma finite and > 0."""
-        draw, site, values = [], [], []
-        with CsvRows(path, DRAWS_HEADER, rerun="fit --method memos") as rows:
+        """Read the draws that `to_csv` wrote, with their sidecar, the sites
+        sorted.  The header must list each site once, with a and b over the
+        same sites; every cell must be finite and every sigma > 0; and the
+        file must hold the sidecar's n rows."""
+        values = []
+        with CsvRows(path, rerun=RERUN_FIT) as rows:
+            header, k = rows.header or [], len(DRAWS_HEADER)
+            sites = [name[2:] for name in header[k:k + (len(header) - k) // 2]]
+            if header != [*DRAWS_HEADER, *("a:" + s for s in sites),
+                          *("b:" + s for s in sites)] or len(set(sites)) < len(sites):
+                raise ValueError(f"expected the header {','.join(DRAWS_HEADER)},a:<site>...,"
+                                 f"b:<site>... with each site once (rerun `{RERUN_FIT}`?)")
             for cells in rows:
-                a, b, sigma = map(float, cells[2:])
-                for name, value in (("a", a), ("b", b)):
-                    if not math.isfinite(value):
-                        raise ValueError(f"{name} must be finite, got {value!r}")
-                if not 0.0 < sigma < math.inf:
-                    raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-                draw.append(rows.integer(cells, 0))
-                site.append(cells[1])
-                values.append((a, b, sigma))
-        draws, i = np.unique(np.array(draw, dtype=np.int64), return_inverse=True)
-        sites = sorted(set(site))
-        cell = i * len(sites) + np.searchsorted(np.array(sites), np.array(site))
-        values = np.array(values).reshape(-1, 3)
-        sigma = values[np.unique(i, return_index=True)[1], 2]  # each draw's first row
-        repeat = np.setdiff1d(np.arange(len(cell)), np.unique(cell, return_index=True)[1])
-        if len(repeat):
-            r = repeat[0]
-            raise ValueError(f"{path}: draw {draw[r]} has two rows for site {site[r]}")
-        differ = np.flatnonzero(values[:, 2] != sigma[i])
-        if len(differ):
-            r = differ[0]
-            raise ValueError(f"{path}: draw {draw[r]} has sigma {float(sigma[i[r]])!r} "
-                             f"and {float(values[r, 2])!r}")
-        if len(cell) != len(draws) * len(sites):
-            gap = np.setdiff1d(np.arange(len(draws) * len(sites)), cell)[0]
-            raise ValueError(f"{path}: draw {draws[gap // len(sites)]} has no row for "
-                             f"site {sites[gap % len(sites)]}")
-        grid = values[np.argsort(cell), :2]  # cell is now a permutation of the (draw, site) grid
+                row = list(map(float, cells))
+                bad = next((j for j, v in enumerate(row) if not math.isfinite(v)), None)
+                if bad is not None:
+                    raise ValueError(f"{header[bad]} must be finite, got {row[bad]!r}")
+                if not row[k - 1] > 0.0:
+                    raise ValueError(f"sigma must be > 0, got {row[k - 1]!r}")
+                values.append(row)
         sidecar = Path(path).with_suffix(".json")
-        health = read_json(sidecar, "fit --method memos")
+        health = read_json(sidecar, RERUN_FIT)
         if not isinstance(health, dict):
             raise ValueError(f"{sidecar} must hold a JSON object, got {type(health).__name__} "
-                             "(rerun `fit --method memos`)")
+                             f"(rerun `{RERUN_FIT}`)")
         try:
-            try:
-                theta = np.array(health["theta"], dtype=float)
-            except (TypeError, ValueError):
-                theta = None
-            if theta is None or theta.ndim != 2 or theta.shape[1] != 5:
-                raise ValueError(f"{sidecar}: theta must be a list of n rows of 5 numbers "
-                                 "(rerun `fit --method memos`)")
-            n = len(theta)
-            if draws.tolist() != list(range(1, n + 1)):
-                missing = sorted(set(range(1, n + 1)) - set(draws))
-                raise ValueError(f"{path}: draw {missing[0]} has no rows" if missing else
-                                 f"{path}: draw {next(d for d in draws if not 1 <= d <= n)}"
-                                 f" is outside the draws 1..{n} of {sidecar}")
-            return cls(sites=sites, a=grid[:, 0].reshape(n, -1), b=grid[:, 1].reshape(n, -1),
-                       sigma=sigma, theta=theta,
+            if len(values) != health["n"]:
+                raise ValueError(f"{path} holds {len(values)} draws, but {sidecar} has "
+                                 f"n = {health['n']!r} (rerun `{RERUN_FIT}`)")
+            grid = np.array(values, dtype=float).reshape(len(values), len(header))
+            by_site = sorted(range(len(sites)), key=sites.__getitem__)
+            return cls(sites=sorted(sites), a=grid[:, [k + j for j in by_site]],
+                       b=grid[:, [k + len(sites) + j for j in by_site]],
+                       sigma=grid[:, k - 1], theta=grid[:, :k - 1],
                        seed=health["seed"], acceptance=health["acceptance"],
                        final_step=health["final_step"],
                        invalid_proposals=health["invalid_proposals"],
                        acceptance_post=health["acceptance_post"])
         except KeyError as exc:
-            raise ValueError(f"{sidecar} has no {exc} entry (rerun `fit --method memos`)") from exc
+            raise ValueError(f"{sidecar} has no {exc} entry (rerun `{RERUN_FIT}`)") from exc
 
 
 def rolling_window(

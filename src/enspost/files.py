@@ -1,8 +1,9 @@
 """The half of reading the pipeline's files that needs only the standard
 library, so that a command which only checks its inputs loads no numpy:
 `CsvRows`, which reads every CSV artifact (a bad header, field count or
-cell is one ``<file> line <n>: <reason>`` error), `read_json`, `read_cases`
-and `ModelError`.
+cell is one ``<file> line <n>: <reason>`` error), `write_rows`, which writes
+every CSV artifact but the ``ens_*`` seeds, `read_json`, `read_cases` and
+`ModelError`.
 
 `read_cases` makes every check of a case file, each naming its line: the
 header, a date, coordinate or cell that does not parse, a station that
@@ -18,6 +19,7 @@ import csv
 import datetime as dt
 import json
 import math
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -73,6 +75,23 @@ class CsvRows:
             return int(cells[k])
         except ValueError:
             raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
+
+
+def write_rows(path, header, rows) -> None:
+    """Write `header` and `rows` as CSV (CRLF line ends) to `path` under a
+    temporary name in its directory, and rename it into place only if every
+    row is written: an error raised while `rows` is drawn leaves the previous
+    file as it was and no partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_json(path, rerun: str, parse=json.loads):

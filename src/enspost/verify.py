@@ -9,12 +9,12 @@ in one dimension.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import write_rows
 from .normal import ndtr
 
 
@@ -273,8 +273,5 @@ class ScoreSeries:
             yield d, s, m, sc, v
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "site", "method", "score", "value"])
-            for d, s, m, sc, v in self.rows():
-                writer.writerow([str(d), s, m, sc, repr(v)])
+        write_rows(path, ["date", "site", "method", "score", "value"],
+                   ([str(d), s, m, sc, repr(v)] for d, s, m, sc, v in self.rows()))

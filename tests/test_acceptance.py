@@ -121,9 +121,9 @@ def _recovery_run(seed, n_days_eval=60, window=25):
             crps["global"].append(
                 emos.crps_gaussian(pg.a + pg.b * f, pg.sigma, y)
             )
+        local = emos.fit_local(table, day, cases.sites, length=window)
         for s, f, y in zip(cases.sites, cases.fbar, cases.obs):
-            wl = data.rolling_window(table, day, length=window, mode="local", station=s)
-            pl = emos.fit(wl)
+            pl = local[s]
             crps["local"].append(
                 emos.crps_gaussian(pl.a + pl.b * f, pl.sigma, y)
             )

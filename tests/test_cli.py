@@ -74,6 +74,24 @@ def read_dm(out, method_a, method_b, score="crps"):
         return list(csv.reader(fh))[1]
 
 
+def config_with(line):
+    """CONFIG with `line` in place of the line of its key, or appended, and
+    the number of that line."""
+    text, found = re.subn(rf"^{line.split()[0]} = .*$", line, CONFIG, flags=re.M)
+    text = text if found else CONFIG + line + "\n"
+    return text, text.splitlines().index(line) + 1
+
+
+def held(count, n=20):
+    """The error of a draws file with `count` rows and a sidecar with n = `n`."""
+    return f"{{path}} holds {count} draws, but {{sidecar}} has n = {n} (rerun `fit --method memos`)"
+
+
+DRAWS_HEADER_ERROR = ("line 1: expected the header log_kappa_a,log_tau_a,log_kappa_b,log_tau_b,"
+                      "log_sigma,sigma,a:<site>...,b:<site>... with each site once "
+                      "(rerun `fit --method memos`?)")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -235,9 +253,16 @@ class TestPipelineContract:
                                  for ext in ("csv", "json"))
         health = json.loads((out / "draws_memos" / f"{days[0]}.json").read_text())
         assert sorted(health) == ["acceptance", "acceptance_post", "final_step",
-                                  "invalid_proposals", "seed", "theta"]
+                                  "invalid_proposals", "n", "seed"]
         assert 0.0 <= health["acceptance_post"] <= 1.0
-        assert np.shape(health["theta"]) == (20, 5)
+        assert health["n"] == 20
+        # one row per draw: θ, σ, then a and b at the 10 stations
+        with open(out / "draws_memos" / f"{days[0]}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        sites = [f"S{k:02d}" for k in range(1, 11)]
+        assert header == ["log_kappa_a", "log_tau_a", "log_kappa_b", "log_tau_b", "log_sigma",
+                          "sigma", *(f"a:{s}" for s in sites), *(f"b:{s}" for s in sites)]
+        assert len(rows) == 20
 
     def test_raw_ecc_equals_sorted_raw_reordered(self, pipeline):
         """The raw ensemble is invariant under the reordering."""
@@ -735,24 +760,36 @@ class TestErrors:
         assert err.endswith(f", in {path}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda rows: [rows[0][:4] + ["sd"]] + rows[1:],
-         "line 1: expected the header draw,site,a,b,sigma (rerun `fit --method memos`?)"),
-        (lambda rows: rows[:1] + [rows[1][:4]] + rows[2:], "line 2: expected 5 fields, got 4"),
-        (lambda rows: rows[:1] + [["x"] + rows[1][1:]] + rows[2:],
-         "line 2: draw must be an integer, got 'x'"),
-        (lambda rows: rows[:2] + [rows[2][:2] + ["nan"] + rows[2][3:]] + rows[3:],
-         "line 3: a must be finite, got nan"),
-        (lambda rows: rows[:2] + [rows[2][:3] + ["-inf", rows[2][4]]] + rows[3:],
-         "line 3: b must be finite, got -inf"),
-        (lambda rows: rows[:1] + [rows[1][:4] + ["0.0"]] + rows[2:],
-         "line 2: sigma must be finite and > 0, got 0.0"),
-        (lambda rows: rows[:1] + [rows[1][:4] + ["inf"]] + rows[2:],
-         "line 2: sigma must be finite and > 0, got inf"),
-    ], ids=["renamed-column", "short-row", "draw-not-an-integer", "nan-a", "infinite-b",
-            "zero-sigma", "infinite-sigma"])
+        (lambda rows: [rows[0][:5] + ["sd"] + rows[0][6:]] + rows[1:], DRAWS_HEADER_ERROR),
+        (lambda rows: [rows[0][:7] + ["a:S01"] + rows[0][8:17] + ["b:S01"] + rows[0][18:]]
+         + rows[1:], DRAWS_HEADER_ERROR),
+        (lambda rows: [rows[0][:16] + ["b:S11"] + rows[0][17:]] + rows[1:], DRAWS_HEADER_ERROR),
+        (lambda rows: [["draw", "site", "a", "b", "sigma"]]
+         + [["1", "S01", "0.5", "1.0", "2.0"]], DRAWS_HEADER_ERROR),
+        (lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:], "line 2: expected 26 fields, got 25"),
+        (lambda rows: rows[:1] + [rows[1][:7] + ["x"] + rows[1][8:]] + rows[2:],
+         "line 2: could not convert string to float: 'x'"),
+        (lambda rows: rows[:2] + [rows[2][:6] + ["nan"] + rows[2][7:]] + rows[3:],
+         "line 3: a:S01 must be finite, got nan"),
+        (lambda rows: rows[:2] + [rows[2][:-1] + ["-inf"]] + rows[3:],
+         "line 3: b:S10 must be finite, got -inf"),
+        (lambda rows: rows[:1] + [["inf"] + rows[1][1:]] + rows[2:],
+         "line 2: log_kappa_a must be finite, got inf"),
+        (lambda rows: rows[:1] + [rows[1][:5] + ["0.0"] + rows[1][6:]] + rows[2:],
+         "line 2: sigma must be > 0, got 0.0"),
+        (lambda rows: rows[:1] + [rows[1][:5] + ["-1.5"] + rows[1][6:]] + rows[2:],
+         "line 2: sigma must be > 0, got -1.5"),
+        (lambda rows: rows[:1] + [rows[1][:5] + ["inf"] + rows[1][6:]] + rows[2:],
+         "line 2: sigma must be finite, got inf"),
+    ], ids=["renamed-column", "site-listed-twice", "a-and-b-over-different-sites",
+            "long-format", "short-row", "cell-not-a-number", "nan-a", "infinite-b",
+            "infinite-theta", "zero-sigma", "negative-sigma", "infinite-sigma"])
     def test_malformed_draws_row(self, pipeline, tmp_path, capsys, edit, message):
         """A draws file whose header, row length or cell is bad ends `predict
-        --method memos` with one error line that names the file and line."""
+        --method memos` with one error line that names the file and line.
+        The header must list each site once, with a and b over the same
+        sites, so a file of the older one-row-per-(draw, site) format fails
+        there."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -813,23 +850,24 @@ class TestErrors:
         assert capsys.readouterr().err == (f"error: {sidecar} has no 'acceptance_post' entry "
                                            "(rerun `fit --method memos`)\n")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda rows: [rows[0]] + rows[2:], "draw 1 has no row for site {site}"),
-        (lambda rows: rows[:2] + rows[1:], "draw 1 has two rows for site {site}"),
-        (lambda rows: rows[:2] + [rows[2][:4] + ["9.5"]] + rows[3:],
-         "draw 1 has sigma {sigma} and 9.5"),
-        (lambda rows: [r for r in rows if r[0] != "1"], "draw 1 has no rows"),
-        (lambda rows: [r for r in rows if r[0] != rows[-1][0]], "draw {last} has no rows"),
-        (lambda rows: rows + [[str(int(r[0]) + 1)] + r[1:]
-                              for r in rows if r[0] == rows[-1][0]],
-         "draw {past} is outside the draws 1..{last} of {sidecar}"),
-        (lambda rows: [r for r in rows if r[1] != rows[1][1]], "site {site} has no rows"),
-    ], ids=["deleted-row", "duplicated-row", "sigma-differs-between-sites", "deleted-draw",
-            "cut-at-a-draw-boundary", "draw-past-the-sidecar", "site-missing-from-every-draw"])
-    def test_incomplete_draws_grid(self, pipeline, tmp_path, capsys, edit, message):
-        """Each draw 1..n of the sidecar's chain has exactly one row for each
-        station, with one σ per draw; otherwise `predict` ends with one error
-        line."""
+    @pytest.mark.parametrize("edit, health, message", [
+        (lambda rows: rows[:5] + rows[6:], {}, held(19)),
+        (lambda rows: rows[:1] + rows[2:], {}, held(19)),
+        (lambda rows: rows[:2] + rows[1:], {}, held(21)),
+        (lambda rows: rows[:-1], {}, held(19)),
+        (lambda rows: rows[:1], {}, held(0)),
+        (lambda rows: rows + rows[-1:], {}, held(21)),
+        (lambda rows: rows, {"n": 19}, held(20, n=19)),
+        (lambda rows: [row[:6] + row[7:16] + row[17:] for row in rows], {},
+         "{path}: site S01 has no columns"),
+    ], ids=["deleted-row", "deleted-draw", "duplicated-row", "cut-at-a-draw-boundary",
+            "no-draws", "draw-past-the-sidecar", "sidecar-n-one-less",
+            "site-missing-from-every-draw"])
+    def test_incomplete_draws_grid(self, pipeline, tmp_path, capsys, edit, health, message):
+        """The draws file holds one row per draw, n of them by its sidecar,
+        with columns for every station; otherwise `predict` ends with one
+        error line, and leaves the previous predict_memos.csv and no
+        partial file."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -838,15 +876,15 @@ class TestErrors:
             rows = list(csv.reader(fh))
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(edit(rows))
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **health}))
         previous = (out / "predict_memos.csv").read_bytes()
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"])
         assert code == 1
-        expected = message.format(site=rows[1][1], sigma=rows[1][4], last=rows[-1][0],
-                                  past=int(rows[-1][0]) + 1, sidecar=path.with_suffix(".json"))
-        assert capsys.readouterr().err == f"error: {path}: {expected}\n"
-        # the failed run leaves the previous table and no partial file
+        assert capsys.readouterr().err == (f"error: {message.format(path=path, sidecar=sidecar)}"
+                                           "\n")
         assert (out / "predict_memos.csv").read_bytes() == previous
         assert sorted(out.glob("*.tmp")) == []
 
@@ -892,22 +930,23 @@ class TestErrors:
         ("memos_burnin = -5", "key 'memos_burnin' must be >= 0, got -5"),
         ("memos_thin = 0", "key 'memos_thin' must be >= 1, got 0"),
         ("n = 0", "key 'n' must be >= 1, got 0"),
-    ], ids=["negative-burn-in", "zero-thin", "no-draws"])
+        ("memos_alpha = 3", "key 'memos_alpha' must be 1 or 2, got 3"),
+    ], ids=["negative-burn-in", "zero-thin", "no-draws", "alpha-not-1-or-2"])
     def test_chain_setting_out_of_range(self, pipeline, tmp_path, capsys, line, message):
-        """A burn-in below 0, a thinning below 1 or n below 1 ends `fit
-        --method memos` before the chain runs, with no draws written;
-        otherwise the draws would hold uninitialised memory."""
+        """A burn-in below 0, a thinning below 1, n below 1 or an alpha
+        other than 1 or 2 ends `fit --method memos` before the chain runs,
+        with no draws written; otherwise the draws would hold uninitialised
+        memory, or the first day would fail with an error naming no key."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
         shutil.rmtree(out / "draws_memos")
-        text = re.sub(rf"^{line.split()[0]} = .*$", line, CONFIG, flags=re.M)
+        text, lineno = config_with(line)
         config = tmp_path / "run.cfg"
         config.write_text(text)
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
         assert code == 1
-        lineno = text.splitlines().index(line) + 1
         assert capsys.readouterr().err == f"error: {config}:{lineno}: {message}\n"
         assert not (out / "draws_memos").exists()
 
@@ -926,16 +965,44 @@ class TestErrors:
         out = tmp_path / "out"
         shutil.copytree(done, out)
         key, value = line.split(" = ")
-        text = re.sub(rf"^{key} = .*$", line, CONFIG, flags=re.M)
+        text, lineno = config_with(line)
         config = tmp_path / "run.cfg"
         config.write_text(text)
-        lineno = text.splitlines().index(line) + 1
         capsys.readouterr()
         for command in commands:
             args = (command,) if command == "verify" else (command, "--method", "memos")
             assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
             assert capsys.readouterr().err == (f"error: {config}:{lineno}: key {key!r} must be "
                                                f">= 1, got {value}\n")
+
+    @pytest.mark.parametrize("line, commands, message", [
+        ("sim_stations = 2", ("simulate",), "must be >= 3, got 2"),
+        ("sim_days = 0", ("simulate",), "must be >= 1, got 0"),
+        ("sim_m = 0", ("simulate",), "must be >= 1, got 0"),
+        ("sim_sigma = -1", ("simulate",), "must be >= 0, got -1.0"),
+        ("mesh_min_angle = 40", ("simulate", "mesh"), "must lie in (0, 34], got 40.0"),
+        ("mesh_min_angle = 0", ("simulate", "mesh"), "must lie in (0, 34], got 0.0"),
+    ], ids=["two-stations", "no-days", "no-members", "negative-sigma", "angle-above-34",
+            "zero-angle"])
+    def test_data_setting_out_of_range(self, pipeline, tmp_path, capsys, line, commands,
+                                       message):
+        """A simulated data set or mesh setting out of its range ends every
+        command that reads it with one line naming the key, and leaves
+        cases.csv and mesh.json as they were.  Before, the error named no
+        file, line or key."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        key = line.split(" = ")[0]
+        text, lineno = config_with(line)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        previous = [(out / name).read_bytes() for name in ("cases.csv", "mesh.json")]
+        capsys.readouterr()
+        for command in commands:
+            assert cli.main(["--config", str(config), "--out", str(out), command]) == 1
+            assert capsys.readouterr().err == f"error: {config}:{lineno}: key {key!r} {message}\n"
+        assert [(out / name).read_bytes() for name in ("cases.csv", "mesh.json")] == previous
 
     def test_predicted_site_without_a_case(self, pipeline, tmp_path, capsys):
         """ECC ranks the raw members of every predicted site.  A day of
@@ -1017,13 +1084,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda health: [health], "{sidecar} must hold a JSON object, got list"),
-        (lambda health: {**health, "theta": 5}, "{sidecar}: theta must be a list of n rows of "
-                                                "5 numbers"),
-        (lambda health: {**health, "theta": [row[:2] for row in health["theta"]]},
-         "{sidecar}: theta must be a list of n rows of 5 numbers"),
-        (lambda health: {**health, "theta": {"a": 1}},
-         "{sidecar}: theta must be a list of n rows of 5 numbers"),
-    ], ids=["a-list", "theta-a-number", "theta-two-wide", "theta-a-mapping"])
+        (lambda health: {k: v for k, v in health.items() if k != "n"},
+         "{sidecar} has no 'n' entry"),
+        (lambda health: {**health, "n": "20"},
+         "{path} holds 20 draws, but {sidecar} has n = '20'"),
+    ], ids=["a-list", "no-n", "n-a-string"])
     def test_badly_shaped_draws_sidecar(self, pipeline, tmp_path, capsys, edit, message):
         config, done = pipeline
         out = tmp_path / "out"
@@ -1034,8 +1099,9 @@ class TestErrors:
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"])
         assert code == 1
-        assert capsys.readouterr().err == (f"error: {message.format(sidecar=sidecar)} "
-                                           "(rerun `fit --method memos`)\n")
+        assert capsys.readouterr().err == (
+            f"error: {message.format(sidecar=sidecar, path=sidecar.with_suffix('.csv'))} "
+            "(rerun `fit --method memos`)\n")
 
     @pytest.mark.parametrize("drop, args, message", [
         (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local", "--daily-mean"),

@@ -3,11 +3,13 @@ posterior sampling and the predictive mixture."""
 
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import gamma as gamma_dist, norm
 
 from oracles import band_scatter_union, dense_log_marginal
@@ -457,6 +459,32 @@ class TestMixtureCdf:
         assert np.max(np.abs(ecdf - cdf)) < 0.02
 
 
+# site ids the CSV must quote, and the extreme finite doubles
+EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(EDGE_VALUES[1:3])
+
+
+@st.composite
+def any_draws(draw):
+    """PosteriorDraws of 1-3 draws at 1-4 distinct sites whose ids hold
+    commas, quotes, colons and spaces."""
+    sites = draw(st.lists(st.text(alphabet='ab,":\' ', max_size=5), min_size=1, max_size=4,
+                          unique=True))
+    n, S = draw(st.integers(1, 3)), len(sites)
+
+    def grid(values, *shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    return memos.PosteriorDraws(
+        sites=sites, a=grid(FINITE, n, S), b=grid(FINITE, n, S), sigma=grid(POSITIVE, n),
+        theta=grid(FINITE, n, 5), seed=draw(st.integers(0, 2**32 - 1)),
+        acceptance=draw(st.floats(0, 1)), final_step=draw(st.floats(0, 10)),
+        invalid_proposals=draw(st.integers(0, 10**6)), acceptance_post=draw(st.floats(0, 1)))
+
+
 class TestDrawsCsvRoundtrip:
     def test_roundtrip(self, tmp_path, small_problem):
         locs, msh, ops, training = small_problem
@@ -482,3 +510,42 @@ class TestDrawsCsvRoundtrip:
         assert back.final_step == draws.final_step
         assert back.invalid_proposals == 7
         assert back.acceptance_post == draws.acceptance_post
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=any_draws())
+    @example(draws=memos.PosteriorDraws(
+        sites=['a "b", c: d'], a=np.array([[-0.0]]), b=np.array([[5e-324]]),
+        sigma=np.array([1.7976931348623157e308]),
+        theta=np.array([[-1.7976931348623157e308, 5e-324, -0.0, 1.7976931348623157e308, 0.0]]),
+        seed=1, acceptance=0.5))
+    def test_roundtrip_is_bit_exact(self, draws):
+        """from_csv(to_csv(d)) gives d's arrays bit for bit, its sites
+        sorted and its health fields, for any site ids and finite values."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "draws.csv"
+            draws.to_csv(path)
+            back = memos.PosteriorDraws.from_csv(path)
+        order = sorted(range(len(draws.sites)), key=draws.sites.__getitem__)
+        assert back.sites == sorted(draws.sites)
+        for name, expected in (("a", draws.a[:, order]), ("b", draws.b[:, order]),
+                               ("sigma", draws.sigma), ("theta", draws.theta)):
+            got = getattr(back, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+        # repr: the same type and value, NaN included
+        for name in ("seed", "acceptance", "acceptance_post", "final_step", "invalid_proposals"):
+            assert repr(getattr(back, name)) == repr(getattr(draws, name)), name
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, value):
+        """A NaN or ±inf in any column ends the read with the file, line and column."""
+        draws = TestPredictiveSample.single_draw(0.5, 1.0, 2.0, site="X")
+        path = tmp_path / "draws.csv"
+        draws.to_csv(path)
+        header, row = path.read_text().splitlines()
+        for k, column in enumerate(header.split(",")):
+            cells = row.split(",")
+            cells[k] = value
+            path.write_text(f"{header}\n{','.join(cells)}\n")
+            with pytest.raises(ValueError) as info:
+                memos.PosteriorDraws.from_csv(path)
+            assert str(info.value) == f"{path} line 2: {column} must be finite, got {value}"
