@@ -4,9 +4,12 @@ The intercept and slope surfaces are a(s) = μ_a + Σ_k w_ak ψ_k(s) and
 b(s) = μ_b + Σ_k w_bk ψ_k(s): diffuse fixed effects plus zero-mean random
 fields with sparse precisions Q(κ_a, τ_a) and Q(κ_b, τ_b) on the mesh.
 Observations are y | u ~ N(Xu, σ²I), so the latent vector integrates out
-exactly and inference reduces to a 5-dimensional random-walk Metropolis
-chain over (log κ_a, log τ_a, log κ_b, log τ_b, log σ), with exact
-Gaussian conditional draws of the latent vector for each kept state.
+exactly and inference reduces to a random-walk Metropolis chain over
+θ = (log κ_a, log τ_a, log κ_b, log τ_b, log σ).  `metropolis` is that
+chain and knows nothing of the model: its target may raise for a θ it
+cannot evaluate (a rejection), and its `keep` callback, here an exact
+Gaussian conditional draw of the latent vector at each kept θ, may draw
+from the chain's generator.
 
 Posterior draws feed an equally weighted Gaussian mixture predictive with
 components N(a_i(s) + b_i(s) f̄(s), σ_i²).  `emos.quantile_sample` turns any
@@ -19,7 +22,7 @@ operate per subsample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -238,6 +241,66 @@ class McmcError(ModelError):
 _INVALID_PROPOSAL = (ArithmeticError, NonFiniteError, np.linalg.LinAlgError)
 
 
+@dataclass(frozen=True)
+class ChainRun:
+    """The health of one `metropolis` run, as the draws sidecar records it."""
+
+    acceptance: float
+    acceptance_post: float   # over the kept (post-burn-in) steps
+    final_step: float
+    invalid_proposals: int
+
+
+def metropolis(target, x, rng, keep, n: int, config: McmcConfig) -> ChainRun:
+    """Random-walk Metropolis on `target` from the state x.
+
+    `target(x)` returns (log density, payload) and may raise one of
+    `_INVALID_PROPOSAL` for a state it cannot evaluate: such a proposal
+    counts as a rejection and in `invalid_proposals`, such a start raises
+    McmcError.  Each step draws `rng.standard_normal(len(x))`, then
+    `rng.uniform()`.  Burn-in scales the step every ADAPT_INTERVAL steps
+    toward TARGET_ACCEPTANCE; after it, every thin-th step calls
+    `keep(x, payload)`, which may draw from the same rng, n times in all.
+    Needs n >= 1, burn_in >= 0 and thin >= 1.
+    """
+    burn_in, thin = config.burn_in, config.thin
+    if n < 1 or burn_in < 0 or thin < 1:
+        raise ValueError(f"need n >= 1, burn_in >= 0 and thin >= 1, got n = {n}, "
+                         f"burn_in = {burn_in} and thin = {thin}")
+    try:
+        lp, payload = target(x)
+    except _INVALID_PROPOSAL as exc:
+        state = ", ".join(f"{v:.6g}" for v in x)
+        raise McmcError(f"the chain's initial state [{state}] cannot be evaluated "
+                        f"({type(exc).__name__}: {exc})") from exc
+    step = config.initial_step
+    accepted, invalid = [], 0
+    for it in range(burn_in + n * thin):
+        prop = x + step * rng.standard_normal(len(x))
+        try:
+            lp_prop, payload_prop = target(prop)
+        except _INVALID_PROPOSAL:
+            lp_prop, payload_prop = -math.inf, None
+            invalid += 1
+        accepted.append(bool(math.log(rng.uniform()) < lp_prop - lp))
+        if accepted[-1]:
+            x, lp, payload = prop, lp_prop, payload_prop
+        if it < burn_in:
+            if (it + 1) % ADAPT_INTERVAL == 0:
+                rate = sum(accepted[-ADAPT_INTERVAL:]) / ADAPT_INTERVAL
+                # stronger corrections early let a badly scaled start recover
+                gain = 2.0 if it < burn_in // 2 else 0.7
+                step *= math.exp(gain * np.clip(rate - TARGET_ACCEPTANCE, -0.7, 0.7))
+        elif (it - burn_in + 1) % thin == 0:
+            keep(x, payload)
+
+    acceptance_post = sum(accepted[burn_in:]) / (n * thin)
+    if n * thin >= 50 and acceptance_post < MIN_ACCEPTANCE:
+        raise McmcError(f"Metropolis acceptance stayed below {MIN_ACCEPTANCE:.0%} after "
+                        "adaptation; review priors and proposal scale")
+    return ChainRun(sum(accepted) / len(accepted), acceptance_post, step, invalid)
+
+
 def sample_posterior(
     training: TrainingSet,
     sites: list,
@@ -251,30 +314,19 @@ def sample_posterior(
 ) -> PosteriorDraws:
     """Posterior sample of (a(s), b(s), σ) at the prediction sites.
 
-    Random-walk Metropolis over the five log hyperparameters targets
-    log_prior + log_marginal, with the proposal scale adapted toward
-    20-40% acceptance during burn-in only.  Each kept state contributes one
-    exact draw of the latent vector from its Gaussian conditional,
-    evaluated at the sites through the basis projector.  A proposal whose
-    posterior cannot be factored counts as a rejection (target −∞) and in
-    `invalid_proposals`; an invalid initial state raises.  Deterministic
-    for fixed (inputs, seed).  Needs n >= 1, burn_in >= 0 and thin >= 1.
+    `metropolis` runs the chain over the five log hyperparameters.  Its
+    target, log_prior + log_marginal, raises for a θ whose posterior cannot
+    be factored: a rejected proposal, or McmcError at the start.  Its `keep`
+    draws the latent vector exactly from its Gaussian conditional at each
+    kept θ, from the chain's rng, and evaluates it at the sites through the
+    basis projector.  Deterministic for fixed (inputs, seed).  Needs n >= 1,
+    burn_in >= 0 and thin >= 1.
     """
-    if n < 1 or config.burn_in < 0 or config.thin < 1:
-        raise ValueError(f"need n >= 1, burn_in >= 0 and thin >= 1, got n = {n}, "
-                         f"burn_in = {config.burn_in} and thin = {config.thin}")
     sites = list(sites)
-    site_coords = np.array([[loc.x, loc.y] for loc in sites])
-    psi_sites = projector(mesh, site_coords)
-
-    ops = assemble_fem(mesh)
-    model = _WindowModel(training, mesh, ops, priors, alpha=config.alpha)
+    psi_sites = projector(mesh, np.array([[loc.x, loc.y] for loc in sites]))
+    model = _WindowModel(training, mesh, assemble_fem(mesh), priors, alpha=config.alpha)
     rng = np.random.default_rng(np.random.SeedSequence([0xB0A5, int(seed)]))
-
-    if init is None:
-        x = _initial_state(training, priors)
-    else:
-        x = np.asarray(init, dtype=float).copy()
+    x = _initial_state(training, priors) if init is None else np.asarray(init, dtype=float)
 
     def target(xv):
         with np.errstate(over="raise", under="raise"):
@@ -283,75 +335,20 @@ def sample_posterior(
             lp = log_prior(theta, priors) + model._log_marginal_from(theta, chol, mu)
         return lp, (chol, mu, theta)
 
-    lp, state = target(x)
-    step = config.initial_step
-    K = mesh.n_vertices
-    p = 2 + 2 * K
+    K = model.layout.K
+    a, b, sigma, thetas = [], [], [], []
 
-    kept_a = np.empty((n, len(sites)))
-    kept_b = np.empty((n, len(sites)))
-    kept_sigma = np.empty(n)
-    kept_theta = np.empty((n, 5))
+    def keep(xv, payload):
+        chol, mu, theta = payload
+        u = mu + chol.solve_Lt(rng.standard_normal(model.layout.dim))
+        a.append(u[0] + psi_sites @ u[2 : 2 + K])
+        b.append(u[1] + psi_sites @ u[2 + K :])
+        sigma.append(theta.sigma)
+        thetas.append(xv)
 
-    total_steps = config.burn_in + n * config.thin
-    accepted = 0
-    accepted_post = 0
-    invalid = 0
-    window_accepts = 0
-    kept = 0
-    half_burn = config.burn_in // 2
-    for it in range(total_steps):
-        prop = x + step * rng.standard_normal(5)
-        try:
-            lp_prop, state_prop = target(prop)
-        except _INVALID_PROPOSAL:
-            lp_prop, state_prop = -math.inf, None
-            invalid += 1
-        if math.log(rng.uniform()) < lp_prop - lp:
-            x, lp, state = prop, lp_prop, state_prop
-            accepted += 1
-            window_accepts += 1
-            if it >= config.burn_in:
-                accepted_post += 1
-        in_burn = it < config.burn_in
-        if in_burn and (it + 1) % ADAPT_INTERVAL == 0:
-            rate = window_accepts / ADAPT_INTERVAL
-            # stronger corrections early in burn-in so a badly scaled start
-            # recovers within a few windows
-            gain = 2.0 if it < half_burn else 0.7
-            step *= math.exp(gain * np.clip(rate - TARGET_ACCEPTANCE, -0.7, 0.7))
-            window_accepts = 0
-        if not in_burn and (it - config.burn_in + 1) % config.thin == 0:
-            chol, mu, theta = state
-            z = rng.standard_normal(p)
-            u = mu + chol.solve_Lt(z)
-            kept_a[kept] = u[0] + psi_sites @ u[2 : 2 + K]
-            kept_b[kept] = u[1] + psi_sites @ u[2 + K :]
-            kept_sigma[kept] = theta.sigma
-            kept_theta[kept] = x
-            kept += 1
-
-    post_steps = n * config.thin
-    acceptance_post = accepted_post / post_steps if post_steps else float("nan")
-    if post_steps >= 50 and acceptance_post < MIN_ACCEPTANCE:
-        raise McmcError(
-            "Metropolis acceptance stayed below "
-            f"{MIN_ACCEPTANCE:.0%} after adaptation; review priors and "
-            "proposal scale"
-        )
-
-    return PosteriorDraws(
-        sites=[loc.id for loc in sites],
-        a=kept_a,
-        b=kept_b,
-        sigma=kept_sigma,
-        theta=kept_theta,
-        seed=int(seed),
-        acceptance=accepted / total_steps,
-        final_step=step,
-        invalid_proposals=invalid,
-        acceptance_post=acceptance_post,
-    )
+    run = metropolis(target, x, rng, keep, n, config)
+    return PosteriorDraws([loc.id for loc in sites], np.array(a), np.array(b), np.array(sigma),
+                          np.array(thetas), int(seed), **asdict(run))
 
 
 def _initial_state(training: TrainingSet, priors: Priors) -> np.ndarray:

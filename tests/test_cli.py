@@ -1194,6 +1194,29 @@ class TestErrors:
         assert code == 1
         assert err == "error: fit memos 2010-06-16: acceptance collapsed\n"
 
+    def test_chain_start_that_cannot_be_evaluated(self, pipeline, tmp_path, capsys):
+        """Observations scaled by 1e152 put the chain's start at σ ≈ 1e152,
+        whose noise precision underflows in the posterior factor: one line
+        naming the day, the state and the cause, not a FloatingPointError
+        traceback."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "cases.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[4] = row[4] and repr(float(row[4]) * 1e152)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: fit memos 2010-06-16: the chain's initial state "
+                            r"\[-0\.082, -0\.878, -0\.082, -0\.878, 350\.\d+\] cannot be "
+                            r"evaluated \(FloatingPointError: underflow [^\n]*\)\n", err), err
+
     @pytest.mark.parametrize("args, message", [
         (("mesh",), "error: refinement stalled\n"),
         (("fit", "--method", "global"), "error: fit global 2010-06-16: did not converge\n"),
@@ -1307,6 +1330,26 @@ class TestHarnessContract:
     forms must keep running on a finished pipeline."""
 
     TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+    def test_fit_memos_passes_n_and_config_by_keyword(self, pipeline, tmp_path, monkeypatch):
+        """traced.py counts each chain's target evaluations from
+        kwargs["n"] and kwargs["config"] of the `memos.sample_posterior`
+        calls that `fit --method memos` makes."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        calls, sample_posterior = [], memos.sample_posterior
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return sample_posterior(*args, **kwargs)
+
+        monkeypatch.setattr(memos, "sample_posterior", recorded)
+        run_cli(config, out, "fit", "--method", "memos")
+        assert len(calls) == 6
+        for kwargs in calls:
+            assert kwargs["n"] == 20
+            assert kwargs["config"] == memos.McmcConfig(burn_in=120, thin=2)
 
     @pytest.mark.parametrize("form, span", [("cli", "cli.ecc"), ("spde", "spde.factor")])
     def test_traced_form_runs(self, pipeline, tmp_path, form, span):

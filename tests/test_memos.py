@@ -226,6 +226,62 @@ class TestBandScatterAgainstUnionValues:
         np.testing.assert_array_equal(direct.solve(rhs), union.solve(rhs))
 
 
+class TestMetropolis:
+    """The kernel alone, on targets with known answers."""
+
+    @staticmethod
+    def chain(target, x0, n, burn_in):
+        kept = []
+        run = memos.metropolis(target, x0, np.random.default_rng(0),
+                               lambda x, payload: kept.append(x), n,
+                               memos.McmcConfig(burn_in=burn_in, thin=1))
+        return run, np.array(kept)
+
+    def test_correlated_gaussian_with_sds_from_002_to_1(self):
+        """Burn-in tunes the step to the narrowest coordinates: the kept
+        chain accepts 20-40 % and recovers the sds of the two smallest,
+        which correlate 0.8 with each other only, to within 15 %."""
+        sds = np.array([0.02, 0.05, 0.2, 0.5, 1.0])
+        corr = np.eye(5)
+        corr[0, 1] = corr[1, 0] = 0.8
+        corr[2, 3] = corr[3, 2] = corr[3, 4] = corr[4, 3] = 0.5
+        prec = np.linalg.inv(corr * np.outer(sds, sds))
+        run, kept = self.chain(lambda x: (-0.5 * float(x @ prec @ x), None), np.zeros(5),
+                               n=4000, burn_in=1000)
+        assert 0.2 <= run.acceptance_post <= 0.4
+        np.testing.assert_allclose(np.std(kept, axis=0, ddof=1)[:2], sds[:2], rtol=0.15)
+
+    def test_invalid_region_is_a_rejection(self):
+        """A proposal the target raises on is rejected and counted; no kept
+        state lies in the invalid region x[0] > 1."""
+        def target(x):
+            if x[0] > 1.0:
+                raise FloatingPointError("beyond 1")
+            return -0.5 * float(x @ x), None
+
+        run, kept = self.chain(target, np.zeros(2), n=2000, burn_in=500)
+        assert run.invalid_proposals > 0
+        assert np.all(kept[:, 0] <= 1.0)
+
+    def test_draw_order(self):
+        """A constant target accepts every proposal, so without burn-in the
+        kept states replay x0 + step·z: per step standard_normal(d), then
+        uniform(), then what `keep` draws from the same generator."""
+        x0, step = np.array([1.0, -2.0, 0.5]), memos.McmcConfig().initial_step
+        rng, kept = np.random.default_rng(3), []
+        run = memos.metropolis(lambda x: (0.0, None), x0, rng,
+                               lambda x, payload: kept.append((x, rng.standard_normal(2))),
+                               40, memos.McmcConfig(burn_in=0, thin=1))
+        assert (run.acceptance, run.final_step, run.invalid_proposals, len(kept)) == (
+            1.0, step, 0, 40)
+        replay, x = np.random.default_rng(3), x0
+        for state, extra in kept:
+            x = x + step * replay.standard_normal(3)
+            replay.uniform()
+            np.testing.assert_array_equal(state, x)
+            np.testing.assert_array_equal(extra, replay.standard_normal(2))
+
+
 class TestSamplePosterior:
     def test_near_prior_under_huge_noise(self, small_problem):
         """One weak observation with a prior pinning σ huge: the field
@@ -281,8 +337,11 @@ class TestSamplePosterior:
         assert np.all(np.isfinite(draws.a)) and np.all(np.isfinite(draws.sigma))
 
     def test_invalid_initial_state_raises(self, small_problem):
+        """A start the target cannot evaluate is a McmcError naming the
+        state and the cause, which the CLI reports in one line."""
         locs, msh, ops, training = small_problem
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(memos.McmcError, match=r"initial state \[0, 0, 0, 0, 1000\] .*"
+                                                  r"\(FloatingPointError: overflow"):
             memos.sample_posterior(
                 training, locs, n=2, seed=4, mesh=msh,
                 config=memos.McmcConfig(burn_in=2, thin=1),
@@ -292,7 +351,8 @@ class TestSamplePosterior:
     @pytest.mark.parametrize("n, burn_in, thin", [(0, 10, 1), (5, -5, 1), (5, 10, 0)],
                              ids=["no-draws", "negative-burn-in", "zero-thin"])
     def test_chain_settings_out_of_range_raise(self, small_problem, n, burn_in, thin):
-        """Otherwise the kept arrays would hold uninitialised memory."""
+        """`metropolis` rejects them before its first step: n = 0 would keep
+        no draw, and thin = 0 would divide by zero in acceptance_post."""
         locs, msh, ops, training = small_problem
         with pytest.raises(ValueError, match="need n >= 1, burn_in >= 0 and thin >= 1"):
             memos.sample_posterior(training, locs, n=n, seed=4, mesh=msh,
