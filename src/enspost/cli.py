@@ -12,6 +12,9 @@ observation, f̄ the members' cumulative sum over m divided by m).  Every
 artifact is read through ``files.CsvRows``, so a bad header, row length or
 cell ends the command with ``error: <file> line <n>: <reason>``.
 ``mesh`` writes mesh.json, which ``fit --method memos`` reads.
+``fit --method global|local`` writes params_<method>.csv with columns
+date,site,a,b,sigma: one row per day, with site ALL, for global EMOS and
+one per (date, station) for local EMOS.
 ``fit --method memos`` writes the posterior draws of each day to
 draws_memos/<date>.csv, one row per draw: its five log hyperparameters θ
 (log_kappa_a, log_tau_a, log_kappa_b, log_tau_b, log_sigma), its σ, then
@@ -21,8 +24,12 @@ acceptance overall and after burn-in (acceptance_post), final proposal
 step, invalid_proposals and the draw count n.
 ``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
 one row per component N(mu, sigma²) of an equally weighted Gaussian
-mixture, so one row per (date, site) for global and local EMOS and n rows,
-in posterior draw order, for MEMOS.  ``ecc`` checks its inputs and writes
+mixture.  Every method gives a day's sites (n, S) arrays of a, b and σ, one
+row read from params_<method>.csv for EMOS and one row per posterior draw,
+in draw order, for MEMOS, and mu = a + b·f̄ follows from them alike.  A
+params or predict row needs a finite mean (a and b, or mu) and a σ finite
+and > 0; a repeated (date, site) in params_<method>.csv, or a day or
+station without a row, is an error.  ``ecc`` checks its inputs and writes
 ens_<method>_<structure>.csv: the header ``seed`` and the one seed it ran
 with.  ``verify`` scores each evaluation day in one pass: it builds each
 method's (S, N) sample once (``emos.quantile_sample`` of its rows; for
@@ -36,9 +43,10 @@ block of L values of a site's row by them.  An ens_* file named for no
 method and structure, or without exactly one seed row, is an error, and
 so is, for ``--structure ecc`` of a postprocessed method, a predicted
 site without a case on that date: ``ecc`` checks it, and ``verify`` names
-the ens_* file and the date.  mesh.json,
-params_<method>.json and the draws sidecars are read through
-``files.read_json``, so one that does not parse names its file.
+the ens_* file and the date.  mesh.json and the draws sidecars are read
+through ``files.read_json``, so one that does not parse names its file.
+Every artifact is written through ``files``, under a temporary name renamed
+into place once it is whole.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
@@ -80,12 +88,11 @@ import argparse
 import contextlib
 import datetime as dt
 import hashlib
-import json
 import math
 import os
 import sys
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -111,7 +118,9 @@ CONFIG_KEYS = (
 )
 
 
-# the columns of predict_<method>.csv and of ens_<method>_<structure>.csv
+# the columns of params_<method>.csv, predict_<method>.csv and
+# ens_<method>_<structure>.csv
+PARAMS_HEADER = ("date", "site", "a", "b", "sigma")
 PREDICT_HEADER = ("date", "site", "mu", "sigma")
 ENS_HEADER = ("seed",)
 STRUCTURES = ("ecc", "independence")
@@ -247,16 +256,18 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) ->
         "inputs": sorted(rel(p) for p in inputs),
         "outputs": sorted(rel(p) for p in outputs),
     }
-    (out / f"manifest_{command}.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    files.write_json(out / f"manifest_{command}.json", manifest)
+
+
+def _upstream(path: Path, command: str) -> Path:
+    """`path`, which `command` writes, if it exists."""
+    if not path.exists():
+        raise CliError(f"missing upstream file: {path} (run `{command}` first?)")
+    return path
 
 
 def _cases_path(cfg: RunConfig, out: Path) -> Path:
-    cases = out / cfg.get("cases", "cases.csv")
-    if not cases.exists():
-        raise CliError(f"missing upstream file: {cases} (run `simulate` first?)")
-    return cases
+    return _upstream(out / cfg.get("cases", "cases.csv"), "simulate")
 
 
 def _load_table(cfg: RunConfig, out: Path) -> data.CaseTable:
@@ -282,19 +293,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list:
     cases_path = out / cfg.get("cases", "cases.csv")
     data.write_cases(table, cases_path)
     truth_path = out / "truth.json"
-    truth_path.write_text(
-        json.dumps(
-            {
-                "a_true": truth.a_true,
-                "b_true": truth.b_true,
-                "sigma": truth.sigma,
-                "seed": truth.seed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
+    files.write_json(truth_path, {"a_true": truth.a_true, "b_true": truth.b_true,
+                                  "sigma": truth.sigma, "seed": truth.seed})
     print(f"simulate: {len(table)} cases at {len(table.stations)} stations -> {cases_path}")
     return [cases_path, truth_path]
 
@@ -306,7 +306,7 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
     locs = [table.locations[s] for s in table.stations]
     msh = mesh_mod.build_mesh(locs, min_angle=cfg.min_angle())
     path = out / "mesh.json"
-    path.write_text(msh.to_json() + "\n")
+    files.write_text(path, msh.to_json() + "\n")
     print(f"mesh: {msh.n_vertices} vertices, {len(msh.triangles)} triangles -> {path}")
     return [path]
 
@@ -325,27 +325,26 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     if method in ("global", "local"):
         from . import emos
 
-        fits = {}
+        rows = []
         for day in days:
             with _naming(f"fit {method}", day.isoformat()):
                 if method == "global":
-                    params = asdict(emos.fit_global(table, day, length=window,
-                                                    min_cases=min_train))
+                    fits = {"ALL": emos.fit_global(table, day, length=window,
+                                                   min_cases=min_train)}
                 else:
-                    params = {station: asdict(p) for station, p in emos.fit_local(
-                        table, day, table.stations, length=window, min_cases=min_train).items()}
-            fits[day.isoformat()] = params
-        path = out / f"params_{method}.json"
-        path.write_text(json.dumps(fits, sort_keys=True, separators=(",", ":")) + "\n")
+                    fits = emos.fit_local(table, day, table.stations, length=window,
+                                          min_cases=min_train)
+            rows += ([day.isoformat(), site, repr(p.a), repr(p.b), repr(p.sigma)]
+                     for site, p in fits.items())
+        path = out / f"params_{method}.csv"
+        files.write_rows(path, PARAMS_HEADER, rows)
         outputs.append(path)
     else:
         from . import memos, mesh as mesh_mod
 
         n, mcmc = cfg.get("n", 100, int, least=1), cfg.mcmc()
-        mesh_path = out / "mesh.json"
-        if not mesh_path.exists():
-            raise CliError(f"missing upstream file: {mesh_path} (run `mesh` first?)")
-        msh = files.read_json(mesh_path, "mesh", mesh_mod.Mesh.from_json)
+        msh = files.read_json(_upstream(out / "mesh.json", "mesh"), "mesh",
+                              mesh_mod.Mesh.from_json)
         draws_dir = out / "draws_memos"
         draws_dir.mkdir(exist_ok=True)
         sites = [table.locations[s] for s in table.stations]
@@ -369,6 +368,17 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
     return outputs
 
 
+def _gaussian(names, cells) -> list:
+    """`cells`, named `names`, as floats: all finite, the last, a sigma, > 0."""
+    values = list(map(float, cells))
+    for name, value in zip(names[:-1], values):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < values[-1] < math.inf:
+        raise ValueError(f"{names[-1]} must be finite and > 0, got {values[-1]!r}")
+    return values
+
+
 def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     import numpy as np
 
@@ -377,66 +387,40 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table.dates)
     if method != "memos":
-        params_path = out / f"params_{method}.json"
-        if not params_path.exists():
-            raise CliError(f"missing upstream file: {params_path} (run `fit` first?)")
-
-        def mapping(value, what):
-            if not isinstance(value, dict):
-                raise CliError(f"{what} must be a mapping, got {value!r}, in {params_path}")
-            return value
-
-        fits = mapping(files.read_json(params_path, f"fit --method {method}"),
-                       "the fitted parameters")
+        params_path = _upstream(out / f"params_{method}.csv", "fit")
+        fits: dict = {}   # {date: {site: [a, b, sigma]}}
+        with files.CsvRows(params_path, PARAMS_HEADER, name=params_path.name,
+                           rerun=f"fit --method {method}") as rows:
+            for key, site, *cells in rows:
+                if site in fits.setdefault(key, {}):
+                    raise ValueError(f"repeated row for {key} site {site}")
+                fits[key][site] = _gaussian(PARAMS_HEADER[2:], cells)
 
     def components(key, day):
-        """The day's sites, their (n, sites) component means and sigmas."""
+        """The day's (n, sites) arrays of a, b and sigma."""
         if method == "memos":
-            draws_path = out / "draws_memos" / f"{key}.csv"
-            if not draws_path.exists():
-                raise CliError(f"missing upstream file: {draws_path} (run `fit` first?)")
+            draws_path = _upstream(out / "draws_memos" / f"{key}.csv", "fit")
             draws = data.PosteriorDraws.from_csv(draws_path)
             # `fit --method memos` predicts at every station of the table
             missing = sorted(set(table.stations) - set(draws.sites))
             if missing:
                 raise CliError(f"{draws_path}: site {missing[0]} has no columns")
             cols = np.searchsorted(draws.sites, day.sites)
-            mu = draws.a[:, cols] + draws.b[:, cols] * day.fbar
-            return day.sites, mu, np.broadcast_to(draws.sigma[:, None], mu.shape)
-        if key not in fits:
-            raise CliError(f"no fitted parameters for {key} in {params_path}")
-        if method == "global":
-            wheres, entries = [key] * len(day.sites), [fits[key]] * len(day.sites)
-        else:
-            by_site = mapping(fits[key], f"parameters for {key}")
-            wheres = [f"{key} station {s}" for s in day.sites]
-            entries = [by_site.get(s) for s in day.sites]
-        for where, entry in zip(wheres, entries):
-            if entry is None:
-                raise CliError(f"no fitted parameters for {where} in {params_path}")
-            lacking = [repr(k) for k in ("a", "b", "sigma")
-                       if k not in mapping(entry, f"parameters for {where}")]
-            if lacking:
-                raise CliError(f"no fitted {lacking[0]} for {where} in {params_path}")
-        columns = []
-        for k in ("a", "b", "sigma"):
-            # a string, null, bool, list or mapping becomes NaN and fails the check
-            col = np.array([[e[k] if type(e[k]) in (int, float) else math.nan for e in entries]])
-            bad = ~np.isfinite(col[0]) | ((col[0] <= 0.0) if k == "sigma" else False)
-            if bad.any():
-                i = int(bad.argmax())
-                need = "finite and > 0" if k == "sigma" else "a finite number"
-                raise CliError(f"{k} must be {need}, got {entries[i][k]!r}, for {wheres[i]} "
-                               f"in {params_path}")
-            columns.append(col)
-        a, b, sigma = columns
-        return day.sites, a + b * day.fbar, sigma
+            return (draws.a[:, cols], draws.b[:, cols],
+                    np.broadcast_to(draws.sigma[:, None], (draws.n, len(cols))))
+        sites = ["ALL"] * len(day.sites) if method == "global" else day.sites
+        lacking = [key] if key not in fits else [
+            f"{key} station {site}" for site in sites if site not in fits[key]]
+        if lacking:
+            raise CliError(f"no fitted parameters for {lacking[0]} in {params_path}")
+        return np.array([[fits[key][site] for site in sites]]).transpose(2, 0, 1)
 
     def rows():
         for day in days:
-            key = day.isoformat()
-            sites, mu, sigma = components(key, table.on(day))
-            for site, u, v in zip(sites, mu.T.tolist(), sigma.T.tolist()):
+            key, cases = day.isoformat(), table.on(day)
+            a, b, sigma = components(key, cases)
+            mu = a + b * cases.fbar
+            for site, u, v in zip(cases.sites, mu.T.tolist(), sigma.T.tolist()):
                 yield from ([key, site, repr(x), repr(y)] for x, y in zip(u, v))
 
     path = out / f"predict_{method}.csv"
@@ -447,20 +431,14 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
 
 def _read_predictions(out: Path, method: str) -> dict:
     """predict_<method>.csv -> {date: {site: (mus, sigmas)}}, lists of the
-    components in row order.  Every mu must be finite, every sigma finite
-    and > 0, every site of a day needs the same n, and global and local
-    EMOS one component per site."""
-    path = out / f"predict_{method}.csv"
-    if not path.exists():
-        raise CliError(f"missing upstream file: {path} (run `predict` first?)")
+    components in row order.  Every row must pass `_gaussian`, every site of
+    a day needs the same n, and global and local EMOS one component per
+    site."""
+    path = _upstream(out / f"predict_{method}.csv", "predict")
     by_day: dict = {}
     with files.CsvRows(path, PREDICT_HEADER, name=path.name, rerun="predict") as rows:
-        for key, site, mu, sigma in rows:
-            mu, sigma = float(mu), float(sigma)
-            if not math.isfinite(mu):
-                raise ValueError(f"mu must be finite, got {mu!r}")
-            if not 0.0 < sigma < math.inf:
-                raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+        for key, site, *cells in rows:
+            mu, sigma = _gaussian(PREDICT_HEADER[2:], cells)
             components = by_day.setdefault(key, {}).setdefault(site, ([], []))
             components[0].append(mu)
             components[1].append(sigma)
@@ -514,7 +492,7 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
                            "which has no case on that date in cases.csv")
     # verify redraws each day's ranks from this seed, the date and its sample
     path = out / f"ens_{method}_{structure}.csv"
-    path.write_text(f"{ENS_HEADER[0]}\n{cfg.seed}\n")
+    files.write_text(path, f"{ENS_HEADER[0]}\n{cfg.seed}\n")
     print(f"ecc[{method}/{structure}]: {len(days)} day(s) -> {path}")
     return [path]
 

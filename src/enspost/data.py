@@ -21,7 +21,6 @@ the chain's health and the draw count n in a JSON sidecar.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .files import CASE_COLUMNS, CsvRows, read_cases, read_json, write_rows
+from .files import CASE_COLUMNS, CsvRows, read_cases, read_json, write_json, write_rows
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -201,8 +200,7 @@ class PosteriorDraws:
                   "acceptance_post": float(self.acceptance_post),
                   "final_step": float(self.final_step),
                   "invalid_proposals": int(self.invalid_proposals), "n": self.n}
-        Path(path).with_suffix(".json").write_text(
-            json.dumps(health, sort_keys=True, separators=(",", ":")) + "\n")
+        write_json(Path(path).with_suffix(".json"), health)
         write_rows(path, [*DRAWS_HEADER, *(f"a:{s}" for s in self.sites),
                           *(f"b:{s}" for s in self.sites)],
                    (map(repr, [*theta, sigma, *a, *b]) for theta, sigma, a, b in zip(

@@ -64,11 +64,7 @@ class EmosParams:
 
 
 class FitError(ModelError):
-    """Optimizer failed to converge; carries the best iterate found."""
-
-    def __init__(self, message: str, best: EmosParams):
-        super().__init__(message)
-        self.best = best
+    """Optimizer failed to converge."""
 
 
 class StationError(ValueError):
@@ -200,11 +196,11 @@ def _stack(windows):
 
 def _fit_windows(windows) -> list:
     """EmosParams of each window, or the FitError of one that did not
-    converge, carrying its last iterate."""
+    converge."""
     x, done = _newton(*_stack(windows))
     return [EmosParams(*map(float, row)) if ok else FitError(
         f"minimum-CRPS Newton solver stopped at its iteration cap ({MAX_NEWTON_ITER}) "
-        "before converging", EmosParams(*map(float, row))) for row, ok in zip(x, done)]
+        "before converging") for row, ok in zip(x, done)]
 
 
 def _check_size(training: TrainingSet) -> TrainingSet:

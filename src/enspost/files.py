@@ -1,9 +1,10 @@
-"""The half of reading the pipeline's files that needs only the standard
-library, so that a command which only checks its inputs loads no numpy:
-`CsvRows`, which reads every CSV artifact (a bad header, field count or
-cell is one ``<file> line <n>: <reason>`` error), `write_rows`, which writes
-every CSV artifact but the ``ens_*`` seeds, `read_json`, `read_cases` and
-`ModelError`.
+"""The half of reading and writing the pipeline's files that needs only
+the standard library, so that a command which only checks its inputs loads
+no numpy: `CsvRows`, which reads every CSV artifact (a bad header, field
+count or cell is one ``<file> line <n>: <reason>`` error), `write_rows`,
+`write_text` and `write_json`, which write every artifact, each under a
+temporary name renamed into place once it is whole, `read_json`,
+`read_cases` and `ModelError`.
 
 `read_cases` makes every check of a case file, each naming its line: the
 header, a date, coordinate or cell that does not parse, a station that
@@ -15,6 +16,7 @@ builds its arrays on these rows and checks nothing more.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import json
@@ -77,21 +79,37 @@ class CsvRows:
             raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
 
 
-def write_rows(path, header, rows) -> None:
-    """Write `header` and `rows` as CSV (CRLF line ends) to `path` under a
-    temporary name in its directory, and rename it into place only if every
-    row is written: an error raised while `rows` is drawn leaves the previous
-    file as it was and no partial file."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle on a temporary file next to `path`, renamed onto it if
+    the block raises nothing: a failed write leaves the previous file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write `header` and `rows` as CSV (CRLF line ends) to `path`."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as it is, without line-end translation."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def write_json(path, value) -> None:
+    """Write `value` as one line of compact JSON with sorted keys."""
+    write_text(path, json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path, rerun: str, parse=json.loads):

@@ -167,7 +167,11 @@ class _WindowModel:
         self.n = len(self.y)
         self.XtX = sp.csc_matrix(X.T @ X)
         self.Xty = X.T @ self.y
-        self.yty = float(self.y @ self.y)
+        with np.errstate(over="ignore"):
+            self.yty = float(self.y @ self.y)
+        if not math.isfinite(self.yty):
+            raise McmcError(f"the squares of the training window's {self.n} observations "
+                            "sum past the largest float")
         self.spde_logdet = spde_logdet_factory(ops)
         K = self.layout.K
         p = self.layout.dim

@@ -1,10 +1,10 @@
 """Triangulations of the station domain and piecewise-linear basis evaluation.
 
 The mesh uses the input sites as initial nodes and inserts circumcenters
-(Ruppert style) until every triangle meets the minimum-angle and
-maximum-edge constraints.  The domain is never extended: refinement points
-stay inside the convex hull of the inputs, with hull-edge midpoints used
-when a circumcenter would fall outside.
+(Ruppert style) until every triangle meets the minimum-angle constraint.
+The domain is never extended: refinement points stay inside the convex
+hull of the inputs, with hull-edge midpoints used when a circumcenter
+would fall outside.
 
 Each refinement step is one array scan: encroachment is a (points ×
 segments) broadcast and the worst triangle comes from one pass giving every
@@ -41,7 +41,6 @@ class Mesh:
 
     vertices: np.ndarray          # (K, 2) km
     triangles: np.ndarray         # (T, 3) vertex indices, CCW
-    boundary: np.ndarray          # (B, 2) hull edge vertex pairs
 
     _bary_transform: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -98,7 +97,7 @@ class Mesh:
         if (triangles != arrays[1]).any() or triangles.min() < 0 \
                 or triangles.max() >= len(vertices):
             raise ValueError(f"triangles must hold vertex indices 0..{len(vertices) - 1}")
-        return cls(vertices, triangles, _boundary_edges(triangles))
+        return cls(vertices, triangles)
 
 
 def _cross2(u, v):
@@ -134,12 +133,6 @@ def _circumcenter(pts: np.ndarray) -> np.ndarray:
     ux = ((np.dot(b - a, b - a)) * (c - a)[1] - (np.dot(c - a, c - a)) * (b - a)[1]) / d
     uy = ((np.dot(c - a, c - a)) * (b - a)[0] - (np.dot(b - a, b - a)) * (c - a)[0]) / d
     return a + np.array([ux, uy])
-
-
-def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    unique, counts = np.unique(edges, axis=0, return_counts=True)
-    return unique[counts == 1].astype(int)
 
 
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -236,16 +229,15 @@ def _hull_segments(points: np.ndarray, hull_order) -> np.ndarray:
 def build_mesh(
     sites: Iterable[Location],
     min_angle: float = 20.0,
-    max_edge: Optional[float] = None,
     node_budget_factor: int = 10,
 ) -> Mesh:
     """Triangulate the sites and refine until quality constraints hold.
 
-    min_angle must lie in (0, 34] (the provable refinement range); max_edge
-    of None disables the edge-length constraint.  Refinement inserts
-    circumcenters of the worst offending triangle, falling back to the
-    midpoint of the crossed boundary edge when the circumcenter leaves the
-    hull, and aborts with advice once the node budget is exhausted.
+    min_angle must lie in (0, 34] (the provable refinement range).
+    Refinement inserts circumcenters of the worst offending triangle,
+    falling back to the midpoint of the crossed boundary edge when the
+    circumcenter leaves the hull, and aborts with advice once the node
+    budget is exhausted.
     """
     from scipy.spatial import ConvexHull
 
@@ -279,7 +271,7 @@ def build_mesh(
         nonlocal pts
         if np.any(np.hypot(*(p - pts).T) <= _DEDUP_TOL_KM):
             raise MeshRefinementError(
-                "refinement produced a duplicate node; relax min_angle or max_edge"
+                "refinement produced a duplicate node; relax min_angle"
             )
         pts = np.vstack([pts, p])
 
@@ -295,7 +287,7 @@ def build_mesh(
         if len(pts) >= budget:
             raise MeshRefinementError(
                 f"mesh refinement exceeded the node budget ({budget} nodes); "
-                "relax min_angle or max_edge"
+                "relax min_angle"
             )
 
     triangles = delaunay_triangulation(pts)
@@ -314,17 +306,12 @@ def build_mesh(
             continue
 
         # priority 2: fix the worst bad triangle, keyed by
-        # (angle if bad else min_angle, -longest edge), first index on ties
+        # (angle, -longest edge), first index on ties
         ang, longest = _triangle_quality(pts, triangles)
-        bad_angle = ang < min_angle - 1e-9
-        bad = bad_angle
-        if max_edge is not None:
-            bad = bad | (longest > max_edge * (1 + 1e-12))
-        candidates = np.flatnonzero(bad)
+        candidates = np.flatnonzero(ang < min_angle - 1e-9)
         if not len(candidates):
             break
-        primary = np.where(bad_angle, ang, min_angle)[candidates]
-        worst = candidates[np.lexsort((-longest[candidates], primary))[0]]
+        worst = candidates[np.lexsort((-longest[candidates], ang[candidates]))[0]]
         check_budget()
         tri_pts = pts[triangles[worst]]
         c = _circumcenter(tri_pts)
@@ -349,7 +336,7 @@ def build_mesh(
             insert(c)
         triangles = delaunay_triangulation(pts)
 
-    return Mesh(pts, triangles, _boundary_edges(triangles))
+    return Mesh(pts, triangles)
 
 
 def locate(mesh: Mesh, point) -> Optional[tuple]:

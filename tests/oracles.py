@@ -207,17 +207,6 @@ def triangle_min_angle(pts: np.ndarray) -> float:
     return float(min(angles))
 
 
-def boundary_edges_by_count(triangles: np.ndarray) -> np.ndarray:
-    """Sorted (min, max) vertex pairs of the edges used by one triangle only."""
-    seen: dict = {}
-    for tri in triangles:
-        for i in range(3):
-            e = (int(tri[i]), int(tri[(i + 1) % 3]))
-            key = (min(e), max(e))
-            seen[key] = seen.get(key, 0) + 1
-    return np.array(sorted(k for k, count in seen.items() if count == 1), dtype=int).reshape(-1, 2)
-
-
 def _segment_crossing(g, c, va, vb) -> bool:
     d1 = mesh._cross2(c - g, va - g)
     d2 = mesh._cross2(c - g, vb - g)
@@ -226,7 +215,7 @@ def _segment_crossing(g, c, va, vb) -> bool:
     return (d1 * d2 <= 0) and (d3 * d4 <= 0)
 
 
-def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=10):
+def ruppert_reference(sites, min_angle=20.0, node_budget_factor=10):
     """Scalar Ruppert refinement: the loop `mesh.build_mesh` vectorizes,
     one segment, vertex and triangle at a time.  Same decisions, same order,
     same errors; input validation is left to `build_mesh`, and the initial
@@ -253,7 +242,7 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
     def insert(p):
         if any(np.hypot(*(p - q)) <= tol for q in pts):
             raise mesh.MeshRefinementError(
-                "refinement produced a duplicate node; relax min_angle or max_edge"
+                "refinement produced a duplicate node; relax min_angle"
             )
         pts.append(p)
 
@@ -268,7 +257,7 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
         if len(pts) >= budget:
             raise mesh.MeshRefinementError(
                 f"mesh refinement exceeded the node budget ({budget} nodes); "
-                "relax min_angle or max_edge"
+                "relax min_angle"
             )
 
     triangles = mesh.delaunay_triangulation(np.array(pts))
@@ -294,10 +283,8 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
             p = arr[tri]
             ang = triangle_min_angle(p)
             edges = [np.linalg.norm(p[(i + 1) % 3] - p[i]) for i in range(3)]
-            bad_angle = ang < min_angle - 1e-9
-            bad_edge = max_edge is not None and max(edges) > max_edge * (1 + 1e-12)
-            if bad_angle or bad_edge:
-                key = (ang if bad_angle else min_angle, -max(edges))
+            if ang < min_angle - 1e-9:
+                key = (ang, -max(edges))
                 if worst_key is None or key < worst_key:
                     worst_key = key
                     worst = t
@@ -322,7 +309,7 @@ def ruppert_reference(sites, min_angle=20.0, max_edge=None, node_budget_factor=1
             insert(c)
         triangles = mesh.delaunay_triangulation(np.array(pts))
 
-    return mesh.Mesh(np.array(pts), triangles, boundary_edges_by_count(triangles))
+    return mesh.Mesh(np.array(pts), triangles)
 
 
 def projector_per_point(msh, points) -> sp.csr_matrix:

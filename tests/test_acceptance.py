@@ -40,7 +40,6 @@ def test_criterion_02_fem_assembly_unit_right_triangle():
     msh = mesh_mod.Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary=np.array([[0, 1], [1, 2], [0, 2]]),
     )
     ops = spde.assemble_fem(msh)
     expected_G = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])

@@ -232,16 +232,19 @@ class TestPipelineContract:
         """predict_<method>.csv holds one N(a + b·f̄, σ²) per (date, site),
         with the day's fitted (a, b, σ) and the site's ensemble mean f̄."""
         config, out = pipeline
-        fits = json.loads((out / f"params_{method}.json").read_text())
+        with open(out / f"params_{method}.csv", newline="") as fh:
+            fits = {(row["date"], row["site"]): row for row in csv.DictReader(fh)}
+        # global EMOS has one row per day, at site ALL
+        assert len(fits) == 6 * (1 if method == "global" else 10)
         table = data.load_cases(out / "cases.csv")
         rows = 0
         with open(out / f"predict_{method}.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 cases = table.on(dt.date.fromisoformat(row["date"]))
                 fbar = float(cases.fbar[cases.sites.index(row["site"])])
-                params = fits[row["date"]] if method == "global" else fits[row["date"]][row["site"]]
-                assert float(row["mu"]) == params["a"] + params["b"] * fbar
-                assert float(row["sigma"]) == params["sigma"]
+                params = fits[row["date"], "ALL" if method == "global" else row["site"]]
+                assert float(row["mu"]) == float(params["a"]) + float(params["b"]) * fbar
+                assert float(row["sigma"]) == float(params["sigma"])
                 rows += 1
         assert rows == 6 * 10
 
@@ -447,8 +450,8 @@ class TestNoLookAhead:
         out_corrupt = tmp_path / "corrupt"
         corrupt_future_observations(out_clean, out_corrupt, "2010-06-16")
         run_cli(config, out_corrupt, "fit", "--method", "global")
-        assert (out_clean / "params_global.json").read_bytes() == (
-            out_corrupt / "params_global.json"
+        assert (out_clean / "params_global.csv").read_bytes() == (
+            out_corrupt / "params_global.csv"
         ).read_bytes()
 
     def test_fit_memos_ignores_future_observations(self, tmp_path):
@@ -703,61 +706,67 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("method, edit, message", [
-        ("local", lambda day: day.pop("S01"),
+        ("local", lambda rows: rows[:1] + rows[2:],
          "no fitted parameters for {date} station S01 in {path}"),
-        ("local", lambda day: day["S02"].pop("sigma"),
-         "no fitted 'sigma' for {date} station S02 in {path}"),
-        ("global", lambda day: day.pop("a"), "no fitted 'a' for {date} in {path}"),
-        ("local", lambda day: day["S01"].update(a="x"),
-         "a must be a finite number, got 'x', for {date} station S01 in {path}"),
-        ("local", lambda day: day.update(S01=5),
-         "parameters for {date} station S01 must be a mapping, got 5, in {path}"),
-        ("global", lambda day: day.update(sigma=float("nan")),
-         "sigma must be finite and > 0, got nan, for {date} in {path}"),
-        ("local", lambda day: day["S02"].update(sigma=0.0),
-         "sigma must be finite and > 0, got 0.0, for {date} station S02 in {path}"),
-    ], ids=["station-missing", "local-key-missing", "global-key-missing", "non-numeric-a",
-            "station-entry-a-number", "nan-global-sigma", "zero-local-sigma"])
+        ("global", lambda rows: rows[:1] + rows[2:], "no fitted parameters for {date} in {path}"),
+        ("local", lambda rows: [row for row in rows if row[0] != rows[1][0]],
+         "no fitted parameters for {date} in {path}"),
+        ("local", lambda rows: rows[:3] + [rows[2]] + rows[3:],
+         "params_local.csv line 4: repeated row for {date} site S02"),
+        ("local", lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:],
+         "params_local.csv line 2: expected 5 fields, got 4"),
+        ("global", lambda rows: rows[:1] + [rows[1][:2] + [""] + rows[1][3:]] + rows[2:],
+         "params_global.csv line 2: could not convert string to float: ''"),
+        ("local", lambda rows: rows[:1] + [rows[1][:2] + ["x"] + rows[1][3:]] + rows[2:],
+         "params_local.csv line 2: could not convert string to float: 'x'"),
+        ("local", lambda rows: rows[:3] + [rows[3][:3] + ["inf"] + rows[3][4:]] + rows[4:],
+         "params_local.csv line 4: b must be finite, got inf"),
+        ("global", lambda rows: rows[:1] + [rows[1][:4] + ["nan"]] + rows[2:],
+         "params_global.csv line 2: sigma must be finite and > 0, got nan"),
+        ("local", lambda rows: rows[:2] + [rows[2][:4] + ["0.0"]] + rows[3:],
+         "params_local.csv line 3: sigma must be finite and > 0, got 0.0"),
+        ("global", lambda rows: [["date", "a", "b", "sigma"]] + rows[1:],
+         "params_global.csv line 1: expected the header date,site,a,b,sigma "
+         "(rerun `fit --method global`?)"),
+    ], ids=["station-missing", "day-missing", "local-day-missing", "repeated-row",
+            "local-key-missing", "global-key-missing", "non-numeric-a", "infinite-b",
+            "nan-global-sigma", "zero-local-sigma", "wrong-header"])
     def test_incomplete_params(self, pipeline, tmp_path, capsys, method, edit, message):
-        """A day of params_<method>.json without one of the day's stations or
-        without a, b or sigma, a station entry that is not a mapping, a value
-        that is not a finite number, or a sigma that is not > 0 ends `predict`
-        with one line naming the file, the date and what is wrong."""
+        """params_<method>.csv without a row for one of the day's stations or
+        for the whole day, with a repeated (date, site), a short row, a cell
+        that is not a number, a non-finite a or b, a sigma that is not finite
+        and > 0, or another header ends `predict` with one line naming the
+        file, and the line or the date."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / f"params_{method}.json"
-        fits = json.loads(path.read_text())
-        date = min(fits)
-        edit(fits[date])
-        path.write_text(json.dumps(fits))
+        path = out / f"params_{method}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        date = rows[1][0]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", method])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message.format(date=date, path=path)}\n"
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda fits, date: [fits[date]], "the fitted parameters must be a mapping"),
-        (lambda fits, date: {**fits, date: 5}, "parameters for {date} must be a mapping"),
-    ], ids=["file-a-list", "day-a-number"])
-    def test_params_not_a_mapping(self, pipeline, tmp_path, capsys, edit, message):
-        """params_local.json, or one day of it, that is not a JSON object
-        ends `predict` with one line naming the file."""
+    def test_params_json_of_an_older_run(self, pipeline, tmp_path, capsys):
+        """A run directory of an earlier version holds params_local.json,
+        not the params_local.csv table: `predict` asks for `fit` again."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / "params_local.json"
-        fits = json.loads(path.read_text())
-        date = min(fits)
-        path.write_text(json.dumps(edit(fits, date)))
+        (out / "params_local.csv").unlink()
+        (out / "params_local.json").write_text(
+            '{"2010-06-16":{"S01":{"a":0.5,"b":1.0,"sigma":1.5}}}\n')
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "local"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message.format(date=date)}, got ")
-        assert err.endswith(f", in {path}\n") and err.count("\n") == 1
+        assert capsys.readouterr().err == (f"error: missing upstream file: "
+                                           f"{out / 'params_local.csv'} (run `fit` first?)\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0][:5] + ["sd"] + rows[0][6:]] + rows[1:], DRAWS_HEADER_ERROR),
@@ -1033,10 +1042,9 @@ class TestErrors:
         run_cli(config, out, "ecc", "--method", "memos", "--structure", "independence")
 
     @pytest.mark.parametrize("name, args, rerun", [
-        ("params_local.json", ("predict", "--method", "local"), "fit --method local"),
         ("mesh.json", ("fit", "--method", "memos"), "mesh"),
         ("draws_memos/2010-06-16.json", ("predict", "--method", "memos"), "fit --method memos"),
-    ], ids=["params", "mesh", "draws-sidecar"])
+    ], ids=["mesh", "draws-sidecar"])
     def test_json_that_does_not_parse(self, pipeline, tmp_path, capsys, name, args, rerun):
         """A truncated JSON artifact ends the command with one line naming
         the file and the command that writes it."""
@@ -1217,6 +1225,33 @@ class TestErrors:
                             r"\[-0\.082, -0\.878, -0\.082, -0\.878, 350\.\d+\] cannot be "
                             r"evaluated \(FloatingPointError: underflow [^\n]*\)\n", err), err
 
+    def test_window_whose_squares_overflow(self, tmp_path):
+        """At the default window of 25 days, 12 stations of observations
+        scaled by 1e152 square to more than the largest float: `fit --method
+        memos` prints the one error line naming the day, and no numpy
+        RuntimeWarning before it."""
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 11\nsim_stations = 12\nsim_days = 30\nsim_m = 10\nm = 10\n"
+                          "n = 5\nmemos_burnin = 20\n")
+        out = tmp_path / "out"
+        run_cli(config, out, "simulate")
+        run_cli(config, out, "mesh")
+        path = out / "cases.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[4] = row[4] and repr(float(row[4]) * 1e152)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "enspost.cli", "--config", str(config), "--out", str(out),
+             "fit", "--method", "memos"],
+            env=src_env(dict(os.environ)), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: fit memos 2010-06-26: the squares of the training "
+                               "window's 300 observations sum past the largest float\n")
+
     @pytest.mark.parametrize("args, message", [
         (("mesh",), "error: refinement stalled\n"),
         (("fit", "--method", "global"), "error: fit global 2010-06-16: did not converge\n"),
@@ -1230,7 +1265,7 @@ class TestErrors:
             raise mesh.MeshRefinementError("refinement stalled")
 
         def fit_fails(*args, **kwargs):
-            raise emos.FitError("did not converge", emos.EmosParams(0.0, 1.0, 1.0))
+            raise emos.FitError("did not converge")
 
         config = tmp_path / "run.cfg"
         config.write_text(CONFIG)

@@ -14,7 +14,6 @@ def unit_right_triangle():
     return mesh.Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary=np.array([[0, 1], [1, 2], [0, 2]]),
     )
 
 
@@ -40,7 +39,7 @@ class TestAssembleFem:
         msh = random_mesh(seed=9)
         ops = spde.assemble_fem(msh)
         c = 3.7
-        scaled = mesh.Mesh(msh.vertices * c, msh.triangles, msh.boundary)
+        scaled = mesh.Mesh(msh.vertices * c, msh.triangles)
         ops_scaled = spde.assemble_fem(scaled)
         assert np.allclose(ops_scaled.G.toarray(), ops.G.toarray(), atol=1e-10)
         assert np.allclose(ops_scaled.c_diag, c**2 * ops.c_diag, rtol=1e-12)
@@ -56,8 +55,7 @@ class TestAssembleFem:
         bad = mesh.Mesh(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
             triangles=np.array([[0, 1, 2]]),
-            boundary=np.array([[0, 1], [1, 2], [0, 2]]),
-        )
+            )
         with pytest.raises(ValueError, match="degenerate"):
             spde.assemble_fem(bad)
 
@@ -106,7 +104,6 @@ class TestPrecision:
         relabeled = mesh.Mesh(
             vertices=msh.vertices[perm],
             triangles=inv[msh.triangles],
-            boundary=inv[msh.boundary],
         )
         ops_p = spde.assemble_fem(relabeled)
         Q = spde.precision(ops, 0.9, 1.1).Q.toarray()
