@@ -3,8 +3,10 @@
 Every command reads a flat key=value config file, accepts ``--seed`` and
 ``--out``, writes its artifacts under the output directory together with a
 manifest recording the config hash and seed, and is deterministic given
-(config, seed).  Evaluation days are processed in date order and only ever
-read data strictly before each valid date.
+(config, seed).  A seed is an integer >= 0, and `subseed` gives every seed
+and key its own stream.  Evaluation days are processed in date order and
+only ever read data strictly before each valid date; a config that selects
+none ends every command that reads them before it writes.
 
 Artifacts: ``files.read_cases`` reads and checks cases.csv, and
 ``data.load_cases`` builds row arrays on its rows (NaN for a missing
@@ -32,21 +34,23 @@ and > 0; a repeated (date, site) in params_<method>.csv, or a day or
 station without a row, is an error.  ``ecc`` checks its inputs and writes
 ens_<method>_<structure>.csv: the header ``seed`` and the one seed it ran
 with.  ``verify`` scores each evaluation day in one pass: it builds each
-method's (S, N) sample once (``emos.quantile_sample`` of its rows; for
-raw, the sorted members, n = 1), scores the CRPS, AE and PIT (of global
-and local EMOS in closed form), then reorders the sample of each ens_*
-label by ranks drawn again from its seed and the date, on the streams
-``ecc`` has always used: ``ecc.ecc_ranks`` of the raw members on
-``subseed(seed, "ecc-ties", date)``, or ``ecc.shuffle_ranks`` on
-``subseed(seed, "independence", date)``; ``ecc.reorder`` reorders every
-block of L values of a site's row by them.  An ens_* file named for no
-method and structure, or without exactly one seed row, is an error, and
-so is, for ``--structure ecc`` of a postprocessed method, a predicted
-site without a case on that date: ``ecc`` checks it, and ``verify`` names
-the ens_* file and the date.  mesh.json and the draws sidecars are read
-through ``files.read_json``, so one that does not parse names its file.
-Every artifact is written through ``files``, under a temporary name renamed
-into place once it is whole.
+method's sample once, as its sorted sites and one (S, N) array
+(``emos.quantile_sample`` of its rows; for raw, the sorted members, n = 1),
+scores the CRPS, AE and PIT (of global and local EMOS in closed form), then
+reorders the sample of each ens_* label by ranks drawn again from its seed
+and the date, on the streams ``ecc`` has always used: ``ecc.ecc_ranks``
+of the raw members on ``subseed(seed, "ecc-ties", date)``, or
+``ecc.shuffle_ranks`` on ``subseed(seed, "independence", date)``;
+``ecc.reorder`` reorders every block of L values of a site's row by them.
+An ens_* file named for no method and structure, or without exactly one
+seed row, is an error, and so is, for ``--structure ecc`` of a
+postprocessed method, a predicted site without a case on that date:
+``ecc`` checks it, and ``verify`` names the ens_* file and the date.  A
+predict_<method>.csv whose days differ in their number of components per
+site is an error naming both dates.  mesh.json and the draws sidecars are
+read through ``files.read_json``, so one that does not parse names its
+file.  Every artifact is written through ``files``, under a temporary name
+renamed into place once it is whole.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
@@ -60,7 +64,8 @@ with ``_read_predictions``, whose array form ``_load_predictions`` only
 ``predict --method memos`` (which reads the draws with
 ``data.PosteriorDraws``) and ``verify`` run on numpy alone: Φ and Φ⁻¹ come
 from ``normal``, and the energy score sums its pair distances from centred
-Gram blocks, not from SciPy.  Only ``mesh``, ``fit --method memos`` and
+Gram blocks, not from SciPy.  No ``fit`` or ``predict`` loads ``ecc``:
+only ``verify`` reorders.  Only ``mesh``, ``fit --method memos`` and
 ``simulate`` load SciPy, ``mesh``, ``spde`` or ``memos``.  A fit, chain or
 mesh that fails on valid input raises a subclass of ``files.ModelError``;
 ``main`` reports it, a ValueError or an OSError as one ``error:`` line and
@@ -105,7 +110,7 @@ from . import files  # noqa: E402
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import data, ecc, memos, verify
+    from . import data, memos, verify
 
 METHODS_FIT = ("global", "local", "memos")
 METHODS_ALL = ("raw",) + METHODS_FIT
@@ -171,7 +176,9 @@ class RunConfig:
                 raise CliError(f"{p}:{lineno}: key {key!r} already set on line {set_on[key]}")
             raw[key], set_on[key] = value, lineno
         cfg = cls(raw=raw, origin={key: f"{p}:{lineno}" for key, lineno in set_on.items()})
-        cfg.seed = int(seed_override) if seed_override is not None else cfg.get("seed", 0, int)
+        cfg.seed = cfg.get("seed", 0, int, least=0) if seed_override is None else seed_override
+        if cfg.seed < 0:  # `get` checks the config's seed
+            raise CliError(f"--seed must be >= 0, got {cfg.seed}")
         return cfg
 
     def get(self, key, default=None, cast=str, least=None, must=None):
@@ -234,12 +241,10 @@ class RunConfig:
 
 
 def subseed(seed: int, *keys) -> np.random.SeedSequence:
+    """The stream of `keys` under a seed >= 0: every seed has its own."""
     import numpy as np
 
-    parts = [int(seed) & 0xFFFFFFFF]
-    for key in keys:
-        parts.append(zlib.crc32(str(key).encode()))
-    return np.random.SeedSequence(parts)
+    return np.random.SeedSequence([int(seed)] + [zlib.crc32(str(key).encode()) for key in keys])
 
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) -> None:
@@ -277,13 +282,17 @@ def _load_table(cfg: RunConfig, out: Path) -> data.CaseTable:
 
 
 def _eval_days(cfg: RunConfig, dates: list) -> list:
-    """The evaluation days among `dates`, the sorted dates with a case."""
+    """The evaluation days among `dates`, the sorted dates with a case; none
+    is an error."""
     window = cfg.get("window", 25, int, least=1)
     start = cfg.date("eval_start", dates[0] + dt.timedelta(days=window))
     n_days = cfg.get("eval_days", max(1, (dates[-1] - start).days + 1), int, least=1)
     present = set(dates)
-    return [start + dt.timedelta(days=i) for i in range(n_days)
+    days = [start + dt.timedelta(days=i) for i in range(n_days)
             if start + dt.timedelta(days=i) in present]
+    if not days:
+        raise CliError("no evaluation days fall inside the dataset")
+    return days
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> list:
@@ -316,8 +325,6 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
 
     table = _load_table(cfg, out)
     days = _eval_days(cfg, table.dates)
-    if not days:
-        raise CliError("no evaluation days fall inside the dataset")
     window = cfg.get("window", 25, int, least=1)
     min_train = cfg.get("min_train", 10, int, least=1)
     outputs = []
@@ -432,7 +439,7 @@ def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
 def _read_predictions(out: Path, method: str) -> dict:
     """predict_<method>.csv -> {date: {site: (mus, sigmas)}}, lists of the
     components in row order.  Every row must pass `_gaussian`, every site of
-    a day needs the same n, and global and local EMOS one component per
+    every day needs the same n, and global and local EMOS one component per
     site."""
     path = _upstream(out / f"predict_{method}.csv", "predict")
     by_day: dict = {}
@@ -442,6 +449,7 @@ def _read_predictions(out: Path, method: str) -> dict:
             components = by_day.setdefault(key, {}).setdefault(site, ([], []))
             components[0].append(mu)
             components[1].append(sigma)
+    first = None  # (date, n) of the first day
     for key, by_site in by_day.items():
         sites = sorted(by_site)
         n = len(by_site[sites[0]][0])
@@ -451,6 +459,10 @@ def _read_predictions(out: Path, method: str) -> dict:
                                f"but {len(by_site[site][0])} at site {site}")
         if method != "memos" and n != 1:
             raise CliError(f"{path.name}: {key} has {n} components per site, not one")
+        first = first or (key, n)
+        if n != first[1]:
+            raise CliError(f"{path.name}: {first[0]} has {first[1]} components per site "
+                           f"but {key} has {n}")
     return by_day
 
 
@@ -516,31 +528,37 @@ def _read_ensembles(out: Path, m: int, members: int) -> dict:
     return ensembles
 
 
-def _reordered(key: str, structure: str, seed: int, cases: data.Day,
-               sample: ecc.PredictiveSample) -> np.ndarray:
-    """The day's (S, N) ensemble: `sample` reordered by ranks drawn from
-    `seed` on the streams `ecc` has always used: the ECC ranks of the raw
-    members in `cases`, or the independence shuffle."""
+def _reordered(key: str, structure: str, seed: int, cases: data.Day, sample: tuple) -> np.ndarray:
+    """The day's (S, N) ensemble: the (sites, (S, N) values) `sample`
+    reordered by ranks drawn from `seed` on the streams `ecc` has always
+    used: the ECC ranks of the raw members in `cases`, or the independence
+    shuffle."""
     import numpy as np
 
     from . import ecc
 
+    sites, pooled = sample
     if structure == "ecc":
+        row = {site: k for k, site in enumerate(cases.sites)}
+        missing = [site for site in sites if site not in row]
+        if missing:
+            raise ValueError(f"raw ensemble missing for sites {missing}")
         rng = np.random.default_rng(subseed(seed, "ecc-ties", key))
-        ranks = ecc.ecc_ranks(dict(zip(cases.sites, cases.members)), sample, rng)
+        ranks = ecc.ecc_ranks(cases.members[[row[site] for site in sites]], pooled, rng)
     else:  # L = N
         rng = np.random.default_rng(subseed(seed, "independence", key))
-        ranks = ecc.shuffle_ranks(len(sample.sites), sample.n * sample.m, rng)
-    return ecc.reorder(ranks, sample.pooled())
+        ranks = ecc.shuffle_ranks(*pooled.shape, rng)
+    return ecc.reorder(ranks, pooled)
 
 
 def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: int) -> tuple:
     """(scores, PIT values, multivariate ranks) of every evaluation day, in
-    one pass: each day's sample of raw, memos and every ens_* method is
-    built once and serves both the per-site and the multivariate scores."""
+    one pass: each day's (sites, (S, N) values) sample of raw, memos and
+    every ens_* method is built once and serves both the per-site and the
+    multivariate scores."""
     import numpy as np
 
-    from . import ecc, emos, verify
+    from . import emos, verify
     from .normal import ndtr
 
     scores, pit_values, mv_ranks = verify.ScoreSeries(), {}, {}
@@ -548,13 +566,12 @@ def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: in
     for day in days:
         key = day.isoformat()
         cases = table.on(day)
-        samples = {method: emos.quantile_sample(*preds[method][key], m) for method in sampled
-                   if key in preds.get(method, ())}
+        samples = {method: (preds[method][key][0],
+                            emos.quantile_sample(*preds[method][key][1:], m))
+                   for method in sampled if key in preds.get(method, ())}
         if "raw" in sampled:
-            samples["raw"] = ecc.PredictiveSample(cases.sites,
-                                                  np.sort(cases.members, axis=1).T[None])
-        memos = samples.get("memos")
-        memos_rows = dict(zip(memos.sites, memos.pooled())) if memos else {}
+            samples["raw"] = (cases.sites, np.sort(cases.members, axis=1))
+        memos_rows = dict(zip(*samples["memos"])) if "memos" in samples else {}
         y_of = dict(zip(cases.sites, cases.obs.tolist()))
         for station, members, y in zip(cases.sites, cases.members, cases.obs.tolist()):
             if math.isnan(y):
@@ -585,18 +602,18 @@ def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: in
                 scores.add(key, sites[j], method, "ae", abs(u - v))
             pit_values.setdefault(method, []).extend(ndtr((y - mu) / sigma))
         for label, (method, structure, seed) in ensembles.items():
-            sample = samples.get(method)
-            if sample is None:
+            if method not in samples:
                 continue
-            cols = [j for j, s in enumerate(sample.sites) if not math.isnan(y_of.get(s, math.nan))]
+            sites = samples[method][0]
+            cols = [j for j, s in enumerate(sites) if not math.isnan(y_of.get(s, math.nan))]
             if len(cols) < 2:
                 continue
             try:
                 # (members, d), C-ordered site rows transposed: the norms sum in memory order
-                ens = _reordered(key, structure, seed, cases, sample)[cols].T
+                ens = _reordered(key, structure, seed, cases, samples[method])[cols].T
             except ValueError as exc:
                 raise CliError(f"ens_{label}.csv: {key}: {exc}") from exc
-            y = np.array([y_of[sample.sites[j]] for j in cols])
+            y = np.array([y_of[sites[j]] for j in cols])
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
             rank = verify.multivariate_rank(ens, y, rng)

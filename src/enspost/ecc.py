@@ -7,9 +7,11 @@ raw-derived permutation independently to each of the n posterior
 subsamples, merging them into one N = m·n member ensemble.  Independence
 shuffling destroys dependence on purpose and serves as a baseline.
 
-A day's sample is one (S, N) array of pooled values (`PredictiveSample.pooled`)
-and its reordering one (S, L) array of ranks, row s a permutation of 1..L for
-site s.  One rule applies either way: each row's ranks reorder every
+A day's sample is one (S, N) array, row s the N = n·m values of site s in
+subsample-major order: n consecutive blocks of m ascending values, one block
+per mixture component (`emos.quantile_sample`), or the sorted raw members with
+n = 1.  Its reordering is one (S, L) array of ranks, row s a permutation of
+1..L for site s.  One rule applies either way: each row's ranks reorder every
 consecutive block of L values of that site's row (`reorder`).  ECC ranks the
 raw members, L = m (`rank_permutation`); the independence shuffle draws
 L = N (`shuffle_ranks`).  The CLI stores neither ranks nor reordered values,
@@ -20,33 +22,7 @@ The module needs numpy only, so `verify` loads no scipy through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class PredictiveSample:
-    """Per-site samples of size N = m·n, grouped into n subsamples of m
-    values that are nondecreasing in j: one mixture component's quantiles
-    (see `emos.quantile_sample`), or a sorted raw ensemble with n = 1.
-    """
-
-    sites: list
-    values: np.ndarray  # (n, m, S)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def pooled(self) -> np.ndarray:
-        """The (S, N) values, row s the N = m·n values of sites[s] in
-        subsample-major order."""
-        return self.values.transpose(2, 0, 1).reshape(len(self.sites), -1)
 
 
 def rank_permutation(raw, rng: np.random.Generator = None) -> np.ndarray:
@@ -102,41 +78,36 @@ def ecc_q(raw, post_sample, rng: np.random.Generator = None) -> np.ndarray:
     return reorder(rank_permutation(raw, rng), post_sample)
 
 
-def ecc_ranks(raw_by_site: dict, sample: PredictiveSample,
-              rng: np.random.Generator = None) -> np.ndarray:
-    """The (S, m) ranks of a grouped sample's raw members, row s for
-    sample.sites[s], drawn in that order from the one stream.
+def ecc_ranks(raw, sample, rng: np.random.Generator = None) -> np.ndarray:
+    """The (S, m) ranks of the raw members `raw` (S, m), drawn row by row from
+    the one stream, that reorder the (S, N) `sample`.
 
-    The n subsamples must arrive sorted (as the quantile construction
-    produces them) with one value per raw member.
+    Each row of the sample must hold n = N/m consecutive blocks of m values,
+    each sorted ascending (as the quantile construction produces them).
     """
-    if not isinstance(sample, PredictiveSample):
-        raise ValueError("subsample grouping metadata missing: expected a PredictiveSample")
-    missing = [s for s in sample.sites if s not in raw_by_site]
-    if missing:
-        raise ValueError(f"raw ensemble missing for sites {missing}")
-    raw = np.array([raw_by_site[site] for site in sample.sites], dtype=float)
-    if raw.shape != (len(sample.sites), sample.m):
-        raise ValueError(f"raw ensembles of shape {raw.shape} do not match the sample's "
-                         f"{len(sample.sites)} sites × {sample.m} members")
-    unsorted = np.any(np.diff(sample.values, axis=1) < 0, axis=(0, 1))
+    raw, sample = np.asarray(raw, dtype=float), np.asarray(sample, dtype=float)
+    if raw.ndim != 2 or sample.ndim != 2 or len(raw) != len(sample):
+        raise ValueError(f"raw ensembles of shape {raw.shape} do not match a sample of "
+                         f"shape {sample.shape}: one row of members per site")
+    m = raw.shape[1]
+    if m < 1 or sample.shape[1] % m:
+        raise ValueError(f"a sample of {sample.shape[1]} values per site has no grouping "
+                         f"into subsamples of m = {m}")
+    blocks = sample.reshape(len(sample), -1, m)
+    unsorted = np.any(np.diff(blocks, axis=2) < 0, axis=(1, 2))
     if unsorted.any():
-        raise ValueError(f"site {sample.sites[unsorted.argmax()]}: "
-                         "subsamples must be sorted ascending")
+        raise ValueError(f"sample row {unsorted.argmax()}: subsamples must be sorted ascending")
     return rank_permutation(raw, rng)
 
 
-def ecc_memos(raw_by_site: dict, sample: PredictiveSample,
-              rng: np.random.Generator = None) -> dict:
-    """Per-subsample reordering of a grouped posterior predictive sample:
-    each site's `ecc_ranks` row reorders each of its n subsamples.
-    Returns the merged N = m·n values per site, subsample-major."""
-    ranks = ecc_ranks(raw_by_site, sample, rng)
-    return dict(zip(sample.sites, reorder(ranks, sample.pooled())))
+def ecc_memos(raw, sample, rng: np.random.Generator = None) -> np.ndarray:
+    """Per-subsample reordering of an (S, N) posterior predictive sample:
+    each site's `ecc_ranks` row reorders each of its n subsamples."""
+    return reorder(ecc_ranks(raw, sample, rng), sample)
 
 
-def independence_shuffle(sample_by_site: dict, rng: np.random.Generator) -> dict:
-    """Independent uniform random permutation of the values at each site,
-    drawn in sorted site order."""
-    return {site: reorder(shuffle_ranks(1, len(values), rng)[0], values)
-            for site, values in sorted(sample_by_site.items())}
+def independence_shuffle(sample, rng: np.random.Generator) -> np.ndarray:
+    """Independent uniform random permutation of each row of an (S, N)
+    sample, drawn row by row."""
+    sample = np.asarray(sample, dtype=float)
+    return reorder(shuffle_ranks(*sample.shape, rng), sample)

@@ -19,8 +19,8 @@ common length and iterates under its own convergence mask, so each one
 follows the path it would follow alone.
 
 `quantile_sample` turns the components of any equally weighted Gaussian
-mixture predictive (one for EMOS, n for MEMOS) into the grouped m-quantile
-sample that ECC reorders and verification scores.
+mixture predictive (one for EMOS, n for MEMOS) into the (S, N) m-quantile
+sample, grouped by component, that ECC reorders and verification scores.
 
 Φ and Φ⁻¹ come from `normal`, which reproduces SciPy's `ndtr` and `ndtri`
 bit for bit on numpy alone, so fitting and predicting load no scipy.
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CaseTable, TrainingSet, rolling_window
-from .ecc import PredictiveSample
 from .files import ModelError
 from .normal import ndtr, ndtri
 
@@ -248,15 +247,15 @@ def fit_local(table: CaseTable, valid_date: dt.date, stations, length: int = 25,
     return fits
 
 
-def quantile_sample(sites, mu, sigma, m: int) -> PredictiveSample:
-    """Grouped m-quantile sample of an equally weighted Gaussian mixture.
+def quantile_sample(mu, sigma, m: int) -> np.ndarray:
+    """(S, N) m-quantile sample of an equally weighted Gaussian mixture.
 
-    mu is (n, S) and sigma broadcasts to it; values[i, j, s] =
-    mu[i, s] + sigma[i, s]·z_j with z_j the standard normal quantile at
-    level (2j−1)/(2m).
+    mu is (n, S) and sigma broadcasts to it; row s holds N = n·m values,
+    [s, i·m + j] = mu[i, s] + sigma[i, s]·z_j with z_j the standard normal
+    quantile at level (2j + 1)/(2m), j = 0..m−1: one ascending block of m per
+    component.
     """
     z = ndtri((2 * np.arange(1, m + 1) - 1) / (2 * m))
     mu = np.asarray(mu, dtype=float)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
-    values = mu[:, None, :] + sigma[:, None, :] * z[None, :, None]
-    return PredictiveSample(sites=list(sites), values=values)
+    return (mu.T[:, :, None] + sigma.T[:, :, None] * z).reshape(mu.shape[1], -1)

@@ -72,11 +72,14 @@ class CsvRows:
         return ValueError(f"{self.name} line {self.line}: {reason}")
 
     def integer(self, cells, k) -> int:
-        """cells[k] as an int; the error names the column."""
+        """cells[k] as an int >= 0; the error names the column."""
         try:
-            return int(cells[k])
+            value = int(cells[k])
         except ValueError:
             raise ValueError(f"{self.header[k]} must be an integer, got {cells[k]!r}") from None
+        if value < 0:
+            raise ValueError(f"{self.header[k]} must be >= 0, got {value}")
+        return value
 
 
 @contextlib.contextmanager

@@ -15,8 +15,8 @@ Posterior draws feed an equally weighted Gaussian mixture predictive with
 components N(a_i(s) + b_i(s) f̄(s), σ_i²).  `emos.quantile_sample` turns any
 such components (one for EMOS, n for MEMOS) into the working sample
 x_ij(s) = μ_i(s) + σ_i z_j with the standard normal quantiles z_j at levels
-(2j−1)/(2m), grouped by component i so that downstream reordering can
-operate per subsample.
+(2j−1)/(2m): one (S, N) array whose rows hold a block of m per component i,
+so that downstream reordering can operate per subsample.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from . import ecc, emos
+from . import emos
 from .data import PosteriorDraws, TrainingSet
 from .files import ModelError
 from .mesh import Mesh, projector
@@ -373,12 +373,12 @@ def _initial_state(training: TrainingSet, priors: Priors) -> np.ndarray:
     )
 
 
-def predictive_sample(draws: PosteriorDraws, fbar: dict, m: int = 50) -> ecc.PredictiveSample:
-    """Quantile-structured sample from the posterior predictive mixture with
-    components N(a_i(s) + b_i(s)·f̄(s), σ_i²), given f̄ per site."""
+def predictive_sample(draws: PosteriorDraws, fbar: dict, m: int = 50) -> np.ndarray:
+    """(S, N) quantile sample, row s for draws.sites[s], of the posterior
+    predictive mixture with components N(a_i(s) + b_i(s)·f̄(s), σ_i²), given
+    f̄ per site."""
     missing = [s for s in draws.sites if s not in fbar]
     if missing:
         raise ValueError(f"fbar missing for sites {missing}")
     fvec = np.array([float(fbar[s]) for s in draws.sites])
-    return emos.quantile_sample(draws.sites, draws.a + draws.b * fvec[None, :],
-                                draws.sigma[:, None], m)
+    return emos.quantile_sample(draws.a + draws.b * fvec[None, :], draws.sigma[:, None], m)

@@ -132,7 +132,7 @@ def _recovery_run(seed, n_days_eval=60, window=25):
                                        mesh=msh, config=mc, init=init)
         init, step = draws.theta[-1], draws.final_step
         sample = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), m=50)
-        pooled = dict(zip(sample.sites, sample.pooled()))
+        pooled = dict(zip(draws.sites, sample))
         for s, y in zip(cases.sites, cases.obs):
             crps["memos"].append(verify.crps_empirical(pooled[s], y))
     return {k: float(np.mean(v)) for k, v in crps.items()}
@@ -205,7 +205,7 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
         sample = memos.predictive_sample(
             draws, dict(zip([l.id for l in locs], f)), m=50
         )
-        pooled = dict(zip(sample.sites, sample.pooled()))
+        pooled = dict(zip(draws.sites, sample))
         for j, loc in enumerate(locs):
             pits.append(verify.normalized_rank(pooled[loc.id], y[j], rng))
     counts = verify.histogram(np.array(pits), 17) * len(pits)
@@ -339,6 +339,6 @@ def test_criterion_11_memos_day_performance():
     fbar = dict(zip(table.on(day).sites, table.on(day).fbar))
     sample = memos.predictive_sample(draws, fbar, m=50)
     elapsed = time.time() - t0
-    ok = msh.n_vertices <= 300 and elapsed < 60.0 and sample.values.shape == (100, 50, 50)
+    ok = msh.n_vertices <= 300 and elapsed < 60.0 and sample.shape == (50, 5000)
     report(11, ok, f"mesh {msh.n_vertices} vertices (<= 300), fit+predict "
-                   f"{elapsed:.1f}s (< 60s), sample shape {sample.values.shape}")
+                   f"{elapsed:.1f}s (< 60s), sample shape {sample.shape}")

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -168,9 +169,9 @@ class TestPipelineContract:
         shutil.copytree(done, out)
         build, calls = emos.quantile_sample, []
 
-        def counted(sites, mu, sigma, m):
+        def counted(mu, sigma, m):
             calls.append(len(mu))
-            return build(sites, mu, sigma, m)
+            return build(mu, sigma, m)
 
         monkeypatch.setattr(emos, "quantile_sample", counted)
         run_cli(config, out, "verify")
@@ -223,9 +224,9 @@ class TestPipelineContract:
         assert all(len(rows) == draws.n == 20 for rows in components.values())
         mu, sigma = (np.array([[c[k] for c in components[s]] for s in sites]).T
                      for k in (0, 1))
-        rebuilt = emos.quantile_sample(sites, mu, sigma, 8)
+        rebuilt = emos.quantile_sample(mu, sigma, 8)
         expected = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), 8)
-        assert np.array_equal(rebuilt.values, expected.values)
+        assert np.array_equal(rebuilt, expected)
 
     @pytest.mark.parametrize("method", ["global", "local"])
     def test_emos_predict_rows_are_the_fitted_gaussians(self, pipeline, method):
@@ -274,8 +275,7 @@ class TestPipelineContract:
         seed = cli._read_ensembles(out, 8, 8)["raw_ecc"][2]
         for day in cli._eval_days(cli.RunConfig.load(config), table.dates):
             key, cases = day.isoformat(), table.on(day)
-            members = np.sort(cases.members, axis=1)
-            sample = ecc.PredictiveSample(sites=cases.sites, values=members.T[None])
+            sample = (cases.sites, np.sort(cases.members, axis=1))
             assert np.array_equal(cli._reordered(key, "ecc", seed, cases, sample), cases.members)
 
     def test_ecc_artifact_rebuilds_the_ecc_output(self, pipeline):
@@ -296,21 +296,18 @@ class TestPipelineContract:
             for key in days:
                 cases = table.on(dt.date.fromisoformat(key))
                 if method == "raw":
-                    members = np.sort(cases.members, axis=1)
-                    sample = ecc.PredictiveSample(sites=cases.sites, values=members.T[None])
+                    sites, pooled = cases.sites, np.sort(cases.members, axis=1)
                 else:
-                    sample = emos.quantile_sample(*preds[key], 8)
+                    sites, pooled = preds[key][0], emos.quantile_sample(*preds[key][1:], 8)
                 if structure == "ecc":
                     rng = np.random.default_rng(cli.subseed(seed, "ecc-ties", key))
-                    raw = dict(zip(cases.sites, cases.members))
-                    expected = ecc.ecc_memos(raw, sample, rng)
+                    expected = ecc.ecc_memos(cases.members, pooled, rng)
                 else:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
-                    expected = ecc.independence_shuffle(
-                        dict(zip(sample.sites, sample.pooled())), rng)
-                rebuilt = cli._reordered(key, structure, seed, cases, sample)
-                assert sorted(expected) == sample.sites == cases.sites
-                assert np.array_equal(rebuilt, [expected[s] for s in sample.sites])
+                    expected = ecc.independence_shuffle(pooled, rng)
+                rebuilt = cli._reordered(key, structure, seed, cases, (sites, pooled))
+                assert sorted(sites) == sites == cases.sites
+                assert np.array_equal(rebuilt, expected)
 
     def test_verify_redraws_the_baseline_of_the_ecc_seed(self, pipeline, tmp_path):
         """`ecc --seed 3` then `verify --seed 4` scores the seed-3 ECC ties
@@ -330,14 +327,17 @@ class TestPipelineContract:
             scored = {d: v for d, _, label, score, v in scores
                       if (label, score) == (f"memos_{structure}", "es")}
             for key, components in preds.items():
-                sample = emos.quantile_sample(*components, 8)
+                sites, mu, sigma = components
+                sample = emos.quantile_sample(mu, sigma, 8)
                 cases = table.on(dt.date.fromisoformat(key))
+                assert sites == cases.sites
                 stream = "ecc-ties" if structure == "ecc" else "independence"
                 rng = np.random.default_rng(cli.subseed(3, stream, key))
                 if structure == "ecc":
-                    ens = ecc.ecc_memos(dict(zip(cases.sites, cases.members)), sample, rng)
+                    ens = ecc.ecc_memos(cases.members, sample, rng)
                 else:
-                    ens = ecc.independence_shuffle(dict(zip(sample.sites, sample.pooled())), rng)
+                    ens = ecc.independence_shuffle(sample, rng)
+                ens = dict(zip(sites, ens))
                 obs = dict(zip(cases.sites, cases.obs))
                 sites = sorted(s for s in ens if not np.isnan(obs[s]))
                 es = verify.energy_score(np.array([ens[s] for s in sites]).T,
@@ -409,6 +409,26 @@ class TestDeterminism:
         assert files_a == files_b
         for rel in files_a:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    def test_seed_beyond_32_bits_is_its_own(self, pipeline, tmp_path):
+        """Every seed >= 0 drives streams of its own: --seed 2**32 + 1 draws
+        other chains than --seed 1, where before the seed was taken modulo
+        2**32.  Below 2**32 a stream is the seed and the crc32 of its keys,
+        as it always was."""
+        config, done = pipeline
+        one_day = tmp_path / "run.cfg"
+        one_day.write_text(config_with("eval_days = 1")[0])
+        draws = []
+        for seed in ("1", str(2**32 + 1)):
+            out = tmp_path / seed
+            shutil.copytree(done, out)
+            shutil.rmtree(out / "draws_memos")
+            run_cli(one_day, out, "--seed", seed, "fit", "--method", "memos")
+            draws.append((out / "draws_memos" / "2010-06-16.csv").read_bytes())
+        assert draws[0] != draws[1]
+        for seed in (0, 1, 2**32 - 1):
+            assert cli.subseed(seed, "memos-fit", "2010-06-16").entropy == [
+                seed, zlib.crc32(b"memos-fit"), zlib.crc32(b"2010-06-16")]
 
     def test_seed_flag_changes_outputs(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -499,6 +519,8 @@ SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
 # `ecc` only checks its inputs and writes seeds: it loads no model module,
 # and reads its inputs on the standard library alone
 ECC_ABSENT = ("numpy", "scipy", "enspost.data", "enspost.ecc", "enspost.emos") + SPARSE_STACK
+# `fit` and `predict` build no sample to reorder: only `verify` loads ecc
+FIT_ABSENT = ("scipy", "enspost.ecc") + SPARSE_STACK
 
 
 class TestImports:
@@ -532,15 +554,16 @@ class TestImports:
         (("ecc", "--method", "global"), "", ECC_ABSENT),
         (("ecc", "--method", "memos"), "", ECC_ABSENT),
         (("ecc", "--method", "memos", "--structure", "independence"), "", ECC_ABSENT),
-        (("predict", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
-        (("predict", "--method", "memos"), "", ("scipy",) + SPARSE_STACK),
-        (("fit", "--method", "global"), "", ("scipy",) + SPARSE_STACK),
-        (("fit", "--method", "local"), "", ("scipy",) + SPARSE_STACK),
-        (("fit", "--method", "memos"), "", ("scipy.spatial",)),
+        (("predict", "--method", "global"), "", FIT_ABSENT),
+        (("predict", "--method", "local"), "", FIT_ABSENT),
+        (("predict", "--method", "memos"), "", FIT_ABSENT),
+        (("fit", "--method", "global"), "", FIT_ABSENT),
+        (("fit", "--method", "local"), "", FIT_ABSENT),
+        (("fit", "--method", "memos"), "", ("scipy.spatial", "enspost.ecc")),
         (("verify",), "", ("scipy",) + SPARSE_STACK),
         (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
     ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "ecc-memos-independence",
-            "predict-local", "predict-memos",
+            "predict-global", "predict-local", "predict-memos",
             "fit-global", "fit-local", "fit-memos", "verify", "verify-no-ens"])
     def test_command_loads_only_what_it_runs(self, pipeline, tmp_path, args, drop, absent):
         """A fresh interpreter that imports enspost.cli and runs one command
@@ -639,7 +662,9 @@ class TestErrors:
          "ens_memos_ecc.csv: expected one seed row, got 2 (rerun `ecc`?)"),
         ("memos_ecc", "seed\n",
          "ens_memos_ecc.csv: expected one seed row, got 0 (rerun `ecc`?)"),
-    ], ids=["bad-header", "malformed-seed", "repeated-row", "day-without-rows"])
+        ("memos_ecc", "seed\n-1\n", "ens_memos_ecc.csv line 2: seed must be >= 0, got -1"),
+    ], ids=["bad-header", "malformed-seed", "repeated-row", "day-without-rows",
+            "negative-seed"])
     def test_bad_ecc_artifact(self, pipeline, tmp_path, capsys, label, text, message):
         """An ens_* file of an earlier version (one date,seed row per day), a
         bad seed cell, or other than one seed row ends `verify` with one line
@@ -983,6 +1008,79 @@ class TestErrors:
             assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
             assert capsys.readouterr().err == (f"error: {config}:{lineno}: key {key!r} must be "
                                                f">= 1, got {value}\n")
+
+    @pytest.mark.parametrize("args, kept", [
+        (("fit", "--method", "global"), "params_global.csv"),
+        (("predict", "--method", "memos"), "predict_memos.csv"),
+        (("ecc", "--method", "memos"), "ens_memos_ecc.csv"),
+        (("verify",), "scores.csv"),
+    ], ids=["fit", "predict", "ecc", "verify"])
+    def test_no_evaluation_day(self, pipeline, tmp_path, capsys, args, kept):
+        """An eval_start after the last date ends every command with one
+        line and leaves its previous output as it was.  Before, only `fit`
+        failed: `predict` and `verify` wrote header-only tables and `ecc` a
+        seed, each exiting 0."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        config = tmp_path / "run.cfg"
+        config.write_text(config_with("eval_start = 2011-01-01")[0])
+        previous = (out / kept).read_bytes()
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == "error: no evaluation days fall inside the dataset\n"
+        assert (out / kept).read_bytes() == previous
+
+    @pytest.mark.parametrize("day, message", [
+        ("2010-06-21", "2010-06-16 has 20 components per site but 2010-06-21 has 19"),
+        ("2010-06-16", "2010-06-16 has 19 components per site but 2010-06-17 has 20"),
+    ], ids=["later-day-smaller", "first-day-smaller"])
+    def test_component_count_that_changes_between_days(self, pipeline, tmp_path, capsys,
+                                                       day, message):
+        """predict_memos.csv with one component fewer per site on one day, as
+        a memos fit rerun at another n over fewer days leaves it, ends `ecc`
+        and `verify` with one line naming the file and both dates.  Before,
+        `verify` failed with a rank outside 1..rank_max, or binned the later
+        days' ranks under the first day's rank_max."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "predict_memos.csv"
+        header, *lines = path.read_text().splitlines()
+        count: dict = {}
+        kept = []
+        for row in lines:
+            key = tuple(row.split(",")[:2])
+            count[key] = count.get(key, 0) + 1
+            if not (key[0] == day and count[key] == 20):
+                kept.append(row)
+        path.write_text("\n".join([header, *kept]) + "\n")
+        previous = (out / "scores.csv").read_bytes()
+        capsys.readouterr()
+        for args in (("ecc", "--method", "memos"), ("verify",)):
+            assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
+            assert capsys.readouterr().err == f"error: predict_memos.csv: {message}\n"
+        assert (out / "scores.csv").read_bytes() == previous
+
+    @pytest.mark.parametrize("args", [("simulate",), ("fit", "--method", "memos")],
+                             ids=["simulate", "fit-memos"])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, args):
+        """A seed below 0 in the config or in --seed is one line naming the
+        key or flag.  Before, `simulate` ended with `expected non-negative
+        integer`, and `fit --method memos` ran on the seed modulo 2**32."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        text, lineno = config_with("seed = -1")
+        negative = tmp_path / "run.cfg"
+        negative.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["--config", str(negative), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == (f"error: {negative}:{lineno}: key 'seed' must be "
+                                           ">= 0, got -1\n")
+        assert cli.main(["--config", str(config), "--out", str(out), "--seed", "-1", *args]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert (out / "cases.csv").read_bytes() == (done / "cases.csv").read_bytes()
 
     @pytest.mark.parametrize("line, commands, message", [
         ("sim_stations = 2", ("simulate",), "must be >= 3, got 2"),

@@ -77,81 +77,82 @@ class TestEccQ:
         assert np.array_equal(once, twice)
 
 
-def grouped_sample(n, m, sites, seed=0):
+def grouped_sample(n, m, S, seed=0):
+    """An (S, N) sample of n sorted subsamples of m per row."""
     rng = np.random.default_rng(seed)
-    values = np.sort(rng.normal(0, 1, (n, m, len(sites))), axis=1)
-    return ecc.PredictiveSample(sites=list(sites), values=values)
+    return np.sort(rng.normal(0, 1, (S, n, m)), axis=2).reshape(S, n * m)
 
 
 class TestEccMemos:
     def test_single_subsample_equals_ecc_q(self):
         rng = np.random.default_rng(4)
-        raw = {"A": rng.normal(0, 1, 6)}
-        sample = grouped_sample(1, 6, ["A"], seed=1)
+        raw = rng.normal(0, 1, (1, 6))
+        sample = grouped_sample(1, 6, 1, seed=1)
         merged = ecc.ecc_memos(raw, sample, np.random.default_rng(9))
-        direct = ecc.ecc_q(raw["A"], sample.values[0, :, 0], np.random.default_rng(9))
-        assert np.array_equal(merged["A"], direct)
+        direct = ecc.ecc_q(raw[0], sample[0], np.random.default_rng(9))
+        assert np.array_equal(merged[0], direct)
 
     def test_identical_subsamples_reordered_identically(self):
         rng = np.random.default_rng(5)
-        raw = {"A": rng.normal(0, 1, 5)}
+        raw = rng.normal(0, 1, (1, 5))
         row = np.sort(rng.normal(0, 1, 5))
-        sample = ecc.PredictiveSample(
-            sites=["A"], values=np.tile(row, (3, 1))[:, :, None]
-        )
-        merged = ecc.ecc_memos(raw, sample, np.random.default_rng(0))["A"]
+        sample = np.tile(row, (1, 3))
+        merged = ecc.ecc_memos(raw, sample, np.random.default_rng(0))[0]
         blocks = merged.reshape(3, 5)
         assert np.array_equal(blocks[0], blocks[1])
         assert np.array_equal(blocks[1], blocks[2])
 
     def test_multiset_preserved_per_site(self):
         rng = np.random.default_rng(6)
-        sites = ["A", "B", "C"]
-        raw = {s: rng.normal(0, 1, 7) for s in sites}
-        sample = grouped_sample(4, 7, sites, seed=2)
+        raw = rng.normal(0, 1, (3, 7))
+        sample = grouped_sample(4, 7, 3, seed=2)
         merged = ecc.ecc_memos(raw, sample, np.random.default_rng(1))
-        for j, s in enumerate(sites):
-            assert sorted(merged[s]) == pytest.approx(
-                sorted(sample.values[:, :, j].reshape(-1))
-            )
+        for j in range(3):
+            assert sorted(merged[j]) == pytest.approx(sorted(sample[j]))
 
     def test_subsample_rank_structure(self):
         rng = np.random.default_rng(7)
-        raw = {"A": rng.normal(0, 1, 6)}
-        sample = grouped_sample(3, 6, ["A"], seed=3)
-        merged = ecc.ecc_memos(raw, sample, np.random.default_rng(2))["A"]
-        raw_ranks = np.argsort(np.argsort(raw["A"]))
+        raw = rng.normal(0, 1, (1, 6))
+        sample = grouped_sample(3, 6, 1, seed=3)
+        merged = ecc.ecc_memos(raw, sample, np.random.default_rng(2))[0]
+        raw_ranks = np.argsort(np.argsort(raw[0]))
         for block in merged.reshape(3, 6):
             assert np.array_equal(np.argsort(np.argsort(block)), raw_ranks)
 
     def test_missing_grouping_metadata_error(self):
-        with pytest.raises(ValueError, match="grouping metadata"):
-            ecc.ecc_memos({"A": [1.0]}, {"A": np.zeros((2, 3))}, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no grouping"):
+            ecc.ecc_memos([[1.0, 2.0]], np.zeros((1, 3)), np.random.default_rng(0))
 
     def test_missing_site_error(self):
-        sample = grouped_sample(2, 4, ["A", "B"])
-        with pytest.raises(ValueError, match="missing"):
-            ecc.ecc_memos({"A": np.zeros(4)}, sample, np.random.default_rng(0))
+        sample = grouped_sample(2, 4, 2)
+        with pytest.raises(ValueError, match="do not match"):
+            ecc.ecc_memos(np.zeros((1, 4)), sample, np.random.default_rng(0))
+
+    def test_unsorted_subsample_error(self):
+        sample = grouped_sample(2, 4, 2)
+        sample[1, 4:] = sample[1, 4:][::-1]
+        with pytest.raises(ValueError, match="sample row 1: subsamples must be sorted"):
+            ecc.ecc_memos(np.zeros((2, 4)), sample, np.random.default_rng(0))
 
 
 class TestIndependenceShuffle:
     def test_single_value_unchanged(self):
-        out = ecc.independence_shuffle({"A": [3.0]}, np.random.default_rng(0))
-        assert list(out["A"]) == [3.0]
+        out = ecc.independence_shuffle([[3.0]], np.random.default_rng(0))
+        assert list(out[0]) == [3.0]
 
     def test_multiset_preserved(self):
         rng = np.random.default_rng(8)
-        sample = {"A": rng.normal(0, 1, 40), "B": rng.normal(5, 2, 40)}
+        sample = np.array([rng.normal(0, 1, 40), rng.normal(5, 2, 40)])
         out = ecc.independence_shuffle(sample, np.random.default_rng(1))
-        for s in sample:
+        for s in range(2):
             assert sorted(out[s]) == pytest.approx(sorted(sample[s]))
 
     def test_first_position_uniform(self):
         hits = 0
         trials = 10_000
         for seed in range(trials):
-            out = ecc.independence_shuffle({"A": [1.0, 2.0]}, np.random.default_rng(seed))
-            hits += out["A"][0] == 1.0
+            out = ecc.independence_shuffle([[1.0, 2.0]], np.random.default_rng(seed))
+            hits += out[0, 0] == 1.0
         assert abs(hits / trials - 0.5) < 0.02
 
 
@@ -166,14 +167,12 @@ class TestBatchedAgainstPerSite:
     def test_ecc_ranks_and_reorder(self, S, m, n, seed):
         data = np.random.default_rng(seed)
         raw = np.round(data.normal(0.0, 1.0, (S, m)) * 2) / 2
-        sample = ecc.PredictiveSample(
-            sites=list(range(S)), values=np.sort(np.round(data.normal(0.0, 2.0, (n, m, S)) * 2)
-                                                  / 2, axis=1))
+        pooled = np.sort(np.round(data.normal(0.0, 2.0, (S, n, m)) * 2) / 2,
+                         axis=2).reshape(S, n * m)
         batched, per_site = np.random.default_rng(seed), np.random.default_rng(seed)
-        ranks = ecc.rank_permutation(raw, batched)
+        ranks = ecc.ecc_ranks(raw, pooled, batched)
         assert np.array_equal(ranks, ecc_ranks_per_site(raw, per_site))
         assert batched.bit_generator.state == per_site.bit_generator.state
-        pooled = sample.pooled()
         assert np.array_equal(ecc.reorder(ranks, pooled), reorder_per_site(ranks, pooled))
 
     @given(st.integers(1, 60), st.integers(1, 30), st.integers(1, 4),

@@ -246,9 +246,9 @@ class TestPredict:
     def test_quantile_sample_sorted_symmetric(self):
         """A Gaussian forecast N(1, 2²) is the one-component case of the
         shared mixture quantile sample."""
-        sample = emos.quantile_sample(["s"], [[1.0]], [[2.0]], 50)
-        assert sample.values.shape == (1, 50, 1)
-        q = sample.pooled()[0]
+        sample = emos.quantile_sample([[1.0]], [[2.0]], 50)
+        assert sample.shape == (1, 50)
+        q = sample[0]
         assert np.all(np.diff(q) > 0)
         assert q[0] + q[-1] == pytest.approx(2.0, abs=1e-9)  # symmetry about mu
         assert q[0] == pytest.approx(1.0 + 2.0 * norm.ppf(0.01), abs=1e-9)

@@ -14,7 +14,7 @@ from scipy.stats import gamma as gamma_dist, norm
 
 from oracles import band_scatter_union, dense_log_marginal
 
-from enspost import data, ecc, memos, mesh as mesh_mod, spde
+from enspost import data, memos, mesh as mesh_mod, spde
 
 
 def training_and_site_mesh(training, sites):
@@ -435,7 +435,7 @@ class TestSamplePosterior:
                 config=memos.McmcConfig(burn_in=400, thin=3),
             )
             sample = memos.predictive_sample(draws, fbar, m=20)
-            pooled = dict(zip(sample.sites, sample.pooled()))
+            pooled = dict(zip(draws.sites, sample))
             scores = [
                 verify.crps_empirical(pooled[s], y)
                 for s, y in zip(cases.sites, cases.obs)
@@ -445,10 +445,8 @@ class TestSamplePosterior:
             # subsets; the full-sample mean has ~sd(subsets)/sqrt(10)
             subset_means = []
             for k in range(10):
-                part = ecc.PredictiveSample(
-                    sites=sample.sites, values=sample.values[10 * k : 10 * (k + 1)]
-                )
-                pooled = dict(zip(part.sites, part.pooled()))
+                # draws 10k..10k+9, m = 20 columns each
+                pooled = dict(zip(draws.sites, sample[:, 200 * k : 200 * (k + 1)]))
                 subset_means.append(
                     np.mean([
                         verify.crps_empirical(pooled[s], y)
@@ -471,18 +469,18 @@ class TestPredictiveSample:
     def test_single_median_quantile(self):
         draws = self.single_draw(0.0, 1.0, 1.0)
         sample = memos.predictive_sample(draws, {"X": 5.0}, m=1)
-        assert sample.values.shape == (1, 1, 1)
-        assert sample.values[0, 0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert sample.shape == (1, 1)
+        assert sample[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_two_member_quartiles(self):
         draws = self.single_draw(0.0, 0.0, 1.0)
         sample = memos.predictive_sample(draws, {"X": 0.0}, m=2)
-        assert sample.pooled()[0] == pytest.approx([-0.67449, 0.67449], abs=1e-5)
+        assert sample[0] == pytest.approx([-0.67449, 0.67449], abs=1e-5)
 
     def test_first_of_fifty_quantiles(self):
         draws = self.single_draw(0.0, 0.0, 1.0)
         sample = memos.predictive_sample(draws, {"X": 0.0}, m=50)
-        assert sample.values[0, 0, 0] == pytest.approx(-2.32635, abs=1e-5)
+        assert sample[0, 0] == pytest.approx(-2.32635, abs=1e-5)
 
     def test_nondecreasing_within_subsample(self):
         rng = np.random.default_rng(0)
@@ -492,7 +490,7 @@ class TestPredictiveSample:
             acceptance=1.0,
         )
         sample = memos.predictive_sample(draws, {"A": 3.0, "B": -1.0}, m=9)
-        assert np.all(np.diff(sample.values, axis=1) >= 0)
+        assert np.all(np.diff(sample.reshape(2, 7, 9), axis=2) >= 0)
 
     def test_missing_fbar_site_error(self):
         draws = self.single_draw(0.0, 1.0, 1.0)
@@ -510,7 +508,7 @@ class TestMixtureCdf:
             acceptance=1.0,
         )
         sample = memos.predictive_sample(draws, {"X": 5.0}, m=100)  # N = 5000
-        values = np.sort(sample.pooled()[0])
+        values = np.sort(sample[0])
         grid = np.linspace(values[0] - 1, values[-1] + 1, 300)
         ecdf = np.searchsorted(values, grid, side="right") / len(values)
         # the mixture CDF (1/n)Σ Φ((x − a_i − b_i f̄)/σ_i)
