@@ -22,8 +22,8 @@ follows the path it would follow alone.
 mixture predictive (one for EMOS, n for MEMOS) into the (S, N) m-quantile
 sample, grouped by component, that ECC reorders and verification scores.
 
-Φ and Φ⁻¹ come from `normal`, which reproduces SciPy's `ndtr` and `ndtri`
-bit for bit on numpy alone, so fitting and predicting load no scipy.
+`ndtr` (Φ) and `ndtri` (Φ⁻¹) take `math.erfc` and `statistics.NormalDist`
+from the standard library, so fitting, predicting and scoring load no scipy.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .data import CaseTable, TrainingSet, rolling_window
 from .files import ModelError
-from .normal import ndtr, ndtri
 
 SIGMA_FLOOR = 1e-4
 MAX_NEWTON_ITER = 50
@@ -49,6 +49,19 @@ _STEP_TOL = 1e-9
 _EIG_FLOOR = 1e-12
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def ndtr(x):
+    """Standard normal CDF Φ(x) = erfc(−x/√2)/2, elementwise (0-d: np.float64)."""
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=np.float64) / -_SQRT2), dtype=np.float64)
+
+
+def ndtri(p):
+    """Standard normal quantile Φ⁻¹(p) on 0 < p < 1, elementwise (0-d: np.float64)."""
+    return np.asarray(_inv_cdf(np.asarray(p, dtype=np.float64)), dtype=np.float64)[()]
 
 
 @dataclass(frozen=True)
@@ -89,16 +102,17 @@ def crps_gaussian(mu, sigma, y):
 
 
 def _crps_terms(mu, sigma, y):
-    """CRPS of N(mu, sigma²) at y, with z = (y − mu)/sigma and φ(z)."""
+    """CRPS of N(mu, sigma²) at y, with z = (y − mu)/sigma, φ(z) and Φ(z)."""
     z = (y - mu) / sigma
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * pdf - _INV_SQRT_PI), z, pdf
+    cdf = ndtr(z)
+    return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - _INV_SQRT_PI), z, pdf, cdf
 
 
 def _mean_crps(x, fbar, y, w):
-    """Weighted mean score of each window at x = (a, b, σ), with z and φ(z)."""
-    score, z, pdf = _crps_terms(x[:, :1] + x[:, 1:2] * fbar, x[:, 2:], y)
-    return np.sum(w * score, axis=1), z, pdf
+    """Weighted mean score of each window at x = (a, b, σ), with z, φ(z), Φ(z)."""
+    score, *terms = _crps_terms(x[:, :1] + x[:, 1:2] * fbar, x[:, 2:], y)
+    return np.sum(w * score, axis=1), *terms
 
 
 def _direction(hess, grad, free):
@@ -130,10 +144,10 @@ def _newton(fbar, y, w):
     s0 = np.sqrt(np.sum(w * (y - a0[:, None] - b0[:, None] * fbar) ** 2, axis=1))
     x = np.stack([a0, b0, np.maximum(s0, 10 * SIGMA_FLOOR)], axis=1)
 
-    score, z, pdf = _mean_crps(x, fbar, y, w)
+    score, z, pdf, cdf = _mean_crps(x, fbar, y, w)
     done = np.zeros(n_windows, dtype=bool)
     for _ in range(MAX_NEWTON_ITER):
-        slope = 2.0 * ndtr(z) - 1.0
+        slope = 2.0 * cdf - 1.0
         grad = np.stack([-np.sum(w * slope, axis=1),
                          -np.sum(w * slope * fbar, axis=1),
                          np.sum(w * (2.0 * pdf - _INV_SQRT_PI), axis=1)], axis=1)
@@ -168,11 +182,12 @@ def _newton(fbar, y, w):
         for _ in range(_MAX_HALVINGS):
             trial = x + t[:, None] * step
             trial[:, 2] = np.maximum(trial[:, 2], SIGMA_FLOOR)
-            trial_score, trial_z, trial_pdf = _mean_crps(trial, fbar, y, w)
+            trial_score, trial_z, trial_pdf, trial_cdf = _mean_crps(trial, fbar, y, w)
             accept = searching & (
                 trial_score <= score + _ARMIJO * np.sum(grad * (trial - x), axis=1) + slack)
             x[accept], score[accept] = trial[accept], trial_score[accept]
             z[accept], pdf[accept] = trial_z[accept], trial_pdf[accept]
+            cdf[accept] = trial_cdf[accept]
             searching &= ~accept
             if not searching.any():
                 break

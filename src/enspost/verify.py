@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .files import write_rows
-from .normal import ndtr
 
 
 def crps_empirical(sample, y: float) -> float:
@@ -224,7 +223,7 @@ def dm_test(scores_a, scores_b, lag: int = 0) -> DmResult:
         stat = math.copysign(float("inf"), dbar)
         return DmResult(stat, 0.0, dbar, degenerate_variance=True)
     stat = dbar / math.sqrt(variance / n)
-    pvalue = 2.0 * float(ndtr(-abs(stat)))
+    pvalue = math.erfc(abs(stat) / math.sqrt(2.0))  # 2·Φ(−|stat|)
     return DmResult(stat, pvalue, dbar)
 
 

@@ -532,8 +532,9 @@ class TestImports:
         assert probe == "False"
 
     def test_emos_and_verify_leave_scipy_unloaded(self):
-        """Φ and Φ⁻¹ come from enspost.normal, so the EMOS fit, its
-        quantiles, the PIT and the DM p-value load no scipy module."""
+        """Φ and Φ⁻¹ come from the standard library's math.erfc and
+        statistics.NormalDist, so the EMOS fit, its quantiles, the PIT and
+        the DM p-value load no scipy module."""
         probe = TestBlasThreads.probe(dict(os.environ), (
             "import sys, enspost.emos, enspost.verify\n"
             "print([name for name in sys.modules if name.split('.')[0] == 'scipy'])"))
@@ -1061,6 +1062,30 @@ class TestErrors:
             assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
             assert capsys.readouterr().err == f"error: predict_memos.csv: {message}\n"
         assert (out / "scores.csv").read_bytes() == previous
+
+    def test_draw_count_that_changes_between_days(self, pipeline, tmp_path, capsys):
+        """`fit --method memos` rerun at n = 10 over the first three days
+        leaves draws files with 10 draws there and 20 on the later days;
+        `predict --method memos` then ends with one line naming a file of
+        each count and keeps the previous predict_memos.csv.  Before, it
+        wrote a table of 10 and 20 components per site and exited 0."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        short = tmp_path / "short.cfg"
+        short.write_text(CONFIG.replace("\nn = 20\n", "\nn = 10\n")
+                         .replace("\neval_days = 6\n", "\neval_days = 3\n"))
+        run_cli(short, out, "fit", "--method", "memos")
+        previous = (out / "predict_memos.csv").read_bytes()
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), "--out", str(out),
+                         "predict", "--method", "memos"]) == 1
+        draws = out / "draws_memos"
+        assert capsys.readouterr().err == (
+            f"error: {draws / '2010-06-19.csv'} holds 20 draws, but {draws / '2010-06-16.csv'} "
+            "holds 10 (rerun `fit --method memos`)\n")
+        assert (out / "predict_memos.csv").read_bytes() == previous
+        assert sorted(out.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("args", [("simulate",), ("fit", "--method", "memos")],
                              ids=["simulate", "fit-memos"])

@@ -1,6 +1,7 @@
 """Tests for scores, rank/PIT machinery, histograms and the DM test."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ class TestVerificationRank:
 class TestPitAndNormalizedRank:
     def test_gaussian_median_pit(self):
         """`verify` takes the PIT of a Gaussian forecast N(mu, sigma²) as
-        ndtr((y − mu)/sigma)."""
-        from enspost.normal import ndtr
+        emos.ndtr((y − mu)/sigma)."""
+        from enspost.emos import ndtr
 
         assert ndtr((2.0 - 2.0) / 3.0) == 0.5
 
@@ -321,6 +322,20 @@ class TestDmTest:
         assert res.statistic > 20
         assert res.pvalue > 0.0
         assert res.pvalue == pytest.approx(2.0 * norm.sf(res.statistic), rel=1e-12)
+
+    @pytest.mark.parametrize("target", [0.3, 1.96, 4.0, 8.5, 12.0])
+    def test_pvalue_is_the_two_sided_normal_tail(self, target):
+        """p = erfc(|t|/√2) = 2·Φ(−|t|), against scipy.stats.norm.sf, within
+        a relative 1e-14 + 2t²ε: each side rounds t/√2 by up to ε relative,
+        which moves the tail by a relative t²ε (up to 1.5e-14 measured on
+        [8, 9]).  At t = 12, t/√2 is beyond 8, where Cephes takes its
+        far-tail approximation of erfc."""
+        d = np.tile([1.0, -1.0], 10)  # mean 0 and variance 1 around the shift
+        res = verify.dm_test(target / math.sqrt(20) + d, np.zeros(20))
+        assert res.statistic == pytest.approx(target, rel=1e-12)
+        oracle = 2.0 * norm.sf(res.statistic)
+        tol = 1e-14 + 2.0 * res.statistic ** 2 * np.finfo(float).eps
+        assert abs(res.pvalue - oracle) <= tol * oracle
 
 
 class TestScoreSeries:
