@@ -24,53 +24,51 @@ a(s) and b(s) at every station, as columns a:<site> and b:<site>.  The
 chain's health sits next to them in draws_memos/<date>.json: seed,
 acceptance overall and after burn-in (acceptance_post), final proposal
 step, invalid_proposals and the draw count n.
-``predict`` writes predict_<method>.csv with columns date,site,mu,sigma:
-one row per component N(mu, sigma²) of an equally weighted Gaussian
-mixture.  Every method gives a day's sites (n, S) arrays of a, b and σ, one
-row read from params_<method>.csv for EMOS and one row per posterior draw,
-in draw order, for MEMOS, and mu = a + b·f̄ follows from them alike.  A
-params or predict row needs a finite mean (a and b, or mu) and a σ finite
-and > 0; a repeated (date, site) in params_<method>.csv, or a day or
-station without a row, is an error.  ``ecc`` checks its inputs and writes
-ens_<method>_<structure>.csv: the header ``seed`` and the one seed it ran
-with.  ``verify`` scores each evaluation day in one pass: it builds each
-method's sample once, as its sorted sites and one (S, N) array
-(``emos.quantile_sample`` of its rows; for raw, the sorted members, n = 1),
-scores the CRPS, AE and PIT (of global and local EMOS in closed form), then
-reorders the sample of each ens_* label by ranks drawn again from its seed
-and the date, on the streams ``ecc`` has always used: ``ecc.ecc_ranks``
-of the raw members on ``subseed(seed, "ecc-ties", date)``, or
-``ecc.shuffle_ranks`` on ``subseed(seed, "independence", date)``;
-``ecc.reorder`` reorders every block of L values of a site's row by them.
-An ens_* file named for no method and structure, or without exactly one
-seed row, is an error, and so is, for ``--structure ecc`` of a
-postprocessed method, a predicted site without a case on that date:
-``ecc`` checks it, and ``verify`` names the ens_* file and the date.  A
-predict_<method>.csv whose days differ in their number of components per
-site is an error naming both dates, and so are, for ``predict --method
-memos``, draws files whose draw count differs between days.  mesh.json and
-the draws sidecars are read through ``files.read_json``, so one that does
-not parse names its file.  Every artifact is written through ``files``,
-under a temporary name renamed into place once it is whole.
+The predictive law of a site on a day is an equally weighted Gaussian
+mixture with components N(a + b·f̄, σ²), f̄ the site's ensemble mean:
+one component per site, from params_<method>.csv, for EMOS and one per
+posterior draw, in draw order, from draws_memos/<date>.csv, for MEMOS.
+No artifact holds it: ``_read_fit`` reads and checks the fit of a method
+for the stations with a case on each evaluation day, on the standard
+library alone, and ``verify`` computes mu = a + b·f̄ from it.  A params
+row needs a finite a and b and a σ finite and > 0; a repeated (date, site)
+in params_<method>.csv, a day or station without a row, a draws file
+without a station's columns and draws files whose draw count differs
+between days are errors naming the file and the date.  ``predict`` makes
+these checks and writes only its manifest.  ``ecc`` makes them too and
+writes ens_<method>_<structure>.csv: the header ``seed`` and the one seed
+it ran with.  ``verify`` scores every method that has a fit, each on the
+evaluation days its fit holds, in one pass per day: it builds each
+method's sample once, as one (S, N) array over the day's stations with a
+case (``emos.quantile_sample`` of the components; for raw, the sorted
+members, n = 1), scores the CRPS, AE and PIT (of global and local EMOS in
+closed form), then reorders the sample of each ens_* label by ranks drawn
+again from its seed and the date, on the streams ``ecc`` has always used:
+``ecc.ecc_ranks`` of the raw members on ``subseed(seed, "ecc-ties",
+date)``, or ``ecc.shuffle_ranks`` on ``subseed(seed, "independence",
+date)``; ``ecc.reorder`` reorders every block of L values of a site's row
+by them.  An ens_* file named for no method and structure, or without
+exactly one seed row, is an error.  mesh.json and the draws sidecars are
+read through ``files.read_json``, so one that does not parse names its
+file.  Every artifact is written through ``files``, under a temporary name
+renamed into place once it is whole.
 
 Imports: each CLI run is one process, and most commands do less work than
 loading the whole library costs.  So this module imports only the standard
 library and ``files`` at module level, after it sets the BLAS thread
 default, and each command imports numpy, ``data`` and the model modules it
-calls where it calls them.  ``ecc`` for every method and structure only
-checks its inputs and writes its seed, so it runs on the standard library
-alone: it reads cases.csv with ``files.read_cases`` and predict_<method>.csv
-with ``_read_predictions``, whose array form ``_load_predictions`` only
-``verify`` builds.  ``fit`` and ``predict`` for global and local EMOS,
-``predict --method memos`` (which reads the draws with
-``data.PosteriorDraws``) and ``verify`` run on numpy alone: Φ and Φ⁻¹ are
+calls where it calls them.  ``predict`` and ``ecc`` only check their inputs
+and write a manifest or a seed, so they run on the standard library alone:
+they read cases.csv with ``files.read_cases`` and the fit with
+``_read_fit`` (draws files through ``files.read_draws``).  ``fit`` for
+global and local EMOS and ``verify`` run on numpy alone: Φ and Φ⁻¹ are
 ``emos.ndtr`` and ``emos.ndtri`` on the standard library, and the energy
 score sums its pair distances from centred Gram blocks, not from SciPy.
-No ``fit`` or ``predict`` loads ``ecc``: only ``verify`` reorders.  Only
-``mesh``, ``fit --method memos`` and ``simulate`` load SciPy, ``mesh``,
-``spde`` or ``memos``.  A fit, chain or mesh that fails on valid input
-raises a subclass of ``files.ModelError``; ``main`` reports it, a
-ValueError or an OSError as one ``error:`` line and exit 1.
+No ``fit`` loads ``ecc`` or ``statistics``: only ``verify`` reorders and
+builds quantiles.  Only ``mesh``, ``fit --method memos`` and ``simulate``
+load SciPy, ``mesh``, ``spde`` or ``memos``.  A fit, chain or mesh that
+fails on valid input raises a subclass of ``files.ModelError``; ``main``
+reports it, a ValueError or an OSError as one ``error:`` line and exit 1.
 
 Config keys (defaults in parentheses); any other key, or a key set twice, is
 an error, and a value that does not parse, or a memos_burnin or sim_sigma
@@ -111,7 +109,7 @@ from . import files  # noqa: E402
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import data, memos, verify
+    from . import data, memos
 
 METHODS_FIT = ("global", "local", "memos")
 METHODS_ALL = ("raw",) + METHODS_FIT
@@ -124,10 +122,8 @@ CONFIG_KEYS = (
 )
 
 
-# the columns of params_<method>.csv, predict_<method>.csv and
-# ens_<method>_<structure>.csv
+# the columns of params_<method>.csv and ens_<method>_<structure>.csv
 PARAMS_HEADER = ("date", "site", "a", "b", "sigma")
-PREDICT_HEADER = ("date", "site", "mu", "sigma")
 ENS_HEADER = ("seed",)
 STRUCTURES = ("ecc", "independence")
 
@@ -387,102 +383,76 @@ def _gaussian(names, cells) -> list:
     return values
 
 
-def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
-    import numpy as np
+def _fit_path(out: Path, method: str) -> Path:
+    """The fit of `method`: params_<method>.csv, or the draws_memos directory."""
+    return out / ("draws_memos" if method == "memos" else f"params_{method}.csv")
 
-    from . import data
 
-    table = _load_table(cfg, out)
-    days = _eval_days(cfg, table.dates)
-    if method != "memos":
-        params_path = _upstream(out / f"params_{method}.csv", "fit")
-        fits: dict = {}   # {date: {site: [a, b, sigma]}}
-        with files.CsvRows(params_path, PARAMS_HEADER, name=params_path.name,
-                           rerun=f"fit --method {method}") as rows:
-            for key, site, *cells in rows:
-                if site in fits.setdefault(key, {}):
-                    raise ValueError(f"repeated row for {key} site {site}")
-                fits[key][site] = _gaussian(PARAMS_HEADER[2:], cells)
+def _cased(cases: files.Cases, days) -> dict:
+    """{date: sorted ids of the stations with a case on it} of each of `days`."""
+    ids, on = list(cases.stations), {}
+    for ordinal, k in zip(cases.ordinal, cases.station):
+        on.setdefault(ordinal, []).append(ids[k])
+    return {day.isoformat(): sorted(on[day.toordinal()]) for day in days}
 
-    first: dict = {}  # the first day's draws file and n
 
-    def components(key, day):
-        """The day's (n, sites) arrays of a, b and sigma."""
-        if method == "memos":
-            draws_path = _upstream(out / "draws_memos" / f"{key}.csv", "fit")
-            draws = data.PosteriorDraws.from_csv(draws_path)
-            first_path, first_n = first.setdefault("draws", (draws_path, draws.n))
-            if draws.n != first_n:
-                raise CliError(f"{draws_path} holds {draws.n} draws, but {first_path} holds "
-                               f"{first_n} (rerun `fit --method memos`)")
-            # `fit --method memos` predicts at every station of the table
-            missing = sorted(set(table.stations) - set(draws.sites))
+def _read_fit(out: Path, method: str, cased: dict, every_day: bool = True) -> dict:
+    """{date: (sites, a, b, sigma)} of the fit of `method` on each day of
+    `cased` ({date: sorted sites}): n × S lists of the components
+    N(a + b·f̄, σ²) at the sites, one row of params_<method>.csv per site
+    (n = 1) for EMOS and one row per posterior draw, in draw order, for
+    MEMOS.  A repeated params row, a site without a fit, a draw count that
+    differs between days and a bad cell are errors naming the file; so is a
+    day without a fit if `every_day`, and otherwise that day is left out."""
+    fit = {}
+    _upstream(_fit_path(out, method), "fit")
+    if method == "memos":
+        first = None  # the first day's draws file and draw count
+        for key, sites in cased.items():
+            path = out / "draws_memos" / f"{key}.csv"
+            if not (every_day or path.exists()):
+                continue
+            draws = files.read_draws(_upstream(path, "fit"))
+            first = first or (path, len(draws.rows))
+            if len(draws.rows) != first[1]:
+                raise CliError(f"{path} holds {len(draws.rows)} draws, but {first[0]} holds "
+                               f"{first[1]} (rerun `{files.RERUN_FIT}`)")
+            k, width = len(files.DRAWS_HEADER), len(draws.sites)
+            col = {site: j for j, site in enumerate(draws.sites, start=k)}
+            missing = [site for site in sites if site not in col]
             if missing:
-                raise CliError(f"{draws_path}: site {missing[0]} has no columns")
-            cols = np.searchsorted(draws.sites, day.sites)
-            return (draws.a[:, cols], draws.b[:, cols],
-                    np.broadcast_to(draws.sigma[:, None], (draws.n, len(cols))))
-        sites = ["ALL"] * len(day.sites) if method == "global" else day.sites
-        lacking = [key] if key not in fits else [
-            f"{key} station {site}" for site in sites if site not in fits[key]]
-        if lacking:
-            raise CliError(f"no fitted parameters for {lacking[0]} in {params_path}")
-        return np.array([[fits[key][site] for site in sites]]).transpose(2, 0, 1)
-
-    def rows():
-        for day in days:
-            key, cases = day.isoformat(), table.on(day)
-            a, b, sigma = components(key, cases)
-            mu = a + b * cases.fbar
-            for site, u, v in zip(cases.sites, mu.T.tolist(), sigma.T.tolist()):
-                yield from ([key, site, repr(x), repr(y)] for x, y in zip(u, v))
-
-    path = out / f"predict_{method}.csv"
-    files.write_rows(path, PREDICT_HEADER, rows())
-    print(f"predict[{method}]: {len(days)} day(s)")
-    return [path]
-
-
-def _read_predictions(out: Path, method: str) -> dict:
-    """predict_<method>.csv -> {date: {site: (mus, sigmas)}}, lists of the
-    components in row order.  Every row must pass `_gaussian`, every site of
-    every day needs the same n, and global and local EMOS one component per
-    site."""
-    path = _upstream(out / f"predict_{method}.csv", "predict")
-    by_day: dict = {}
-    with files.CsvRows(path, PREDICT_HEADER, name=path.name, rerun="predict") as rows:
+                raise CliError(f"{path}: site {missing[0]} has no columns")
+            cols = [col[site] for site in sites]
+            fit[key] = (sites, [[row[j] for j in cols] for row in draws.rows],
+                        [[row[j + width] for j in cols] for row in draws.rows],
+                        [[row[k - 1]] * len(sites) for row in draws.rows])
+        return fit
+    path, params = out / f"params_{method}.csv", {}  # {date: {site: [a, b, sigma]}}
+    with files.CsvRows(path, PARAMS_HEADER, name=path.name,
+                       rerun=f"fit --method {method}") as rows:
         for key, site, *cells in rows:
-            mu, sigma = _gaussian(PREDICT_HEADER[2:], cells)
-            components = by_day.setdefault(key, {}).setdefault(site, ([], []))
-            components[0].append(mu)
-            components[1].append(sigma)
-    first = None  # (date, n) of the first day
-    for key, by_site in by_day.items():
-        sites = sorted(by_site)
-        n = len(by_site[sites[0]][0])
-        for site in sites:
-            if len(by_site[site][0]) != n:
-                raise CliError(f"{path.name}: {key} has {n} components at site {sites[0]} "
-                               f"but {len(by_site[site][0])} at site {site}")
-        if method != "memos" and n != 1:
-            raise CliError(f"{path.name}: {key} has {n} components per site, not one")
-        first = first or (key, n)
-        if n != first[1]:
-            raise CliError(f"{path.name}: {first[0]} has {first[1]} components per site "
-                           f"but {key} has {n}")
-    return by_day
+            if site in params.setdefault(key, {}):
+                raise ValueError(f"repeated row for {key} site {site}")
+            params[key][site] = _gaussian(PARAMS_HEADER[2:], cells)
+    for key, sites in cased.items():
+        if not (every_day or key in params):
+            continue
+        fitted = ["ALL"] * len(sites) if method == "global" else sites
+        lacking = [key] if key not in params else [
+            f"{key} station {site}" for site in fitted if site not in params[key]]
+        if lacking:
+            raise CliError(f"no fitted parameters for {lacking[0]} in {path}")
+        a, b, sigma = zip(*(params[key][site] for site in fitted))
+        fit[key] = (sites, [list(a)], [list(b)], [list(sigma)])
+    return fit
 
 
-def _load_predictions(out: Path, method: str) -> dict:
-    """predict_<method>.csv -> {date: (sorted sites, mu, sigma)}, with (n, sites)
-    arrays of the components in row order; `_read_predictions` checks it."""
-    import numpy as np
-
-    by_day = {}
-    for key, by_site in _read_predictions(out, method).items():
-        sites = sorted(by_site)
-        by_day[key] = (sites, *(np.array([by_site[s][k] for s in sites]).T for k in (0, 1)))
-    return by_day
+def cmd_predict(cfg: RunConfig, out: Path, method: str) -> list:
+    cases = files.read_cases(_cases_path(cfg, out))
+    days = _eval_days(cfg, cases.dates)
+    _read_fit(out, method, _cased(cases, days))
+    print(f"predict[{method}]: {len(days)} day(s)")
+    return []
 
 
 def _check_ecc_size(m: int, members: int, method: str, structure: str) -> None:
@@ -496,19 +466,8 @@ def cmd_ecc(cfg: RunConfig, out: Path, method: str, structure: str) -> list:
     cases = files.read_cases(_cases_path(cfg, out))
     days = _eval_days(cfg, cases.dates)
     _check_ecc_size(cfg.get("m", 50, int, least=1), cases.m, method, structure)
-    preds = None if method == "raw" else _read_predictions(out, method)
-    ids = list(cases.stations)
-    cased = {(o, ids[k]) for o, k in zip(cases.ordinal, cases.station)}
-    for day in days if preds is not None else ():
-        key = day.isoformat()
-        if key not in preds:
-            raise CliError(f"no predictions for {key} in predict_{method}.csv "
-                           "(run `predict` first?)")
-        # verify ranks the raw members of every predicted site
-        uncased = [site for site in sorted(preds[key]) if (day.toordinal(), site) not in cased]
-        if structure == "ecc" and uncased:
-            raise CliError(f"predict_{method}.csv: {key} has rows for site {uncased[0]}, "
-                           "which has no case on that date in cases.csv")
+    if method != "raw":
+        _read_fit(out, method, _cased(cases, days))
     # verify redraws each day's ranks from this seed, the date and its sample
     path = out / f"ens_{method}_{structure}.csv"
     files.write_text(path, f"{ENS_HEADER[0]}\n{cfg.seed}\n")
@@ -535,34 +494,37 @@ def _read_ensembles(out: Path, m: int, members: int) -> dict:
     return ensembles
 
 
-def _reordered(key: str, structure: str, seed: int, cases: data.Day, sample: tuple) -> np.ndarray:
-    """The day's (S, N) ensemble: the (sites, (S, N) values) `sample`
-    reordered by ranks drawn from `seed` on the streams `ecc` has always
-    used: the ECC ranks of the raw members in `cases`, or the independence
-    shuffle."""
+def _reordered(key: str, structure: str, seed: int, members, pooled) -> np.ndarray:
+    """The day's (S, N) ensemble: the sample `pooled` reordered by ranks
+    drawn from `seed` on the streams `ecc` has always used: the ECC ranks of
+    the raw `members` of the same sites, or the independence shuffle."""
     import numpy as np
 
     from . import ecc
 
-    sites, pooled = sample
     if structure == "ecc":
-        row = {site: k for k, site in enumerate(cases.sites)}
-        missing = [site for site in sites if site not in row]
-        if missing:
-            raise ValueError(f"raw ensemble missing for sites {missing}")
         rng = np.random.default_rng(subseed(seed, "ecc-ties", key))
-        ranks = ecc.ecc_ranks(cases.members[[row[site] for site in sites]], pooled, rng)
+        ranks = ecc.ecc_ranks(members, pooled, rng)
     else:  # L = N
         rng = np.random.default_rng(subseed(seed, "independence", key))
         ranks = ecc.shuffle_ranks(*pooled.shape, rng)
     return ecc.reorder(ranks, pooled)
 
 
-def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: int) -> tuple:
+def _predictive(fit: tuple, fbar) -> tuple:
+    """(sites, mu, sigma) of a day's `fit` (sites, a, b, sigma) given f̄ at
+    its sites: (n, S) arrays of the components N(mu, sigma²)."""
+    import numpy as np
+
+    sites, a, b, sigma = fit
+    return sites, np.array(a) + np.array(b) * fbar, np.array(sigma)
+
+
+def _score_days(cfg: RunConfig, table, days, fits: dict, ensembles: dict, m: int) -> tuple:
     """(scores, PIT values, multivariate ranks) of every evaluation day, in
-    one pass: each day's (sites, (S, N) values) sample of raw, memos and
-    every ens_* method is built once and serves both the per-site and the
-    multivariate scores."""
+    one pass: each day's (S, N) sample of raw, memos and every ens_* method,
+    one row per site with a case, is built once and serves both the
+    per-site and the multivariate scores."""
     import numpy as np
 
     from . import emos, verify
@@ -572,54 +534,46 @@ def _score_days(cfg: RunConfig, table, days, preds: dict, ensembles: dict, m: in
     for day in days:
         key = day.isoformat()
         cases = table.on(day)
-        samples = {method: (preds[method][key][0],
-                            emos.quantile_sample(*preds[method][key][1:], m))
-                   for method in sampled if key in preds.get(method, ())}
+        mixtures = {method: _predictive(fit[key], cases.fbar)
+                    for method, fit in fits.items() if key in fit}
+        samples = {method: emos.quantile_sample(mu, sigma, m)
+                   for method, (_, mu, sigma) in mixtures.items() if method in sampled}
         if "raw" in sampled:
-            samples["raw"] = (cases.sites, np.sort(cases.members, axis=1))
-        memos_rows = dict(zip(*samples["memos"])) if "memos" in samples else {}
-        y_of = dict(zip(cases.sites, cases.obs.tolist()))
-        for station, members, y in zip(cases.sites, cases.members, cases.obs.tolist()):
-            if math.isnan(y):
-                continue
+            samples["raw"] = np.sort(cases.members, axis=1)
+        obs = cases.obs.tolist()
+        cols = [j for j, y in enumerate(obs) if not math.isnan(y)]
+        for j in cols:
+            station, members, y = cases.sites[j], cases.members[j], obs[j]
             rng = np.random.default_rng(subseed(cfg.seed, "verify-rank", key, station))
             scores.add(key, station, "raw", "crps", verify.crps_empirical(members, y))
             scores.add(key, station, "raw", "ae", verify.abs_error(members, y))
             pit_values.setdefault("raw", []).append(verify.verification_rank(members, y, rng))
-            if station in memos_rows:
-                pooled = memos_rows[station]
+            if "memos" in samples:
+                pooled = samples["memos"][j]
                 scores.add(key, station, "memos", "crps", verify.crps_empirical(pooled, y))
                 scores.add(key, station, "memos", "ae", verify.abs_error(pooled, y))
                 pit_values.setdefault("memos", []).append(verify.normalized_rank(pooled, y, rng))
+        if not cols:
+            continue
+        y = np.array([obs[j] for j in cols])
         # one array call per method and day: a call of Φ costs about 7 µs on
         # 50 values, 2.5 µs of it fixed
         for method in ("global", "local"):
-            if key not in preds.get(method, ()):
-                continue
-            sites, mu, sigma = preds[method][key]
-            cols = [j for j, s in enumerate(sites) if not math.isnan(y_of.get(s, math.nan))]
-            if not cols:
+            if method not in mixtures:
                 continue
             # one component N(mu, sigma²) per site
-            mu, sigma, y = mu[0, cols], sigma[0, cols], np.array([y_of[sites[j]] for j in cols])
+            sites, mu, sigma = mixtures[method]
+            mu, sigma = mu[0, cols], sigma[0, cols]
             crps = emos.crps_gaussian(mu, sigma, y)
             for j, c, u, v in zip(cols, crps, mu, y):
                 scores.add(key, sites[j], method, "crps", c)
                 scores.add(key, sites[j], method, "ae", abs(u - v))
             pit_values.setdefault(method, []).extend(emos.ndtr((y - mu) / sigma))
         for label, (method, structure, seed) in ensembles.items():
-            if method not in samples:
+            if method not in samples or len(cols) < 2:
                 continue
-            sites = samples[method][0]
-            cols = [j for j, s in enumerate(sites) if not math.isnan(y_of.get(s, math.nan))]
-            if len(cols) < 2:
-                continue
-            try:
-                # (members, d), C-ordered site rows transposed: the norms sum in memory order
-                ens = _reordered(key, structure, seed, cases, samples[method])[cols].T
-            except ValueError as exc:
-                raise CliError(f"ens_{label}.csv: {key}: {exc}") from exc
-            y = np.array([y_of[sites[j]] for j in cols])
+            # (members, d), C-ordered site rows transposed: the norms sum in memory order
+            ens = _reordered(key, structure, seed, cases.members, samples[method])[cols].T
             scores.add(key, "ALL", label, "es", verify.energy_score(ens, y))
             rng = np.random.default_rng(subseed(cfg.seed, "mvrank", label, key))
             rank = verify.multivariate_rank(ens, y, rng)
@@ -640,11 +594,12 @@ def cmd_verify(cfg: RunConfig, out: Path, compare=None, score: str = "crps",
     outputs = []
 
     ensembles = _read_ensembles(out, m, table.m)
-    # an ens_* method needs its predictions
+    # an ens_* method needs its fit; a method is scored on the days its fit holds
     wanted = {method for method, _, _ in ensembles.values()}
-    preds = {method: _load_predictions(out, method) for method in METHODS_FIT
-             if method in wanted or (out / f"predict_{method}.csv").exists()}
-    scores, pit_values, mv_ranks = _score_days(cfg, table, days, preds, ensembles, m)
+    cased = {day.isoformat(): table.on(day).sites for day in days}
+    fits = {method: _read_fit(out, method, cased, every_day=False) for method in METHODS_FIT
+            if method in wanted or _fit_path(out, method).exists()}
+    scores, pit_values, mv_ranks = _score_days(cfg, table, days, fits, ensembles, m)
 
     # the DM test runs before any output is written, so a rejected --compare
     # leaves them as they were

@@ -16,6 +16,8 @@ so that field range parameters live in a metric space.
 A day's MEMOS posterior draws are one CSV row per draw (`PosteriorDraws`):
 the five log hyperparameters θ, σ, then a(s) and b(s) at every site, with
 the chain's health and the draw count n in a JSON sidecar.
+`files.read_draws` reads and checks them, and `PosteriorDraws.from_csv`
+builds its arrays on its rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .files import CASE_COLUMNS, CsvRows, read_cases, read_json, write_json, write_rows
+from .files import CASE_COLUMNS, DRAWS_HEADER, read_cases, read_draws, write_json, write_rows
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -163,11 +165,6 @@ def write_cases(table: CaseTable, path) -> None:
                                                     table.obs.tolist(), table.members.tolist())))
 
 
-# the columns of a draws file before its a:<site> and b:<site> columns: θ, then σ
-DRAWS_HEADER = ("log_kappa_a", "log_tau_a", "log_kappa_b", "log_tau_b", "log_sigma", "sigma")
-RERUN_FIT = "fit --method memos"
-
-
 @dataclass
 class PosteriorDraws:
     """Joint posterior draws of (a(s), b(s), σ) at the prediction sites, as
@@ -210,45 +207,18 @@ class PosteriorDraws:
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
         """Read the draws that `to_csv` wrote, with their sidecar, the sites
-        sorted.  The header must list each site once, with a and b over the
-        same sites; every cell must be finite and every sigma > 0; and the
-        file must hold the sidecar's n rows."""
-        values = []
-        with CsvRows(path, rerun=RERUN_FIT) as rows:
-            header, k = rows.header or [], len(DRAWS_HEADER)
-            sites = [name[2:] for name in header[k:k + (len(header) - k) // 2]]
-            if header != [*DRAWS_HEADER, *("a:" + s for s in sites),
-                          *("b:" + s for s in sites)] or len(set(sites)) < len(sites):
-                raise ValueError(f"expected the header {','.join(DRAWS_HEADER)},a:<site>...,"
-                                 f"b:<site>... with each site once (rerun `{RERUN_FIT}`?)")
-            for cells in rows:
-                row = list(map(float, cells))
-                bad = next((j for j, v in enumerate(row) if not math.isfinite(v)), None)
-                if bad is not None:
-                    raise ValueError(f"{header[bad]} must be finite, got {row[bad]!r}")
-                if not row[k - 1] > 0.0:
-                    raise ValueError(f"sigma must be > 0, got {row[k - 1]!r}")
-                values.append(row)
-        sidecar = Path(path).with_suffix(".json")
-        health = read_json(sidecar, RERUN_FIT)
-        if not isinstance(health, dict):
-            raise ValueError(f"{sidecar} must hold a JSON object, got {type(health).__name__} "
-                             f"(rerun `{RERUN_FIT}`)")
-        try:
-            if len(values) != health["n"]:
-                raise ValueError(f"{path} holds {len(values)} draws, but {sidecar} has "
-                                 f"n = {health['n']!r} (rerun `{RERUN_FIT}`)")
-            grid = np.array(values, dtype=float).reshape(len(values), len(header))
-            by_site = sorted(range(len(sites)), key=sites.__getitem__)
-            return cls(sites=sorted(sites), a=grid[:, [k + j for j in by_site]],
-                       b=grid[:, [k + len(sites) + j for j in by_site]],
-                       sigma=grid[:, k - 1], theta=grid[:, :k - 1],
-                       seed=health["seed"], acceptance=health["acceptance"],
-                       final_step=health["final_step"],
-                       invalid_proposals=health["invalid_proposals"],
-                       acceptance_post=health["acceptance_post"])
-        except KeyError as exc:
-            raise ValueError(f"{sidecar} has no {exc} entry (rerun `{RERUN_FIT}`)") from exc
+        sorted; `files.read_draws` checks them."""
+        draws = read_draws(path)
+        sites, k, health = draws.sites, len(DRAWS_HEADER), draws.health
+        grid = np.array(draws.rows, dtype=float).reshape(len(draws.rows), k + 2 * len(sites))
+        by_site = sorted(range(len(sites)), key=sites.__getitem__)
+        return cls(sites=sorted(sites), a=grid[:, [k + j for j in by_site]],
+                   b=grid[:, [k + len(sites) + j for j in by_site]],
+                   sigma=grid[:, k - 1], theta=grid[:, :k - 1],
+                   seed=health["seed"], acceptance=health["acceptance"],
+                   final_step=health["final_step"],
+                   invalid_proposals=health["invalid_proposals"],
+                   acceptance_post=health["acceptance_post"])
 
 
 def rolling_window(

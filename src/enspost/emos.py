@@ -23,7 +23,8 @@ mixture predictive (one for EMOS, n for MEMOS) into the (S, N) m-quantile
 sample, grouped by component, that ECC reorders and verification scores.
 
 `ndtr` (Φ) and `ndtri` (Φ⁻¹) take `math.erfc` and `statistics.NormalDist`
-from the standard library, so fitting, predicting and scoring load no scipy.
+from the standard library, so fitting and scoring load no scipy; `ndtri`
+imports `statistics` when it is called, so no fit loads it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -51,7 +51,6 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _SQRT2 = math.sqrt(2.0)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
-_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def ndtr(x):
@@ -61,7 +60,11 @@ def ndtr(x):
 
 def ndtri(p):
     """Standard normal quantile Φ⁻¹(p) on 0 < p < 1, elementwise (0-d: np.float64)."""
-    return np.asarray(_inv_cdf(np.asarray(p, dtype=np.float64)), dtype=np.float64)[()]
+    # `statistics` loads `decimal` and `fractions`; only verify builds quantiles
+    from statistics import NormalDist
+
+    inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+    return np.asarray(inv_cdf(np.asarray(p, dtype=np.float64)), dtype=np.float64)[()]
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ no numpy: `CsvRows`, which reads every CSV artifact (a bad header, field
 count or cell is one ``<file> line <n>: <reason>`` error), `write_rows`,
 `write_text` and `write_json`, which write every artifact, each under a
 temporary name renamed into place once it is whole, `read_json`,
-`read_cases` and `ModelError`.
+`read_cases`, `read_draws` and `ModelError`.
 
 `read_cases` makes every check of a case file, each naming its line: the
 header, a date, coordinate or cell that does not parse, a station that
 moves, an empty member cell, a non-finite member or observation, and a
 repeated (date, station), in file order, so the first bad line wins; then
 non-finite station coordinates and a file without cases.  `data.load_cases`
-builds its arrays on these rows and checks nothing more.
+builds its arrays on these rows and checks nothing more.  `read_draws` does
+the same for a day's MEMOS draws file and its sidecar, and
+`data.PosteriorDraws.from_csv` builds on it.
 """
 
 from __future__ import annotations
@@ -212,3 +214,56 @@ def read_cases(path) -> Cases:
         if not all(map(math.isfinite, lonlat)):
             raise ValueError(f"non-finite coordinates for station {name!r}")
     return Cases(located, ordinals, stations, obs, values, len(midx))
+
+
+# the columns of a draws file before its a:<site> and b:<site> columns: θ, then σ
+DRAWS_HEADER = ("log_kappa_a", "log_tau_a", "log_kappa_b", "log_tau_b", "log_sigma", "sigma")
+# the entries of a draws sidecar: the draw count n, then the chain's health
+HEALTH_KEYS = ("n", "seed", "acceptance", "final_step", "invalid_proposals", "acceptance_post")
+RERUN_FIT = "fit --method memos"
+
+
+class Draws(NamedTuple):
+    """A draws file and its sidecar: ``rows[i]`` holds draw i's θ, its σ,
+    then a and b at `sites`, in file order, and `health` the sidecar's
+    entries."""
+
+    sites: list
+    rows: list
+    health: dict
+
+
+def read_draws(path) -> Draws:
+    """Read and check a day's draws file and its sidecar, `path` with suffix
+    .json.  The header must be ``DRAWS_HEADER, a:<site>..., b:<site>...``
+    with each site once; every cell must be finite and every sigma > 0; the
+    sidecar must be a JSON object with every entry of `HEALTH_KEYS`, and the
+    file must hold its n rows."""
+    values = []
+    with CsvRows(path, rerun=RERUN_FIT) as rows:
+        header, k = rows.header or [], len(DRAWS_HEADER)
+        sites = [name[2:] for name in header[k:k + (len(header) - k) // 2]]
+        if header != [*DRAWS_HEADER, *("a:" + s for s in sites),
+                      *("b:" + s for s in sites)] or len(set(sites)) < len(sites):
+            raise ValueError(f"expected the header {','.join(DRAWS_HEADER)},a:<site>...,"
+                             f"b:<site>... with each site once (rerun `{RERUN_FIT}`?)")
+        for cells in rows:
+            row = list(map(float, cells))
+            bad = next((j for j, v in enumerate(row) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValueError(f"{header[bad]} must be finite, got {row[bad]!r}")
+            if not row[k - 1] > 0.0:
+                raise ValueError(f"sigma must be > 0, got {row[k - 1]!r}")
+            values.append(row)
+    sidecar = Path(path).with_suffix(".json")
+    health = read_json(sidecar, RERUN_FIT)
+    if not isinstance(health, dict):
+        raise ValueError(f"{sidecar} must hold a JSON object, got {type(health).__name__} "
+                         f"(rerun `{RERUN_FIT}`)")
+    if "n" in health and len(values) != health["n"]:
+        raise ValueError(f"{path} holds {len(values)} draws, but {sidecar} has "
+                         f"n = {health['n']!r} (rerun `{RERUN_FIT}`)")
+    missing = [key for key in HEALTH_KEYS if key not in health]
+    if missing:
+        raise ValueError(f"{sidecar} has no {missing[0]!r} entry (rerun `{RERUN_FIT}`)")
+    return Draws(sites, values, health)

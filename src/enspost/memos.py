@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from . import emos
 from .data import PosteriorDraws, TrainingSet
 from .files import ModelError
 from .mesh import Mesh, projector
@@ -377,6 +376,8 @@ def predictive_sample(draws: PosteriorDraws, fbar: dict, m: int = 50) -> np.ndar
     """(S, N) quantile sample, row s for draws.sites[s], of the posterior
     predictive mixture with components N(a_i(s) + b_i(s)·f̄(s), σ_i²), given
     f̄ per site."""
+    from . import emos
+
     missing = [s for s in draws.sites if s not in fbar]
     if missing:
         raise ValueError(f"fbar missing for sites {missing}")

@@ -185,20 +185,20 @@ class BandPattern:
         dest[border] = self._border_at + rows[border] * ns + invperm[cols[border]]
         corner = row_dense & col_dense
         dest[corner] = self._corner_at + rows[corner] * nd + cols[corner]
-        self._pos, self._data = [], []
-        for key, t in zip(keys, terms):
-            pos = dest[np.searchsorted(union, key)]
-            keep = pos >= 0
-            self._pos.append(pos[keep])
-            self._data.append(t.data[keep])
+        # every term's kept entries, concatenated in term order, with the
+        # index of the term each came from
+        pos = [dest[np.searchsorted(union, key)] for key in keys]
+        self._pos = np.concatenate([p[p >= 0] for p in pos])
+        self._data = np.concatenate([t.data[p >= 0] for p, t in zip(pos, terms)])
+        self._term = np.repeat(np.arange(len(terms)), [int((p >= 0).sum()) for p in pos])
 
     def scatter(self, weights):
         """Band (Fortran-ordered for dpbtrf), border and corner blocks of
         Σ_t weights[t]·terms[t], as views of one flat buffer.  A non-finite
         entry raises `NonFiniteError`."""
-        buf = np.zeros(self._corner_at + len(self.dense_idx) ** 2)
-        for pos, data, w in zip(self._pos, self._data, weights):
-            buf[pos] += w * data
+        # bincount adds in input order: per position, term by term onto 0.0
+        buf = np.bincount(self._pos, np.asarray(weights, dtype=float)[self._term] * self._data,
+                          self._corner_at + len(self.dense_idx) ** 2)
         if not np.isfinite(buf).all():
             raise NonFiniteError("array must not contain infs or NaNs")
         ns, nd = len(self.band_rows), len(self.dense_idx)

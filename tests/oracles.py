@@ -8,6 +8,8 @@ closed-form mixture CRPS instead of the score of a quantile sample, a
 derivative-free simplex search instead of batched Newton steps, a
 scan over every case instead of the table's date and station indexes, a
 left-to-right fold of Python additions instead of a cumulative sum,
+mixture means a + b·f̄ in Python floats one site at a time instead of
+broadcast arrays,
 one `locate` per query point instead of one per distinct point, a
 sum over the union pattern instead of direct band-storage positions, and
 an N × N dominance matrix instead of packed prefix bits, one site at a
@@ -131,6 +133,16 @@ def fbar_fold(members) -> float:
     """f̄ as a left-to-right fold of Python float additions over the m
     members, divided by m: one rounding per addition, no compensation."""
     return functools.reduce(operator.add, map(float, members)) / len(members)
+
+
+def mixture_means(a, b, members) -> list:
+    """The (n, S) means a_i(s) + b_i(s)·f̄(s) of a Gaussian mixture's
+    components, given their (n, S) a and b and the (S, m) raw members, as
+    Python floats, one component and site at a time, with f̄ by
+    `fbar_fold`."""
+    fbar = [fbar_fold(row) for row in members]
+    return [[float(a_s) + float(b_s) * f for a_s, b_s, f in zip(row_a, row_b, fbar)]
+            for row_a, row_b in zip(a, b)]
 
 
 def rolling_window_scan(table, valid_date, length=25, mode="global", station=None,

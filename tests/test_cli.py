@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import crps_gaussian_mixture, midpoint_quantile_w1
+from oracles import crps_gaussian_mixture, midpoint_quantile_w1, mixture_means
 
 from enspost import cli, data, ecc, emos, memos, verify
 
@@ -206,47 +206,48 @@ class TestPipelineContract:
         assert len(hashes) == 1
 
     def test_predict_memos_rows_rebuild_the_predictive_sample(self, pipeline):
-        """predict_memos.csv holds the n mixture components of each site with
-        a case, in draw order; their quantile sample is predictive_sample's."""
+        """verify's memos components of a day are the n posterior draws at
+        each site with a case, in draw order: mu = a + b·f̄ as the oracle
+        folds it and sigma the draw's σ.  Their quantile sample is
+        predictive_sample's, and no command writes a predict table."""
         config, out = pipeline
-        assert not (out / "predict_memos").exists()
+        assert list(out.glob("predict_*")) == []
         day = "2010-06-18"
-        components = {}
-        with open(out / "predict_memos.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["date"] == day:
-                    components.setdefault(row["site"], []).append(
-                        (float(row["mu"]), float(row["sigma"])))
         cases = data.load_cases(out / "cases.csv").on(dt.date.fromisoformat(day))
         draws = memos.PosteriorDraws.from_csv(out / "draws_memos" / f"{day}.csv")
-        sites = sorted(components)
+        fit = cli._read_fit(out, "memos", {day: cases.sites})
+        sites, mu, sigma = cli._predictive(fit[day], cases.fbar)
         assert sites == cases.sites == draws.sites
-        assert all(len(rows) == draws.n == 20 for rows in components.values())
-        mu, sigma = (np.array([[c[k] for c in components[s]] for s in sites]).T
-                     for k in (0, 1))
+        assert mu.shape == sigma.shape == (draws.n, 10) == (20, 10)
+        assert mu.tolist() == mixture_means(draws.a, draws.b, cases.members)
+        assert sigma.tolist() == [[s] * 10 for s in draws.sigma.tolist()]
         rebuilt = emos.quantile_sample(mu, sigma, 8)
         expected = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), 8)
         assert np.array_equal(rebuilt, expected)
 
     @pytest.mark.parametrize("method", ["global", "local"])
     def test_emos_predict_rows_are_the_fitted_gaussians(self, pipeline, method):
-        """predict_<method>.csv holds one N(a + b·f̄, σ²) per (date, site),
-        with the day's fitted (a, b, σ) and the site's ensemble mean f̄."""
+        """verify's components of global and local EMOS are one
+        N(a + b·f̄, σ²) per (date, site) with a case, with the day's fitted
+        (a, b, σ) from params_<method>.csv and the oracle's f̄."""
         config, out = pipeline
         with open(out / f"params_{method}.csv", newline="") as fh:
             fits = {(row["date"], row["site"]): row for row in csv.DictReader(fh)}
         # global EMOS has one row per day, at site ALL
         assert len(fits) == 6 * (1 if method == "global" else 10)
         table = data.load_cases(out / "cases.csv")
+        days = cli._eval_days(cli.RunConfig.load(config), table.dates)
+        fit = cli._read_fit(out, method, {day.isoformat(): table.on(day).sites for day in days})
         rows = 0
-        with open(out / f"predict_{method}.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                cases = table.on(dt.date.fromisoformat(row["date"]))
-                fbar = float(cases.fbar[cases.sites.index(row["site"])])
-                params = fits[row["date"], "ALL" if method == "global" else row["site"]]
-                assert float(row["mu"]) == float(params["a"]) + float(params["b"]) * fbar
-                assert float(row["sigma"]) == float(params["sigma"])
-                rows += 1
+        for key, components in fit.items():
+            cases = table.on(dt.date.fromisoformat(key))
+            sites, mu, sigma = cli._predictive(components, cases.fbar)
+            params = [fits[key, "ALL" if method == "global" else site] for site in sites]
+            a, b, s = ([[float(p[name]) for p in params]] for name in ("a", "b", "sigma"))
+            assert sites == cases.sites
+            assert mu.tolist() == mixture_means(a, b, cases.members)
+            assert sigma.tolist() == s
+            rows += len(sites)
         assert rows == 6 * 10
 
     def test_fit_manifest_lists_the_draws_sidecars(self, pipeline):
@@ -275,8 +276,9 @@ class TestPipelineContract:
         seed = cli._read_ensembles(out, 8, 8)["raw_ecc"][2]
         for day in cli._eval_days(cli.RunConfig.load(config), table.dates):
             key, cases = day.isoformat(), table.on(day)
-            sample = (cases.sites, np.sort(cases.members, axis=1))
-            assert np.array_equal(cli._reordered(key, "ecc", seed, cases, sample), cases.members)
+            sample = np.sort(cases.members, axis=1)
+            assert np.array_equal(cli._reordered(key, "ecc", seed, cases.members, sample),
+                                  cases.members)
 
     def test_ecc_artifact_rebuilds_the_ecc_output(self, pipeline):
         """Each ens_* file holds the header seed and the one seed ecc ran
@@ -285,8 +287,9 @@ class TestPipelineContract:
         config, out = pipeline
         seed = cli.RunConfig.load(config).seed
         table = data.load_cases(out / "cases.csv")
-        preds = cli._load_predictions(out, "memos")
         days = [f"2010-06-{d}" for d in range(16, 22)]
+        fit = cli._read_fit(out, "memos", {key: table.on(dt.date.fromisoformat(key)).sites
+                                           for key in days})
         labels = ("memos_ecc", "memos_independence", "raw_ecc")
         ensembles = cli._read_ensembles(out, 8, 8)
         assert ensembles == {label: (*label.rsplit("_", 1), seed) for label in labels}
@@ -298,14 +301,15 @@ class TestPipelineContract:
                 if method == "raw":
                     sites, pooled = cases.sites, np.sort(cases.members, axis=1)
                 else:
-                    sites, pooled = preds[key][0], emos.quantile_sample(*preds[key][1:], 8)
+                    sites, mu, sigma = cli._predictive(fit[key], cases.fbar)
+                    pooled = emos.quantile_sample(mu, sigma, 8)
                 if structure == "ecc":
                     rng = np.random.default_rng(cli.subseed(seed, "ecc-ties", key))
                     expected = ecc.ecc_memos(cases.members, pooled, rng)
                 else:
                     rng = np.random.default_rng(cli.subseed(seed, "independence", key))
                     expected = ecc.independence_shuffle(pooled, rng)
-                rebuilt = cli._reordered(key, structure, seed, cases, (sites, pooled))
+                rebuilt = cli._reordered(key, structure, seed, cases.members, pooled)
                 assert sorted(sites) == sites == cases.sites
                 assert np.array_equal(rebuilt, expected)
 
@@ -320,16 +324,17 @@ class TestPipelineContract:
                     "--structure", structure)
         run_cli(config, out, "--seed", "4", "verify")
         table = data.load_cases(out / "cases.csv")
-        preds = cli._load_predictions(out, "memos")
+        days = cli._eval_days(cli.RunConfig.load(config), table.dates)
+        fit = cli._read_fit(out, "memos", {day.isoformat(): table.on(day).sites for day in days})
         scores = list(read_scores(out / "scores.csv").rows())
         checked = 0
         for structure in ("ecc", "independence"):
             scored = {d: v for d, _, label, score, v in scores
                       if (label, score) == (f"memos_{structure}", "es")}
-            for key, components in preds.items():
-                sites, mu, sigma = components
-                sample = emos.quantile_sample(mu, sigma, 8)
+            for key, components in fit.items():
                 cases = table.on(dt.date.fromisoformat(key))
+                sites, mu, sigma = cli._predictive(components, cases.fbar)
+                sample = emos.quantile_sample(mu, sigma, 8)
                 assert sites == cases.sites
                 stream = "ecc-ties" if structure == "ecc" else "independence"
                 rng = np.random.default_rng(cli.subseed(3, stream, key))
@@ -350,12 +355,13 @@ class TestPipelineContract:
 class TestMixtureCrpsOracle:
     def test_memos_crps_matches_the_closed_form_mixture_crps(self, tmp_path):
         """Each memos crps row of scores.csv is the sample CRPS of the grouped
-        m-quantile sample of the day's mixture (1/n)Σ N(μᵢ, σᵢ²) from
-        predict_memos.csv; the closed form (Grimit et al. 2006) scores the
-        mixture itself.  Their gap is bounded by 2·W₁(sample, mixture):
-        CRPS(F, y) = E|X − y| − ½E|X − X'|, and both |x − y| and |x − x'|
-        are 1-Lipschitz in each argument, so under a W₁-optimal coupling the
-        two terms move by at most W₁ and ½·2W₁.  Coupling each component to
+        m-quantile sample of the day's mixture (1/n)Σ N(μᵢ, σᵢ²), built here
+        from the draws and the raw members by the oracle's μᵢ = aᵢ + bᵢ·f̄;
+        the closed form (Grimit et al. 2006) scores the mixture itself.
+        Their gap is bounded by 2·W₁(sample, mixture): CRPS(F, y) =
+        E|X − y| − ½E|X − X'|, and both |x − y| and |x − x'| are 1-Lipschitz
+        in each argument, so under a W₁-optimal coupling the two terms move
+        by at most W₁ and ½·2W₁.  Coupling each component to
         its own m quantiles gives W₁ ≤ (1/n)Σ σᵢ w_m, with w_m the W₁ distance
         of N(0, 1) from its m midpoint quantiles (`midpoint_quantile_w1`).
         So |gap| ≤ 2 w_m mean(σᵢ), plus float rounding.  The bound is not
@@ -369,13 +375,15 @@ class TestMixtureCrpsOracle:
         run_cli(config, out, "fit", "--method", "memos")
         run_cli(config, out, "predict", "--method", "memos")
         run_cli(config, out, "verify")
-        components = {}
-        with open(out / "predict_memos.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                mu, sigma = components.setdefault((row["date"], row["site"]), ([], []))
-                mu.append(float(row["mu"]))
-                sigma.append(float(row["sigma"]))
         table = data.load_cases(out / "cases.csv")
+        components = {}  # {(date, site): (means, sigmas)}
+        for day in cli._eval_days(cli.RunConfig.load(config), table.dates):
+            key, cases = day.isoformat(), table.on(day)
+            draws = memos.PosteriorDraws.from_csv(out / "draws_memos" / f"{key}.csv")
+            assert draws.sites == cases.sites
+            means = np.array(mixture_means(draws.a, draws.b, cases.members))
+            for j, site in enumerate(cases.sites):
+                components[key, site] = (means[:, j], draws.sigma)
         w_m = midpoint_quantile_w1(50)
         scores = read_scores(out / "scores.csv")
         rows = [(d, s, v) for d, s, m, sc, v in scores.rows()
@@ -516,11 +524,13 @@ class TestBlasThreads:
 # commands and simulate need
 SPARSE_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg",
                 "enspost.memos", "enspost.mesh", "enspost.spde")
-# `ecc` only checks its inputs and writes seeds: it loads no model module,
-# and reads its inputs on the standard library alone
-ECC_ABSENT = ("numpy", "scipy", "enspost.data", "enspost.ecc", "enspost.emos") + SPARSE_STACK
-# `fit` and `predict` build no sample to reorder: only `verify` loads ecc
-FIT_ABSENT = ("scipy", "enspost.ecc") + SPARSE_STACK
+# `predict` and `ecc` only check their inputs and write a manifest or a
+# seed: they load no model module, and read their inputs on the standard
+# library alone
+CHECK_ABSENT = ("numpy", "scipy", "enspost.data", "enspost.ecc", "enspost.emos") + SPARSE_STACK
+# `fit` builds no sample to reorder and no quantiles: only `verify` loads
+# ecc, and `statistics` for Φ⁻¹
+FIT_ABSENT = ("scipy", "enspost.ecc", "statistics") + SPARSE_STACK
 
 
 class TestImports:
@@ -551,16 +561,16 @@ class TestImports:
 
     @pytest.mark.parametrize("args, drop, absent", [
         ((), "", ("numpy", "scipy", "enspost.data")),
-        (("ecc", "--method", "raw"), "", ECC_ABSENT),
-        (("ecc", "--method", "global"), "", ECC_ABSENT),
-        (("ecc", "--method", "memos"), "", ECC_ABSENT),
-        (("ecc", "--method", "memos", "--structure", "independence"), "", ECC_ABSENT),
-        (("predict", "--method", "global"), "", FIT_ABSENT),
-        (("predict", "--method", "local"), "", FIT_ABSENT),
-        (("predict", "--method", "memos"), "", FIT_ABSENT),
+        (("ecc", "--method", "raw"), "", CHECK_ABSENT),
+        (("ecc", "--method", "global"), "", CHECK_ABSENT),
+        (("ecc", "--method", "memos"), "", CHECK_ABSENT),
+        (("ecc", "--method", "memos", "--structure", "independence"), "", CHECK_ABSENT),
+        (("predict", "--method", "global"), "", CHECK_ABSENT),
+        (("predict", "--method", "local"), "", CHECK_ABSENT),
+        (("predict", "--method", "memos"), "", CHECK_ABSENT),
         (("fit", "--method", "global"), "", FIT_ABSENT),
         (("fit", "--method", "local"), "", FIT_ABSENT),
-        (("fit", "--method", "memos"), "", ("scipy.spatial", "enspost.ecc")),
+        (("fit", "--method", "memos"), "", ("scipy.spatial", "enspost.ecc", "statistics")),
         (("verify",), "", ("scipy",) + SPARSE_STACK),
         (("verify",), "ens_*", ("scipy",) + SPARSE_STACK),
     ], ids=["import", "ecc-raw", "ecc-global", "ecc-memos", "ecc-memos-independence",
@@ -698,38 +708,47 @@ class TestErrors:
             "raw/global/local/memos and structure ecc/independence\n")
         assert (out / "scores.csv").read_bytes() == previous
 
-    @pytest.mark.parametrize("args, edit, message", [
-        (("ecc", "--method", "local"), lambda row: row.rsplit(",", 1)[0],
-         "predict_local.csv line 4: expected 4 fields, got 3"),
-        (("verify",), lambda row: row.rsplit(",", 1)[0],
-         "predict_local.csv line 4: expected 4 fields, got 3"),
-        (("ecc", "--method", "local"), lambda row: ",".join(row.split(",")[:2] + ["x", "1.0"]),
-         "predict_local.csv line 4: could not convert string to float: 'x'"),
-        (("verify",), lambda row: ",".join(row.split(",")[:3] + [""]),
-         "predict_local.csv line 4: could not convert string to float: ''"),
-        (("ecc", "--method", "memos"), lambda row: ",".join(row.split(",")[:3] + ["-0.5"]),
-         "predict_memos.csv line 4: sigma must be finite and > 0, got -0.5"),
-        (("verify",), lambda row: ",".join(row.split(",")[:3] + ["-0.5"]),
-         "predict_memos.csv line 4: sigma must be finite and > 0, got -0.5"),
-        (("verify",), lambda row: ",".join(row.split(",")[:3] + ["0.0"]),
-         "predict_global.csv line 4: sigma must be finite and > 0, got 0.0"),
-        (("ecc", "--method", "local"), lambda row: ",".join(row.split(",")[:2] + ["nan", "1.0"]),
-         "predict_local.csv line 4: mu must be finite, got nan"),
+    @pytest.mark.parametrize("args, name, edit, message", [
+        (("ecc", "--method", "local"), "params_local.csv", lambda row: row.rsplit(",", 1)[0],
+         "params_local.csv line 4: expected 5 fields, got 4"),
+        (("verify",), "params_local.csv", lambda row: row.rsplit(",", 1)[0],
+         "params_local.csv line 4: expected 5 fields, got 4"),
+        (("ecc", "--method", "local"), "params_local.csv",
+         lambda row: ",".join(row.split(",")[:2] + ["x"] + row.split(",")[3:]),
+         "params_local.csv line 4: could not convert string to float: 'x'"),
+        (("verify",), "params_local.csv", lambda row: ",".join(row.split(",")[:4] + [""]),
+         "params_local.csv line 4: could not convert string to float: ''"),
+        (("ecc", "--method", "memos"), "draws_memos/2010-06-16.csv",
+         lambda row: ",".join(row.split(",")[:5] + ["-0.5"] + row.split(",")[6:]),
+         "{path} line 4: sigma must be > 0, got -0.5"),
+        (("verify",), "draws_memos/2010-06-16.csv",
+         lambda row: ",".join(row.split(",")[:5] + ["-0.5"] + row.split(",")[6:]),
+         "{path} line 4: sigma must be > 0, got -0.5"),
+        (("verify",), "params_global.csv", lambda row: ",".join(row.split(",")[:4] + ["0.0"]),
+         "params_global.csv line 4: sigma must be finite and > 0, got 0.0"),
+        (("ecc", "--method", "local"), "params_local.csv",
+         lambda row: ",".join(row.split(",")[:2] + ["nan"] + row.split(",")[3:]),
+         "params_local.csv line 4: a must be finite, got nan"),
     ], ids=["ecc-missing-sigma", "verify-missing-sigma", "ecc-bad-mu", "verify-empty-sigma",
             "ecc-negative-memos-sigma", "verify-negative-memos-sigma", "verify-zero-global-sigma",
             "ecc-nan-mu"])
-    def test_malformed_predict_row(self, pipeline, tmp_path, capsys, args, edit, message):
+    def test_malformed_predict_row(self, pipeline, tmp_path, capsys, args, name, edit, message):
+        """A row of the fit that the predictive law is built from, a
+        params_<method>.csv row or a draw, that is short, holds a cell that
+        is not a number, a non-finite a or a sigma that is not finite and
+        > 0 ends `ecc` and `verify` with one line naming the file and the
+        line, as it ends `predict`."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / message.split()[0]  # the file the message names
+        path = out / name
         lines = path.read_text().splitlines()
         lines[3] = edit(lines[3])
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), *args])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize("method, edit, message", [
         ("local", lambda rows: rows[:1] + rows[2:],
@@ -841,34 +860,20 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["ecc", "verify"])
     def test_predict_header_not_the_schema(self, pipeline, tmp_path, capsys, command):
+        """A params_<method>.csv header other than date,site,a,b,sigma ends
+        `ecc` and `verify`, which read the fit, with one line naming the
+        file and the command that writes it."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / "predict_local.csv"
-        path.write_text(path.read_text().replace("date,site,mu,sigma", "date,site,mu", 1))
+        path = out / "params_local.csv"
+        path.write_text(path.read_text().replace("date,site,a,b,sigma", "date,site,a,b", 1))
         capsys.readouterr()
         args = ["ecc", "--method", "local"] if command == "ecc" else ["verify"]
         code = cli.main(["--config", str(config), "--out", str(out), *args])
         assert code == 1
-        assert capsys.readouterr().err == ("error: predict_local.csv line 1: expected the "
-                                           "header date,site,mu,sigma (rerun `predict`?)\n")
-
-    def test_ragged_memos_components(self, pipeline, tmp_path, capsys):
-        """One deleted component row leaves its site with n - 1 components."""
-        config, done = pipeline
-        out = tmp_path / "out"
-        shutil.copytree(done, out)
-        path = out / "predict_memos.csv"
-        lines = path.read_text().splitlines()
-        date, site = lines[1].split(",")[:2]
-        del lines[1]
-        path.write_text("\n".join(lines) + "\n")
-        other = lines[20].split(",")[1]
-        capsys.readouterr()
-        code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
-        assert code == 1
-        assert capsys.readouterr().err == (f"error: predict_memos.csv: {date} has 19 components "
-                                           f"at site {site} but 20 at site {other}\n")
+        assert capsys.readouterr().err == ("error: params_local.csv line 1: expected the header "
+                                           "date,site,a,b,sigma (rerun `fit --method local`?)\n")
 
     def test_draws_sidecar_without_post_burn_in_acceptance(self, pipeline, tmp_path, capsys):
         config, done = pipeline
@@ -901,8 +906,7 @@ class TestErrors:
     def test_incomplete_draws_grid(self, pipeline, tmp_path, capsys, edit, health, message):
         """The draws file holds one row per draw, n of them by its sidecar,
         with columns for every station; otherwise `predict` ends with one
-        error line, and leaves the previous predict_memos.csv and no
-        partial file."""
+        error line, and leaves its previous manifest and no partial file."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -913,32 +917,30 @@ class TestErrors:
             csv.writer(fh).writerows(edit(rows))
         sidecar = path.with_suffix(".json")
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **health}))
-        previous = (out / "predict_memos.csv").read_bytes()
+        previous = (out / "manifest_predict.json").read_bytes()
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"])
         assert code == 1
         assert capsys.readouterr().err == (f"error: {message.format(path=path, sidecar=sidecar)}"
                                            "\n")
-        assert (out / "predict_memos.csv").read_bytes() == previous
+        assert (out / "manifest_predict.json").read_bytes() == previous
         assert sorted(out.glob("*.tmp")) == []
 
     def test_failed_ecc_keeps_the_previous_table(self, pipeline, tmp_path, capsys):
-        """`ecc` fails on a day without predictions after writing the earlier
-        days' rows; the previous ens_memos_ecc.csv stays as it was."""
+        """`ecc` fails on a day without a fit, its draws file deleted; the
+        previous ens_memos_ecc.csv stays as it was."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / "predict_memos.csv"
-        lines = path.read_text().splitlines()
-        last = lines[-1].split(",")[0]
-        path.write_text("\n".join(row for row in lines if not row.startswith(last)) + "\n")
+        path = out / "draws_memos" / "2010-06-21.csv"
+        path.unlink()
         previous = (out / "ens_memos_ecc.csv").read_bytes()
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
         assert code == 1
-        assert capsys.readouterr().err == (f"error: no predictions for {last} in "
-                                           "predict_memos.csv (run `predict` first?)\n")
+        assert capsys.readouterr().err == (f"error: missing upstream file: {path} "
+                                           "(run `fit` first?)\n")
         assert (out / "ens_memos_ecc.csv").read_bytes() == previous
         assert sorted(out.glob("*.tmp")) == []
 
@@ -1012,7 +1014,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("args, kept", [
         (("fit", "--method", "global"), "params_global.csv"),
-        (("predict", "--method", "memos"), "predict_memos.csv"),
+        (("predict", "--method", "memos"), "manifest_predict.json"),
         (("ecc", "--method", "memos"), "ens_memos_ecc.csv"),
         (("verify",), "scores.csv"),
     ], ids=["fit", "predict", "ecc", "verify"])
@@ -1032,43 +1034,62 @@ class TestErrors:
         assert capsys.readouterr().err == "error: no evaluation days fall inside the dataset\n"
         assert (out / kept).read_bytes() == previous
 
-    @pytest.mark.parametrize("day, message", [
-        ("2010-06-21", "2010-06-16 has 20 components per site but 2010-06-21 has 19"),
-        ("2010-06-16", "2010-06-16 has 19 components per site but 2010-06-17 has 20"),
-    ], ids=["later-day-smaller", "first-day-smaller"])
+    @pytest.mark.parametrize("day, other", [("2010-06-21", "2010-06-16"),
+                                            ("2010-06-16", "2010-06-17")],
+                             ids=["later-day-smaller", "first-day-smaller"])
     def test_component_count_that_changes_between_days(self, pipeline, tmp_path, capsys,
-                                                       day, message):
-        """predict_memos.csv with one component fewer per site on one day, as
-        a memos fit rerun at another n over fewer days leaves it, ends `ecc`
-        and `verify` with one line naming the file and both dates.  Before,
-        `verify` failed with a rank outside 1..rank_max, or binned the later
-        days' ranks under the first day's rank_max."""
+                                                       day, other):
+        """A draws file with one draw fewer than the other days, its
+        sidecar's n with it, ends `predict`, `ecc` and `verify` with one line
+        naming a file of each count, and so both dates, and leaves
+        scores.csv as it was.  Before, `verify` failed with a rank outside
+        1..rank_max, or binned the later days' ranks under the first day's
+        rank_max."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
-        path = out / "predict_memos.csv"
-        header, *lines = path.read_text().splitlines()
-        count: dict = {}
-        kept = []
-        for row in lines:
-            key = tuple(row.split(",")[:2])
-            count[key] = count.get(key, 0) + 1
-            if not (key[0] == day and count[key] == 20):
-                kept.append(row)
-        path.write_text("\n".join([header, *kept]) + "\n")
+        path = out / "draws_memos" / f"{day}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:-1])
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n": 19}))
+        first, later = sorted([(path, 19), (path.with_name(f"{other}.csv"), 20)])
+        message = (f"error: {later[0]} holds {later[1]} draws, but {first[0]} holds {first[1]} "
+                   "(rerun `fit --method memos`)\n")
         previous = (out / "scores.csv").read_bytes()
         capsys.readouterr()
-        for args in (("ecc", "--method", "memos"), ("verify",)):
+        for args in (("predict", "--method", "memos"), ("ecc", "--method", "memos"), ("verify",)):
             assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
-            assert capsys.readouterr().err == f"error: predict_memos.csv: {message}\n"
+            assert capsys.readouterr().err == message
         assert (out / "scores.csv").read_bytes() == previous
+
+    @pytest.mark.parametrize("args", [("predict", "--method", "local"),
+                                      ("ecc", "--method", "local"), ("verify",)],
+                             ids=["predict", "ecc", "verify"])
+    def test_station_without_a_fit(self, pipeline, tmp_path, capsys, args):
+        """params_local.csv without one station's row on one day ends
+        `predict`, `ecc` and `verify`, which all read the fit, with one line
+        naming the file, the date and the station."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "params_local.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(row for row in lines if not row.startswith("2010-06-18,S03,"))
+                        + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == ("error: no fitted parameters for 2010-06-18 station "
+                                           f"S03 in {path}\n")
 
     def test_draw_count_that_changes_between_days(self, pipeline, tmp_path, capsys):
         """`fit --method memos` rerun at n = 10 over the first three days
         leaves draws files with 10 draws there and 20 on the later days;
         `predict --method memos` then ends with one line naming a file of
-        each count and keeps the previous predict_memos.csv.  Before, it
-        wrote a table of 10 and 20 components per site and exited 0."""
+        each count and keeps its previous manifest.  Before, it wrote a
+        table of 10 and 20 components per site and exited 0."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -1076,7 +1097,7 @@ class TestErrors:
         short.write_text(CONFIG.replace("\nn = 20\n", "\nn = 10\n")
                          .replace("\neval_days = 6\n", "\neval_days = 3\n"))
         run_cli(short, out, "fit", "--method", "memos")
-        previous = (out / "predict_memos.csv").read_bytes()
+        previous = (out / "manifest_predict.json").read_bytes()
         capsys.readouterr()
         assert cli.main(["--config", str(config), "--out", str(out),
                          "predict", "--method", "memos"]) == 1
@@ -1084,7 +1105,7 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: {draws / '2010-06-19.csv'} holds 20 draws, but {draws / '2010-06-16.csv'} "
             "holds 10 (rerun `fit --method memos`)\n")
-        assert (out / "predict_memos.csv").read_bytes() == previous
+        assert (out / "manifest_predict.json").read_bytes() == previous
         assert sorted(out.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("args", [("simulate",), ("fit", "--method", "memos")],
@@ -1137,12 +1158,11 @@ class TestErrors:
         assert [(out / name).read_bytes() for name in ("cases.csv", "mesh.json")] == previous
 
     def test_predicted_site_without_a_case(self, pipeline, tmp_path, capsys):
-        """ECC ranks the raw members of every predicted site.  A day of
-        predict_memos.csv with a site that cases.csv lacks on that date ends
-        `ecc --structure ecc` with one line naming the file, the date and
-        the site, and ends `verify` on the ens_* file of an earlier run with
-        one line naming that file and the date.  The independence baseline
-        needs no raw members."""
+        """A station with a fit but no case on a date has no forecast there:
+        the components are built for the day's stations with a case, so
+        after deleting the 2010-06-18 S01 case `ecc` and `verify` run and
+        score memos at the day's other observed stations.  Before,
+        `ecc --structure ecc` ended on predict_memos.csv rows of S01."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -1151,18 +1171,16 @@ class TestErrors:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(row for row in lines if not row.startswith(f"{date},S01,"))
                         + "\n")
-        previous = (out / "ens_memos_ecc.csv").read_bytes()
-        capsys.readouterr()
-        code = cli.main(["--config", str(config), "--out", str(out), "ecc", "--method", "memos"])
-        assert code == 1
-        assert capsys.readouterr().err == (f"error: predict_memos.csv: {date} has rows for site "
-                                           "S01, which has no case on that date in cases.csv\n")
-        assert (out / "ens_memos_ecc.csv").read_bytes() == previous
-        code = cli.main(["--config", str(config), "--out", str(out), "verify"])
-        assert code == 1
-        assert capsys.readouterr().err == (f"error: ens_memos_ecc.csv: {date}: raw ensemble "
-                                           "missing for sites ['S01']\n")
-        run_cli(config, out, "ecc", "--method", "memos", "--structure", "independence")
+        for structure in ("ecc", "independence"):
+            run_cli(config, out, "ecc", "--method", "memos", "--structure", structure)
+        run_cli(config, out, "verify")
+        rows = list(read_scores(out / "scores.csv").rows())
+        scored = sorted(s for d, s, m, sc, _ in rows if (d, m, sc) == (date, "memos", "crps"))
+        cases = data.load_cases(path).on(dt.date.fromisoformat(date))
+        assert "S01" not in cases.sites
+        assert scored == [s for s, y in zip(cases.sites, cases.obs) if not np.isnan(y)]
+        assert {m for d, _, m, sc, _ in rows if (d, sc) == (date, "es")} == {
+            "raw_ecc", "memos_ecc", "memos_independence"}
 
     @pytest.mark.parametrize("name, args, rerun", [
         ("mesh.json", ("fit", "--method", "memos"), "mesh"),
@@ -1235,9 +1253,9 @@ class TestErrors:
             "(rerun `fit --method memos`)\n")
 
     @pytest.mark.parametrize("drop, args, message", [
-        (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local", "--daily-mean"),
+        (("draws_memos", "ens_memos_*.csv"), ("memos", "local", "--daily-mean"),
          "no crps scores for memos; methods with crps scores: global, local, raw"),
-        (("predict_memos.csv", "ens_memos_*.csv"), ("memos", "local"),
+        (("draws_memos", "ens_memos_*.csv"), ("memos", "local"),
          "no crps scores for memos; methods with crps scores: global, local, raw"),
         ((), ("local", "raw", "--score", "es", "--daily-mean"),
          "no es scores for local; methods with es scores: memos_ecc, memos_independence, "
@@ -1250,7 +1268,7 @@ class TestErrors:
         shutil.copytree(done, out)
         for pattern in drop:
             for path in out.glob(pattern):
-                path.unlink()
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
         previous = {path.name: path.read_bytes() for path in out.glob("*.csv")}
         capsys.readouterr()
         code = cli.main(["--config", str(config), "--out", str(out), "verify", "--compare", *args])
@@ -1511,9 +1529,8 @@ class TestHarnessContract:
 
     @pytest.mark.parametrize("form, span", [("cli", "cli.ecc"), ("spde", "spde.factor")])
     def test_traced_form_runs(self, pipeline, tmp_path, form, span):
-        """The cli form also runs `predict --method memos`, whose case and
-        draws readers must show up as spans: a per-layer metric of a reader
-        that no span reaches would read 0 on working code."""
+        """The cli form also runs `predict --method memos`, which reads
+        cases.csv and the draws through `files` on the standard library."""
         config, done = pipeline
         out = tmp_path / "out"
         shutil.copytree(done, out)
@@ -1522,7 +1539,7 @@ class TestHarnessContract:
         if form == "cli":
             runs = [[str(spans), "t1", *cli_args, "ecc", "--method", "raw"],
                     [str(spans), "t1", *cli_args, "predict", "--method", "memos"]]
-            expected = {span, "cli.predict", "data.load_cases", "memos.PosteriorDraws.from_csv"}
+            expected = {span, "cli.predict"}
         else:
             runs = [["--spde", str(spans), "t1", str(out), str(config)]]
             expected = {span}
