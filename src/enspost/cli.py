@@ -309,8 +309,7 @@ def cmd_mesh(cfg: RunConfig, out: Path) -> list:
     from . import mesh as mesh_mod
 
     table = _load_table(cfg, out)
-    locs = [table.locations[s] for s in table.stations]
-    msh = mesh_mod.build_mesh(locs, min_angle=cfg.min_angle())
+    msh = mesh_mod.build_mesh(table.xy, min_angle=cfg.min_angle())
     path = out / "mesh.json"
     files.write_text(path, msh.to_json() + "\n")
     print(f"mesh: {msh.n_vertices} vertices, {len(msh.triangles)} triangles -> {path}")
@@ -347,18 +346,21 @@ def cmd_fit(cfg: RunConfig, out: Path, method: str) -> list:
         from . import memos, mesh as mesh_mod
 
         n, mcmc = cfg.get("n", 100, int, least=1), cfg.mcmc()
-        msh = files.read_json(_upstream(out / "mesh.json", "mesh"), "mesh",
-                              mesh_mod.Mesh.from_json)
+        mesh_path = _upstream(out / "mesh.json", "mesh")
+        msh = files.read_json(mesh_path, "mesh", mesh_mod.Mesh.from_json)
+        for station, point in zip(table.stations, table.xy):
+            if mesh_mod.locate(msh, point) is None:
+                raise CliError(f"{mesh_path} does not cover station {station} (rerun `mesh`?)")
         draws_dir = out / "draws_memos"
         draws_dir.mkdir(exist_ok=True)
-        sites = [table.locations[s] for s in table.stations]
         for day in days:
             with _naming("fit memos", day.isoformat()):
                 training = data.rolling_window(table, day, length=window, mode="global",
                                                min_cases=min_train)
                 draws = memos.sample_posterior(
                     training,
-                    sites,
+                    table.stations,
+                    table.xy,
                     n=n,
                     seed=subseed(cfg.seed, "memos-fit", day.isoformat()).generate_state(1)[0],
                     mesh=msh,

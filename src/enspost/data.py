@@ -35,19 +35,6 @@ from .files import CASE_COLUMNS, DRAWS_HEADER, read_cases, read_draws, write_jso
 EARTH_RADIUS_KM = 6371.0088
 
 
-@dataclass(frozen=True)
-class Location:
-    """Observation or prediction site with planar coordinates in km."""
-
-    id: str
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates for station {self.id!r}")
-
-
 class Day(NamedTuple):
     """One date's rows of a CaseTable, in station order."""
 
@@ -63,21 +50,23 @@ class CaseTable:
     Row r is the case of ``dates[day[r]]`` at ``stations[station[r]]``: the
     m ensemble members ``members[r]``, the observation ``obs[r]`` (NaN if
     missing) and ``fbar[r] = cumsum(members[r])[-1] / m``.  `dates` holds
-    the dates with a case and `stations` the ids of `locations`, both
-    sorted.
+    the dates with a case and `stations` the station ids, both sorted; row
+    s of the (S, 2) array `xy` holds the planar km coordinates of
+    ``stations[s]``.
     """
 
-    def __init__(self, locations, ordinal, station, members, obs):
+    def __init__(self, stations, xy, ordinal, station, members, obs):
         """Rows in any order, `ordinal` being ``date.toordinal()`` and `station`
-        an index into `locations`, at most one per (date, station), with
-        finite members and observations finite or NaN: `files.read_cases`
-        checks a file for this, and `simulate` draws such rows."""
-        locs = list(locations)
-        by_id = sorted(range(len(locs)), key=lambda k: locs[k].id)
-        self.stations = [locs[k].id for k in by_id]
-        if len(set(self.stations)) != len(locs):
-            raise ValueError("duplicate station ids in location list")
-        self.locations = {locs[k].id: locs[k] for k in by_id}
+        an index into `stations` and the rows of `xy`, at most one per (date,
+        station), with finite members and observations finite or NaN:
+        `files.read_cases` checks a file for this, and `simulate` draws such
+        rows."""
+        stations = list(stations)
+        by_id = sorted(range(len(stations)), key=stations.__getitem__)
+        self.stations = [stations[k] for k in by_id]
+        if len(set(self.stations)) != len(by_id):
+            raise ValueError("duplicate station ids")
+        self.xy = np.asarray(xy, dtype=float)[by_id]
         station = np.argsort(by_id)[np.asarray(station, dtype=np.intp)]  # into self.stations
         ordinal, obs = np.asarray(ordinal, dtype=np.int64), np.asarray(obs, dtype=float)
         members = np.asarray(members, dtype=float)  # (rows, m)
@@ -92,10 +81,10 @@ class CaseTable:
         self._ordinals, self._start = ordinals, np.searchsorted(self.day, range(len(ordinals) + 1))
 
     def __eq__(self, other):
-        return (isinstance(other, CaseTable) and self.locations == other.locations
+        return (isinstance(other, CaseTable) and self.stations == other.stations
                 and self.dates == other.dates and all(np.array_equal(
                     getattr(self, k), getattr(other, k), equal_nan=k == "obs")
-                    for k in ("day", "station", "members", "obs")))
+                    for k in ("xy", "day", "station", "members", "obs")))
 
     def __len__(self):
         return len(self.obs)
@@ -114,13 +103,15 @@ class CaseTable:
 
 @dataclass
 class TrainingSet:
-    """Complete (station, f̄, y) triples selected by a rolling window."""
+    """Complete (station, f̄, y) triples selected by a rolling window; row r
+    of the (n, 2) array `xy` holds the planar km coordinates of
+    ``stations[r]``."""
 
     stations: list
     dates: list
     fbar: np.ndarray
     y: np.ndarray
-    locations: dict
+    xy: np.ndarray
     window: str
 
     def __len__(self):
@@ -147,16 +138,18 @@ def load_cases(path) -> CaseTable:
     its rows, and the stations' lon/lat are projected to planar km."""
     cases = read_cases(path)
     ids = sorted(cases.stations)
-    xs, ys = _project_lonlat(*np.array([cases.stations[s] for s in ids]).T)
-    located = {s: Location(s, float(x), float(y)) for s, x, y in zip(ids, xs, ys)}
-    return CaseTable([located[s] for s in cases.stations], cases.ordinal, cases.station,
+    # projected in sorted-id order, since the centroid's bits depend on it
+    xy = np.column_stack(_project_lonlat(*np.array([cases.stations[s] for s in ids]).T))
+    index = {s: k for k, s in enumerate(ids)}
+    return CaseTable(ids, xy, cases.ordinal,
+                     np.array([index[s] for s in cases.stations])[cases.station],
                      np.array(cases.members).reshape(len(cases.obs), cases.m), cases.obs)
 
 
 def write_cases(table: CaseTable, path) -> None:
     """Write a CaseTable back to the CSV schema (inverse projection about 0°N 0°E)."""
-    xs, ys = np.array([(table.locations[s].x, table.locations[s].y) for s in table.stations]).T
-    lonlat = [(repr(float(lon)), repr(float(lat))) for lon, lat in zip(*_unproject_km(xs, ys))]
+    lonlat = [(repr(lon), repr(lat))
+              for lon, lat in np.column_stack(_unproject_km(*table.xy.T)).tolist()]
     dates = [d.isoformat() for d in table.dates]
     write_rows(path, list(CASE_COLUMNS) + [f"m{k}" for k in range(1, table.m + 1)],
                ([dates[day], table.stations[station], *lonlat[station],
@@ -249,7 +242,7 @@ def rolling_window(
     else:
         if station is None:
             raise ValueError("local mode requires a station id")
-        if station not in table.locations:
+        if station not in table.stations:
             raise ValueError(f"unknown station {station!r}")
         # the station's observed rows before the valid date, in date order
         stop = table._rows(valid_date, valid_date).stop
@@ -262,10 +255,10 @@ def rolling_window(
             f"insufficient training data: {len(selected)} cases before "
             f"{valid_date.isoformat()} (minimum {min_cases})"
         )
-    stations = [table.stations[s] for s in table.station[selected].tolist()]
-    return TrainingSet(stations, [table.dates[d] for d in table.day[selected].tolist()],
-                       table.fbar[selected], table.obs[selected],
-                       {s: table.locations[s] for s in sorted(set(stations))}, label)
+    station = table.station[selected]
+    return TrainingSet([table.stations[s] for s in station.tolist()],
+                       [table.dates[d] for d in table.day[selected].tolist()],
+                       table.fbar[selected], table.obs[selected], table.xy[station], label)
 
 
 # Synthetic data: SIM_START is the first date, and stations are uniform over
@@ -344,15 +337,10 @@ def simulate(config: SimConfig, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence([0x5EED, int(seed)]))
     coords = rng.uniform(0.05 * DOMAIN_KM, 0.95 * DOMAIN_KM, size=(config.n_stations, 2))
     width = max(2, len(str(config.n_stations)))
-    locations = [
-        Location(f"S{i:0{width}d}", float(x), float(y))
-        for i, (x, y) in enumerate(coords, start=1)
-    ]
+    ids = [f"S{i:0{width}d}" for i in range(1, config.n_stations + 1)]
 
     if config.field_mode == "gmrf":
-        msh = mesh_mod.build_mesh(
-            locations, min_angle=config.mesh_min_angle, node_budget_factor=40
-        )
+        msh = mesh_mod.build_mesh(coords, min_angle=config.mesh_min_angle, node_budget_factor=40)
         proj = mesh_mod.projector(msh, coords)
         ops = spde_mod.assemble_fem(msh)
         q_a = spde_mod.precision(ops, config.kappa_a, config.tau_a, alpha=config.alpha)
@@ -377,11 +365,11 @@ def simulate(config: SimConfig, seed: int):
         noise = rng.normal(0.0, config.sigma, size=S) if config.sigma > 0 else np.zeros(S)
         obs[t] = a_st + b_st * members[t].mean(axis=1) + noise
 
-    table = CaseTable(locations, np.repeat(SIM_START.toordinal() + np.arange(n), S),
+    table = CaseTable(ids, coords, np.repeat(SIM_START.toordinal() + np.arange(n), S),
                       np.tile(np.arange(S), n), members.reshape(n * S, -1), obs.reshape(-1))
     truth = TruthRecord(
-        a_true={loc.id: float(a_st[i]) for i, loc in enumerate(locations)},
-        b_true={loc.id: float(b_st[i]) for i, loc in enumerate(locations)},
+        a_true=dict(zip(ids, a_st.tolist())),
+        b_true=dict(zip(ids, b_st.tolist())),
         sigma=config.sigma,
         mesh=msh,
         seed=int(seed),

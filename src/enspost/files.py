@@ -238,7 +238,7 @@ def read_draws(path) -> Draws:
     .json.  The header must be ``DRAWS_HEADER, a:<site>..., b:<site>...``
     with each site once; every cell must be finite and every sigma > 0; the
     sidecar must be a JSON object with every entry of `HEALTH_KEYS`, and the
-    file must hold its n rows."""
+    file must hold its n >= 1 rows."""
     values = []
     with CsvRows(path, rerun=RERUN_FIT) as rows:
         header, k = rows.header or [], len(DRAWS_HEADER)
@@ -263,6 +263,8 @@ def read_draws(path) -> Draws:
     if "n" in health and len(values) != health["n"]:
         raise ValueError(f"{path} holds {len(values)} draws, but {sidecar} has "
                          f"n = {health['n']!r} (rerun `{RERUN_FIT}`)")
+    if not values:
+        raise ValueError(f"{path} holds no draws (rerun `{RERUN_FIT}`)")
     missing = [key for key in HEALTH_KEYS if key not in health]
     if missing:
         raise ValueError(f"{sidecar} has no {missing[0]!r} entry (rerun `{RERUN_FIT}`)")

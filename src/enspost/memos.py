@@ -131,10 +131,7 @@ class LatentLayout:
 
 def build_design(training: TrainingSet, mesh: Mesh) -> LatentLayout:
     """Assemble the sparse design matrix of a training set on a mesh."""
-    coords = np.array(
-        [[training.locations[s].x, training.locations[s].y] for s in training.stations]
-    )
-    psi = projector(mesh, coords)
+    psi = projector(mesh, training.xy)
     n = len(training.stations)
     fbar = np.asarray(training.fbar, dtype=float)
     ones = sp.csr_matrix(np.ones((n, 1)))
@@ -307,6 +304,7 @@ def metropolis(target, x, rng, keep, n: int, config: McmcConfig) -> ChainRun:
 def sample_posterior(
     training: TrainingSet,
     sites: list,
+    xy: np.ndarray,
     n: int = 100,
     seed: int = 0,
     *,
@@ -315,7 +313,8 @@ def sample_posterior(
     config: McmcConfig = McmcConfig(),
     init: Optional[np.ndarray] = None,
 ) -> PosteriorDraws:
-    """Posterior sample of (a(s), b(s), σ) at the prediction sites.
+    """Posterior sample of (a(s), b(s), σ) at the prediction sites: the ids
+    `sites`, row s of the (S, 2) km array `xy` locating ``sites[s]``.
 
     `metropolis` runs the chain over the five log hyperparameters.  Its
     target, log_prior + log_marginal, raises for a θ whose posterior cannot
@@ -325,8 +324,7 @@ def sample_posterior(
     basis projector.  Deterministic for fixed (inputs, seed).  Needs n >= 1,
     burn_in >= 0 and thin >= 1.
     """
-    sites = list(sites)
-    psi_sites = projector(mesh, np.array([[loc.x, loc.y] for loc in sites]))
+    psi_sites = projector(mesh, xy)
     model = _WindowModel(training, mesh, assemble_fem(mesh), priors, alpha=config.alpha)
     rng = np.random.default_rng(np.random.SeedSequence([0xB0A5, int(seed)]))
     x = _initial_state(training, priors) if init is None else np.asarray(init, dtype=float)
@@ -350,7 +348,7 @@ def sample_posterior(
         thetas.append(xv)
 
     run = metropolis(target, x, rng, keep, n, config)
-    return PosteriorDraws([loc.id for loc in sites], np.array(a), np.array(b), np.array(sigma),
+    return PosteriorDraws(list(sites), np.array(a), np.array(b), np.array(sigma),
                           np.array(thetas), int(seed), **asdict(run))
 
 

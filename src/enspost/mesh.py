@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Location
 from .files import ModelError
 
 _DEDUP_TOL_KM = 1e-9
@@ -226,12 +225,9 @@ def _hull_segments(points: np.ndarray, hull_order) -> np.ndarray:
     return np.stack([chain, np.roll(chain, -1)], axis=1)
 
 
-def build_mesh(
-    sites: Iterable[Location],
-    min_angle: float = 20.0,
-    node_budget_factor: int = 10,
-) -> Mesh:
-    """Triangulate the sites and refine until quality constraints hold.
+def build_mesh(sites, min_angle: float = 20.0, node_budget_factor: int = 10) -> Mesh:
+    """Triangulate the sites, an (S, 2) array of planar km coordinates, and
+    refine until quality constraints hold.
 
     min_angle must lie in (0, 34] (the provable refinement range).
     Refinement inserts circumcenters of the worst offending triangle,
@@ -241,8 +237,7 @@ def build_mesh(
     """
     from scipy.spatial import ConvexHull
 
-    sites = list(sites)
-    coords = np.array([[s.x, s.y] for s in sites], dtype=float)
+    coords = np.asarray(sites, dtype=float)
     if len(coords) < 3:
         raise ValueError("need at least 3 sites")
     if not (0.0 < min_angle <= 34.0):

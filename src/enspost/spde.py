@@ -66,33 +66,25 @@ def assemble_fem(mesh: Mesh) -> SpdeOperators:
     Per triangle with area A and barycentric gradients ∇λ_i:
     G_ij += A ∇λ_i·∇λ_j and C_ii += A/3.
     """
-    K = mesh.n_vertices
-    rows, cols, vals = [], [], []
+    K, tri = mesh.n_vertices, mesh.triangles
+    p = mesh.vertices[tri]                      # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = 0.5 * np.abs(det)
+    bad = np.flatnonzero((area <= 0.0) | ~np.isfinite(area))
+    if len(bad):
+        raise ValueError(f"degenerate triangle {tri[bad[0]].tolist()} (area {area[bad[0]]})")
+    # gradients of the three barycentric coordinates: row a of a triangle is
+    # (y_{a+1} − y_{a+2}, x_{a+2} − x_{a+1}) / det, vertex indices mod 3
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=2)
+    grads /= det[:, None, None]
+    local = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
+    # (row, col, value) triples and the C sums in triangle-major (a, b) order
+    G = sp.csr_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                       np.tile(tri, 3).ravel())), shape=(K, K))
     c_diag = np.zeros(K)
-    for tri in mesh.triangles:
-        p = mesh.vertices[tri]
-        e1 = p[1] - p[0]
-        e2 = p[2] - p[0]
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        area = 0.5 * abs(det)
-        if area <= 0.0 or not np.isfinite(area):
-            raise ValueError(f"degenerate triangle {tri.tolist()} (area {area})")
-        # gradients of the three barycentric coordinates
-        grads = np.array(
-            [
-                [p[1][1] - p[2][1], p[2][0] - p[1][0]],
-                [p[2][1] - p[0][1], p[0][0] - p[2][0]],
-                [p[0][1] - p[1][1], p[1][0] - p[0][0]],
-            ]
-        ) / det
-        local = area * (grads @ grads.T)
-        for a in range(3):
-            c_diag[tri[a]] += area / 3.0
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                vals.append(local[a, b])
-    G = sp.csr_matrix((vals, (rows, cols)), shape=(K, K))
+    np.add.at(c_diag, tri.ravel(), np.repeat(area / 3.0, 3))
     G.sum_duplicates()
     C = sp.diags(c_diag)
     return SpdeOperators(C=C, G=G, K=K)

@@ -13,8 +13,9 @@ broadcast arrays,
 one `locate` per query point instead of one per distinct point, a
 sum over the union pattern instead of direct band-storage positions, and
 an N × N dominance matrix instead of packed prefix bits, one site at a
-time instead of one (S, m) rank array per day, and SciPy's pairwise
-distances of the raw members instead of centred Gram blocks.
+time instead of one (S, m) rank array per day, SciPy's pairwise
+distances of the raw members instead of centred Gram blocks, and FEM
+assembly one triangle at a time instead of whole-array operations.
 The last two helpers, dense-design Gaussian conditioning of a GMRF and a
 sparse-matrix triplet dump, are used only by the tests.
 """
@@ -166,7 +167,7 @@ def rolling_window_scan(table, valid_date, length=25, mode="global", station=Non
     else:
         if station is None:
             raise ValueError("local mode requires a station id")
-        if station not in table.locations:
+        if station not in table.stations:
             raise ValueError(f"unknown station {station!r}")
         observed = sorted((c[0] for c in cases if c[1] == station and c[0] < valid_date),
                           reverse=True)
@@ -185,7 +186,7 @@ def rolling_window_scan(table, valid_date, length=25, mode="global", station=Non
         dates=[c[0] for c in selected],
         fbar=np.array([fbar_fold(c[2]) for c in selected]),
         y=np.array([c[3] for c in selected]),
-        locations={s: table.locations[s] for s in sorted({c[1] for c in selected})},
+        xy=np.array([table.xy[table.stations.index(c[1])] for c in selected]).reshape(-1, 2),
         window=label,
     )
 
@@ -234,7 +235,7 @@ def ruppert_reference(sites, min_angle=20.0, node_budget_factor=10):
     hull segments, Delaunay triangulation and circumcenter are the library's."""
     tol = mesh._DEDUP_TOL_KM
     kept: list = []
-    for p in np.array([[s.x, s.y] for s in sites], dtype=float):
+    for p in np.asarray(sites, dtype=float):
         if not any(np.hypot(*(p - q)) <= tol for q in kept):
             kept.append(p)
     points = np.array(kept)
@@ -322,6 +323,32 @@ def ruppert_reference(sites, min_angle=20.0, node_budget_factor=10):
         triangles = mesh.delaunay_triangulation(np.array(pts))
 
     return mesh.Mesh(np.array(pts), triangles)
+
+
+def assemble_fem_per_triangle(msh) -> tuple:
+    """(lumped mass diagonal, stiffness CSR) of `spde.assemble_fem`, one
+    triangle and one (a, b) entry at a time, in the same order of additions."""
+    K = msh.n_vertices
+    rows, cols, vals = [], [], []
+    c_diag = np.zeros(K)
+    for tri in msh.triangles:
+        p = msh.vertices[tri]
+        e1, e2 = p[1] - p[0], p[2] - p[0]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        area = 0.5 * abs(det)
+        grads = np.array([[p[1][1] - p[2][1], p[2][0] - p[1][0]],
+                          [p[2][1] - p[0][1], p[0][0] - p[2][0]],
+                          [p[0][1] - p[1][1], p[1][0] - p[0][0]]]) / det
+        local = area * (grads @ grads.T)
+        for a in range(3):
+            c_diag[tri[a]] += area / 3.0
+            for b in range(3):
+                rows.append(tri[a])
+                cols.append(tri[b])
+                vals.append(local[a, b])
+    G = sp.csr_matrix((vals, (rows, cols)), shape=(K, K))
+    G.sum_duplicates()
+    return c_diag, G
 
 
 def projector_per_point(msh, points) -> sp.csr_matrix:

@@ -53,8 +53,7 @@ def test_criterion_03_gmrf_sampler_covariance():
     t0 = time.time()
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 10, (12, 2))
-    locs = [data.Location(f"s{i}", float(x), float(y)) for i, (x, y) in enumerate(pts)]
-    msh = mesh_mod.build_mesh(locs, min_angle=5.0)  # no refinement: K = 12 <= 20
+    msh = mesh_mod.build_mesh(pts, min_angle=5.0)  # no refinement: K = 12 <= 20
     ops = spde.assemble_fem(msh)
     Q = spde.precision(ops, 0.9, 0.8)
     draws = spde.sample_gmrf(Q, 50_000, np.random.default_rng(42))
@@ -70,15 +69,14 @@ def test_criterion_03_gmrf_sampler_covariance():
 def test_criterion_04_log_marginal_sparse_vs_dense_oracle():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 10, (8, 2))
-    locs = [data.Location(f"s{i}", float(x), float(y)) for i, (x, y) in enumerate(pts)]
-    msh = mesh_mod.build_mesh(locs, min_angle=5.0)
+    msh = mesh_mod.build_mesh(pts, min_angle=5.0)
     ops = spde.assemble_fem(msh)
-    stations = [l.id for l in locs] * 5
+    stations = [f"s{i}" for i in range(len(pts))] * 5
     fbar = rng.uniform(0, 15, 40)
     y = 1.0 + 0.9 * fbar + rng.normal(0, 1.0, 40)
     training = data.TrainingSet(
         stations=stations, dates=[None] * 40, fbar=fbar, y=y,
-        locations={l.id: l for l in locs}, window="t",
+        xy=np.tile(pts, (5, 1)), window="t",
     )
     priors = memos.Priors(v_fix=50.0)
     model = memos._WindowModel(training, msh, ops, priors)
@@ -107,8 +105,7 @@ def _recovery_run(seed, n_days_eval=60, window=25):
     cfg = data.SimConfig(n_stations=50, n_days=window + n_days_eval, m=50,
                          sigma=1.5, tau_a=0.25, tau_b=8.0, alpha=2)
     table, _ = data.simulate(cfg, seed)
-    locs = [table.locations[s] for s in table.stations]
-    msh = mesh_mod.build_mesh(locs, min_angle=20)
+    msh = mesh_mod.build_mesh(table.xy, min_angle=20)
     crps = {"global": [], "local": [], "memos": []}
     init = None
     step = None
@@ -128,7 +125,8 @@ def _recovery_run(seed, n_days_eval=60, window=25):
             )
         mc = memos.McmcConfig(burn_in=500 if init is None else 200, thin=5,
                               initial_step=step if step else 0.25)
-        draws = memos.sample_posterior(pooled, locs, n=100, seed=1000 * seed + i,
+        draws = memos.sample_posterior(pooled, table.stations, table.xy, n=100,
+                                       seed=1000 * seed + i,
                                        mesh=msh, config=mc, init=init)
         init, step = draws.theta[-1], draws.final_step
         sample = memos.predictive_sample(draws, dict(zip(cases.sites, cases.fbar)), m=50)
@@ -166,9 +164,8 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
     then refit; returns the 17-bin chi-square statistic of the PITs."""
     rng = np.random.default_rng(np.random.SeedSequence([0x5BC, rep_seed]))
     coords = rng.uniform(0.5, 9.5, (n_stations, 2))
-    locs = [data.Location(f"s{i:02d}", float(x), float(y))
-            for i, (x, y) in enumerate(coords)]
-    msh = mesh_mod.build_mesh(locs, min_angle=20)
+    ids = [f"s{i:02d}" for i in range(n_stations)]
+    msh = mesh_mod.build_mesh(coords, min_angle=20)
     ops = spde.assemble_fem(msh)
     proj = mesh_mod.projector(msh, coords)
     k_a, k_b = np.exp(rng.normal(SBC_PRIORS.logkappa_mean,
@@ -187,15 +184,15 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
     for _ in range(train_days):
         f = rng.normal(10.0, 3.0, n_stations)
         y = a_st + b_st * f + rng.normal(0.0, sigma, n_stations)
-        stations += [l.id for l in locs]
+        stations += ids
         fbars += list(f)
         ys += list(y)
     training = data.TrainingSet(
         stations=stations, dates=[None] * len(ys), fbar=np.array(fbars),
-        y=np.array(ys), locations={l.id: l for l in locs}, window="sbc",
+        y=np.array(ys), xy=np.tile(coords, (train_days, 1)), window="sbc",
     )
     draws = memos.sample_posterior(
-        training, locs, n=100, seed=rep_seed, mesh=msh, priors=SBC_PRIORS,
+        training, ids, coords, n=100, seed=rep_seed, mesh=msh, priors=SBC_PRIORS,
         config=memos.McmcConfig(burn_in=400, thin=3),
     )
     pits = []
@@ -203,11 +200,11 @@ def _sbc_replication(rep_seed, n_stations=30, train_days=20, predict_days=4):
         f = rng.normal(10.0, 3.0, n_stations)
         y = a_st + b_st * f + rng.normal(0.0, sigma, n_stations)
         sample = memos.predictive_sample(
-            draws, dict(zip([l.id for l in locs], f)), m=50
+            draws, dict(zip(ids, f)), m=50
         )
         pooled = dict(zip(draws.sites, sample))
-        for j, loc in enumerate(locs):
-            pits.append(verify.normalized_rank(pooled[loc.id], y[j], rng))
+        for j, s in enumerate(ids):
+            pits.append(verify.normalized_rank(pooled[s], y[j], rng))
     counts = verify.histogram(np.array(pits), 17) * len(pits)
     expected = len(pits) / 17
     return float(((counts - expected) ** 2 / expected).sum())
@@ -329,11 +326,10 @@ def test_criterion_11_memos_day_performance():
     table, _ = data.simulate(cfg, 9)
     day = table.dates[window]
     training = data.rolling_window(table, day, length=window, mode="global")
-    locs = [table.locations[s] for s in table.stations]
     t0 = time.time()
-    msh = mesh_mod.build_mesh(locs, min_angle=20)
+    msh = mesh_mod.build_mesh(table.xy, min_angle=20)
     draws = memos.sample_posterior(
-        training, locs, n=100, seed=4, mesh=msh,
+        training, table.stations, table.xy, n=100, seed=4, mesh=msh,
         config=memos.McmcConfig(burn_in=1000, thin=5),
     )
     fbar = dict(zip(table.on(day).sites, table.on(day).fbar))

@@ -559,6 +559,14 @@ class TestImports:
             "print([name for name in sys.modules if name.startswith('scipy.spatial')])"))
         assert probe == "[]"
 
+    def test_mesh_leaves_data_unloaded(self):
+        """`build_mesh` takes the stations as an (S, 2) km array, so the mesh
+        module needs no case-table module."""
+        probe = TestBlasThreads.probe(dict(os.environ), (
+            "import sys, enspost.mesh\n"
+            "print('enspost.data' in sys.modules)"))
+        assert probe == "False"
+
     @pytest.mark.parametrize("args, drop, absent", [
         ((), "", ("numpy", "scipy", "enspost.data")),
         (("ecc", "--method", "raw"), "", CHECK_ABSENT),
@@ -1230,6 +1238,84 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err == (f"error: {path}: {message.format(last=last)} "
                                            "(rerun `mesh`?)\n")
+
+    def test_mesh_json_not_an_object(self, pipeline, tmp_path, capsys):
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        path = out / "mesh.json"
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {path}: expected a JSON object, got list "
+                                           "(rerun `mesh`?)\n")
+
+    def test_mesh_not_covering_a_station(self, pipeline, tmp_path, capsys):
+        """A mesh.json whose hull leaves out a station ends `fit --method
+        memos` before the first chain with one line naming the file and the
+        first such station, not the projector's row indices."""
+        from scipy.spatial import Delaunay
+
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        shutil.rmtree(out / "draws_memos")
+        path = out / "mesh.json"
+        obj = json.loads(path.read_text())
+        obj["vertices"] = [[0.5 * x, 0.5 * y] for x, y in obj["vertices"]]
+        path.write_text(json.dumps(obj))
+        table = data.load_cases(out / "cases.csv")
+        outside = Delaunay(np.array(obj["vertices"])).find_simplex(table.xy) < 0
+        assert outside.any()
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), "fit", "--method", "memos"])
+        assert code == 1
+        station = table.stations[int(np.flatnonzero(outside)[0])]
+        assert capsys.readouterr().err == (f"error: {path} does not cover station {station} "
+                                           "(rerun `mesh`?)\n")
+        assert not (out / "draws_memos").exists()
+
+    @pytest.mark.parametrize("args", [("predict", "--method", "memos"),
+                                      ("ecc", "--method", "memos"), ("verify",)],
+                             ids=["predict", "ecc", "verify"])
+    def test_draws_without_draws(self, pipeline, tmp_path, capsys, args):
+        """Draws files cut to their header, with n = 0 in each sidecar, end
+        `predict`, `ecc` and `verify` with one line naming the first file,
+        where `verify` ended on a broadcast error naming none."""
+        config, done = pipeline
+        out = tmp_path / "out"
+        shutil.copytree(done, out)
+        for path in sorted((out / "draws_memos").glob("*.csv")):
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+            sidecar = path.with_suffix(".json")
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n": 0}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(out), *args])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'draws_memos' / '2010-06-16.csv'} holds no draws "
+            "(rerun `fit --method memos`)\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("date,station,lon,lat,obs,m1,m9\n2010-06-01,A,0.0,0.0,1.0,1.0,2.0\n",
+         "line 1: member columns must be numbered 1..K without gaps"),
+        ("date,station,lon,lat,obs,m1,m2\n", "line 1: no cases"),
+    ], ids=["empty-file", "member-gap", "header-only"])
+    def test_case_file_without_cases(self, tmp_path, capsys, text, message):
+        """A case file that is empty, numbers its members with a gap or
+        holds only its header ends `ecc`, which reads it on the standard
+        library, and `fit`, which builds the case table, with one line naming
+        the file."""
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        path = tmp_path / "cases.csv"
+        path.write_text(text)
+        for args in (("ecc", "--method", "raw"), ("fit", "--method", "global")):
+            capsys.readouterr()
+            assert cli.main(["--config", str(config), "--out", str(tmp_path), *args]) == 1
+            assert capsys.readouterr().err == f"error: {path} {message}\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda health: [health], "{sidecar} must hold a JSON object, got list"),

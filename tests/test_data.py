@@ -173,7 +173,7 @@ class TestLoadCases:
             """,
         )
         table = data.load_cases(path)
-        ax, bx = table.locations["A"].x, table.locations["B"].x
+        ax, bx = table.xy[:, 0]  # stations A, B
         assert abs(abs(bx - ax) - 111.19) < 0.1
 
 
@@ -201,8 +201,9 @@ class TestFbar:
     def test_bit_equal_to_the_left_to_right_fold(self, rows):
         """f̄ is the cumulative sum over the members divided by m: bit for bit
         a left-to-right fold of float additions, without compensation."""
-        locs = [data.Location(f"S{i}", float(i), 0.0) for i in range(len(rows))]
-        table = data.CaseTable(locs, [733000] * len(rows), range(len(rows)), rows,
+        table = data.CaseTable([f"S{i}" for i in range(len(rows))],
+                               [(float(i), 0.0) for i in range(len(rows))],
+                               [733000] * len(rows), range(len(rows)), rows,
                                [0.0] * len(rows))
         want = [fbar_fold(row).hex() for row in rows]
         assert [v.hex() for v in table.fbar.tolist()] == want
@@ -212,11 +213,11 @@ class TestFbar:
 def make_table(dates_by_station, m=2):
     """CaseTable with observation = 1.0 on the given dates per station."""
     stations = sorted(dates_by_station)
-    locs = [data.Location(s, 10.0 * i, 5.0 * i) for i, s in enumerate(stations)]
+    xy = [(10.0 * i, 5.0 * i) for i in range(len(stations))]
     rows = [(d.toordinal(), i, 1.0 if has_obs else np.nan)
             for i, s in enumerate(stations) for d, has_obs in dates_by_station[s]]
     ordinal, station, obs = zip(*rows)
-    return data.CaseTable(locs, ordinal, station, np.ones((len(rows), m)), obs)
+    return data.CaseTable(stations, xy, ordinal, station, np.ones((len(rows), m)), obs)
 
 
 class TestRollingWindow:
@@ -284,8 +285,8 @@ def sparse_tables(draw):
                 obs = draw(st.floats(-10, 10)) if kind == "observed" else np.nan
                 cases.append(((start + dt.timedelta(days=day)).toordinal(), i, members, obs))
     cases = draw(st.permutations(cases))
-    locs = [data.Location(s, float(i), 0.0) for i, s in enumerate(stations)]
-    table = data.CaseTable(locs, [c[0] for c in cases], [c[1] for c in cases],
+    table = data.CaseTable(stations, [(float(i), 0.0) for i in range(len(stations))],
+                           [c[0] for c in cases], [c[1] for c in cases],
                            np.reshape([c[2] for c in cases], (-1, 2)), [c[3] for c in cases])
     return table, stations
 
@@ -307,8 +308,9 @@ class TestRollingWindowIndex:
         if isinstance(want, str):
             assert got == want
             return
-        assert (got.stations, got.dates, got.locations, got.window) == (
-            want.stations, want.dates, want.locations, want.window)
+        assert (got.stations, got.dates, got.window) == (
+            want.stations, want.dates, want.window)
+        assert np.array_equal(got.xy, want.xy)
         assert np.array_equal(got.fbar, want.fbar)
         assert np.array_equal(got.y, want.y)
 

@@ -51,7 +51,7 @@ def training_set(fbar, y):
     n = len(fbar)
     return data.TrainingSet(
         stations=["s"] * n, dates=[None] * n, fbar=np.asarray(fbar, float),
-        y=np.asarray(y, float), locations={}, window="test",
+        y=np.asarray(y, float), xy=np.zeros((n, 2)), window="test",
     )
 
 
@@ -98,10 +98,12 @@ class TestFit:
             assert fitted <= start + 1e-12
 
 
-def case_table(cases, locs):
-    """CaseTable of (date, station id, members, observation or None) tuples."""
-    index = {loc.id: k for k, loc in enumerate(locs)}
-    return data.CaseTable(locs, [c[0].toordinal() for c in cases], [index[c[1]] for c in cases],
+def case_table(cases, sites):
+    """CaseTable of (date, station id, members, observation or None) tuples
+    at `sites`, {station id: (x, y)}."""
+    index = {s: k for k, s in enumerate(sites)}
+    return data.CaseTable(list(sites), list(sites.values()),
+                          [c[0].toordinal() for c in cases], [index[c[1]] for c in cases],
                           [c[2] for c in cases], [np.nan if c[3] is None else c[3] for c in cases])
 
 
@@ -109,25 +111,24 @@ class TestFitGlobalLocal:
     @staticmethod
     def two_station_table(bias_plus=2.0, bias_minus=-2.0, days=40, seed=0):
         rng = np.random.default_rng(seed)
-        locs = [data.Location("P", 0.0, 0.0), data.Location("M", 10.0, 0.0)]
+        sites = {"P": (0.0, 0.0), "M": (10.0, 0.0)}
         cases = []
         import datetime as dt
 
         for i in range(days):
             d = dt.date(2010, 6, 1) + dt.timedelta(days=i)
-            for loc, bias in zip(locs, (bias_plus, bias_minus)):
+            for site, bias in zip(sites, (bias_plus, bias_minus)):
                 members = tuple(rng.normal(10.0 + 3 * np.sin(i / 5), 1.0, 5))
                 fbar = float(np.mean(members))
                 cases.append(
-                    (d, loc.id, members, bias + fbar + rng.normal(0, 0.3))
+                    (d, site, members, bias + fbar + rng.normal(0, 0.3))
                 )
-        return case_table(cases, locs)
+        return case_table(cases, sites)
 
     def test_single_station_global_equals_local(self):
         import datetime as dt
 
         rng = np.random.default_rng(5)
-        loc = data.Location("A", 0.0, 0.0)
         cases = []
         for i in range(30):
             d = dt.date(2010, 6, 1) + dt.timedelta(days=i)
@@ -135,7 +136,7 @@ class TestFitGlobalLocal:
             cases.append(
                 (d, "A", members, float(np.mean(members)) + rng.normal())
             )
-        table = case_table(cases, [loc])
+        table = case_table(cases, {"A": (0.0, 0.0)})
         valid = dt.date(2010, 6, 28)
         pg = emos.fit_global(table, valid)
         pl = emos.fit_local(table, valid, ["A"])["A"]
@@ -187,9 +188,9 @@ def random_table(seed, n_stations, n_days, missing):
     observation after the first two days is missing with probability
     `missing`, so the local windows differ in length."""
     rng = np.random.default_rng(seed)
-    locs = [data.Location(f"S{i}", float(i), 0.0) for i in range(n_stations)]
+    sites = {f"S{i}": (float(i), 0.0) for i in range(n_stations)}
     cases = []
-    for i, loc in enumerate(locs):
+    for i, site in enumerate(sites):
         kind = WINDOW_KINDS[i % 3]
         a, b, sigma = rng.normal(0, 2), rng.uniform(0.5, 1.5), rng.uniform(0.3, 2.0)
         for k in range(n_days):
@@ -201,8 +202,8 @@ def random_table(seed, n_stations, n_days, missing):
             fbar = float(np.mean(members))
             noise = 0.0 if kind == "noise-free" else sigma * rng.standard_normal()
             obs = None if k >= 2 and rng.uniform() < missing else a + b * fbar + noise
-            cases.append((day, loc.id, members, obs))
-    return case_table(cases, locs)
+            cases.append((day, site, members, obs))
+    return case_table(cases, sites)
 
 
 class TestNewtonAgainstNelderMead:

@@ -17,11 +17,11 @@ from oracles import band_scatter_union, dense_log_marginal
 from enspost import data, memos, mesh as mesh_mod, spde
 
 
-def training_and_site_mesh(training, sites):
+def training_and_site_mesh(training, sites, xy):
     """Default mesh over the training and prediction locations, merged by
     id and sorted."""
-    merged = {loc.id: loc for loc in training.locations.values()}
-    merged.update((loc.id, loc) for loc in sites)
+    merged = dict(zip(training.stations, training.xy.tolist()))
+    merged.update(zip(sites, xy.tolist()))
     return mesh_mod.build_mesh([merged[k] for k in sorted(merged)])
 
 
@@ -30,17 +30,16 @@ def small_problem():
     """8 stations, K=14 mesh, 40 training cases: latent dim 30 (<= 40)."""
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 10, (8, 2))
-    locs = [data.Location(f"s{i}", float(x), float(y)) for i, (x, y) in enumerate(pts)]
-    msh = mesh_mod.build_mesh(locs, min_angle=5.0)
+    sites = [f"s{i}" for i in range(len(pts))], pts  # ids and (S, 2) km coordinates
+    msh = mesh_mod.build_mesh(pts, min_angle=5.0)
     ops = spde.assemble_fem(msh)
-    stations = [l.id for l in locs] * 5
     fbar = rng.uniform(0, 15, 40)
     y = 1.0 + 0.9 * fbar + rng.normal(0, 1.0, 40)
     training = data.TrainingSet(
-        stations=stations, dates=[None] * 40, fbar=fbar, y=y,
-        locations={l.id: l for l in locs}, window="test",
+        stations=sites[0] * 5, dates=[None] * 40, fbar=fbar, y=y,
+        xy=np.tile(pts, (5, 1)), window="test",
     )
-    return locs, msh, ops, training
+    return sites, msh, ops, training
 
 
 class TestLogPrior:
@@ -94,7 +93,7 @@ class TestLogPrior:
 class TestLogMarginal:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_matches_dense_oracle(self, small_problem, alpha):
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         priors = memos.Priors(v_fix=50.0)
         model = memos._WindowModel(training, msh, ops, priors, alpha=alpha)
         rng = np.random.default_rng(10)
@@ -112,7 +111,7 @@ class TestLogMarginal:
             assert abs(sparse_val - dense_val) <= 1e-8
 
     def test_duplicate_row_changes_value(self, small_problem):
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         theta = memos.Hyperparameters(0.9, 0.4, 0.9, 0.4, 1.0)
         priors = memos.Priors()
         v1 = memos._WindowModel(training, msh, ops, priors).log_marginal(theta)
@@ -121,7 +120,7 @@ class TestLogMarginal:
             dates=training.dates + [training.dates[0]],
             fbar=np.append(training.fbar, training.fbar[0]),
             y=np.append(training.y, training.y[0]),
-            locations=training.locations,
+            xy=np.vstack([training.xy, training.xy[:1]]),
             window="test",
         )
         v2 = memos._WindowModel(doubled, msh, ops, priors).log_marginal(theta)
@@ -133,7 +132,7 @@ class TestLogMarginal:
         scipy sparse arithmetic from `spde.precision` blocks."""
         import scipy.sparse as sp
 
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         priors = memos.Priors()
         model = memos._WindowModel(training, msh, ops, priors, alpha=alpha)
         theta = memos.Hyperparameters(1.1, 0.5, 0.7, 0.9, 1.3)
@@ -152,20 +151,18 @@ class TestLogMarginal:
     def test_scale_equivariance_of_slope_posterior(self, small_problem):
         """Noise-free y = b·f̄: the posterior mean slope stays near b when
         y and f̄ are scaled jointly."""
-        locs, msh, ops, _ = small_problem
+        sites, msh, ops, _ = small_problem
         rng = np.random.default_rng(3)
         fbar = rng.uniform(5, 15, 64)
-        stations = [l.id for l in locs] * 8
-        lmap = {l.id: l for l in locs}
         slopes = {}
         for scale in (1.0, 3.0):
             training = data.TrainingSet(
-                stations=stations, dates=[None] * 64,
+                stations=sites[0] * 8, dates=[None] * 64,
                 fbar=scale * fbar, y=scale * (0.8 * fbar),
-                locations=lmap, window="t",
+                xy=np.tile(sites[1], (8, 1)), window="t",
             )
             draws = memos.sample_posterior(
-                training, locs, n=40, seed=11, mesh=msh,
+                training, *sites, n=40, seed=11, mesh=msh,
                 config=memos.McmcConfig(burn_in=200, thin=2),
             )
             slopes[scale] = float(np.mean(draws.b))
@@ -178,15 +175,14 @@ def window_models():
     """α = 1 and α = 2 window models of 20 stations on 25 days, with the
     terms their band pattern sums, rebuilt from the model's blocks."""
     rng = np.random.default_rng(17)
-    locs = [data.Location(f"s{i}", float(x), float(y))
-            for i, (x, y) in enumerate(rng.uniform(0, 50, (20, 2)))]
-    msh = mesh_mod.build_mesh(locs, min_angle=20.0)
+    pts = rng.uniform(0, 50, (20, 2))
+    msh = mesh_mod.build_mesh(pts, min_angle=20.0)
     ops = spde.assemble_fem(msh)
     fbar = rng.uniform(0, 15, 500)
     training = data.TrainingSet(
-        stations=[l.id for l in locs] * 25, dates=[None] * 500, fbar=fbar,
+        stations=[f"s{i}" for i in range(20)] * 25, dates=[None] * 500, fbar=fbar,
         y=1.0 + 0.9 * fbar + rng.normal(0, 1.0, 500),
-        locations={l.id: l for l in locs}, window="test",
+        xy=np.tile(pts, (25, 1)), window="test",
     )
     models = {}
     for alpha in (1, 2):
@@ -286,16 +282,15 @@ class TestSamplePosterior:
     def test_near_prior_under_huge_noise(self, small_problem):
         """One weak observation with a prior pinning σ huge: the field
         posterior collapses to its prior (fixed-effect mean 0)."""
-        locs, msh, ops, _ = small_problem
-        lmap = {l.id: l for l in locs}
+        sites, msh, ops, _ = small_problem
         training = data.TrainingSet(
-            stations=[locs[0].id], dates=[None], fbar=np.array([10.0]),
-            y=np.array([5.0]), locations={locs[0].id: lmap[locs[0].id]}, window="t",
+            stations=sites[0][:1], dates=[None], fbar=np.array([10.0]),
+            y=np.array([5.0]), xy=sites[1][:1], window="t",
         )
         priors = memos.Priors(precision_shape=200.0, precision_rate=2_000_000.0,
                               v_fix=4.0)  # sigma pinned near 100
         draws = memos.sample_posterior(
-            training, locs, n=60, seed=2, mesh=msh, priors=priors,
+            training, *sites, n=60, seed=2, mesh=msh, priors=priors,
             config=memos.McmcConfig(burn_in=300, thin=2),
         )
         assert np.all(draws.sigma > 10.0)
@@ -306,17 +301,15 @@ class TestSamplePosterior:
     def test_tracks_ols_on_dense_single_station(self):
         rng = np.random.default_rng(2)
         pts = np.array([[2.0, 2.0], [8.0, 2.0], [5.0, 8.0], [5.0, 5.0]])
-        locs = [data.Location(f"s{i}", x, y) for i, (x, y) in enumerate(pts)]
-        lmap = {l.id: l for l in locs}
         fbar = rng.uniform(0, 15, 500)
         y = 2.0 + 1.1 * fbar + rng.normal(0, 1.0, 500)
         training = data.TrainingSet(
             stations=["s3"] * 500, dates=[None] * 500, fbar=fbar, y=y,
-            locations={"s3": lmap["s3"]}, window="t",
+            xy=np.tile(pts[3], (500, 1)), window="t",
         )
-        msh = mesh_mod.build_mesh(locs, min_angle=20)
+        msh = mesh_mod.build_mesh(pts, min_angle=20)
         draws = memos.sample_posterior(
-            training, [lmap["s3"]], n=100, seed=1, mesh=msh,
+            training, ["s3"], pts[3:], n=100, seed=1, mesh=msh,
             config=memos.McmcConfig(burn_in=400, thin=3),
         )
         f_new = 10.0
@@ -328,9 +321,9 @@ class TestSamplePosterior:
     def test_invalid_proposals_count_as_rejections(self, small_problem):
         """A huge proposal scale overflows or makes the precision singular
         on many proposals; the chain rejects them and still completes."""
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         draws = memos.sample_posterior(
-            training, locs, n=10, seed=4, mesh=msh,
+            training, *sites, n=10, seed=4, mesh=msh,
             config=memos.McmcConfig(burn_in=100, thin=1, initial_step=500.0),
         )
         assert draws.invalid_proposals > 0
@@ -339,11 +332,11 @@ class TestSamplePosterior:
     def test_invalid_initial_state_raises(self, small_problem):
         """A start the target cannot evaluate is a McmcError naming the
         state and the cause, which the CLI reports in one line."""
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         with pytest.raises(memos.McmcError, match=r"initial state \[0, 0, 0, 0, 1000\] .*"
                                                   r"\(FloatingPointError: overflow"):
             memos.sample_posterior(
-                training, locs, n=2, seed=4, mesh=msh,
+                training, *sites, n=2, seed=4, mesh=msh,
                 config=memos.McmcConfig(burn_in=2, thin=1),
                 init=np.array([0.0, 0.0, 0.0, 0.0, 1000.0]),
             )
@@ -353,17 +346,17 @@ class TestSamplePosterior:
     def test_chain_settings_out_of_range_raise(self, small_problem, n, burn_in, thin):
         """`metropolis` rejects them before its first step: n = 0 would keep
         no draw, and thin = 0 would divide by zero in acceptance_post."""
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         with pytest.raises(ValueError, match="need n >= 1, burn_in >= 0 and thin >= 1"):
-            memos.sample_posterior(training, locs, n=n, seed=4, mesh=msh,
+            memos.sample_posterior(training, *sites, n=n, seed=4, mesh=msh,
                                    config=memos.McmcConfig(burn_in=burn_in, thin=thin))
 
     def test_reproducible_given_seed(self, small_problem):
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         kwargs = dict(n=10, seed=7, mesh=msh,
                       config=memos.McmcConfig(burn_in=50, thin=1))
-        d1 = memos.sample_posterior(training, locs, **kwargs)
-        d2 = memos.sample_posterior(training, locs, **kwargs)
+        d1 = memos.sample_posterior(training, *sites, **kwargs)
+        d2 = memos.sample_posterior(training, *sites, **kwargs)
         assert np.array_equal(d1.a, d2.a)
         assert np.array_equal(d1.b, d2.b)
         assert np.array_equal(d1.sigma, d2.sigma)
@@ -381,9 +374,8 @@ class TestSamplePosterior:
             table, truth = data.simulate(cfg, 100 + seed)
             valid = table.dates[-1]
             training = data.rolling_window(table, valid, length=39, mode="global")
-            locs = [table.locations[s] for s in table.stations]
             draws = memos.sample_posterior(
-                training, locs, n=100, seed=seed, mesh=truth.mesh,
+                training, table.stations, table.xy, n=100, seed=seed, mesh=truth.mesh,
                 config=memos.McmcConfig(burn_in=300, thin=2),
             )
             lo = np.quantile(draws.a, 0.05, axis=0)
@@ -403,9 +395,9 @@ class TestSamplePosterior:
         table, truth = data.simulate(cfg, 5)
         valid = table.dates[-1]
         training = data.rolling_window(table, valid, length=39, mode="global")
-        locs = [table.locations[s] for s in table.stations]
         draws = memos.sample_posterior(
-            training, locs, n=80, seed=3, mesh=training_and_site_mesh(training, locs),
+            training, table.stations, table.xy, n=80, seed=3,
+            mesh=training_and_site_mesh(training, table.stations, table.xy),
             config=memos.McmcConfig(burn_in=300, thin=2),
         )
         post_mean_b = draws.b.mean(axis=0)
@@ -422,16 +414,15 @@ class TestSamplePosterior:
         table, _ = data.simulate(cfg, 8)
         day = table.dates[-1]
         training = data.rolling_window(table, day, length=25, mode="global")
-        locs = [table.locations[s] for s in table.stations]
         cases = table.on(day)
         fbar = dict(zip(cases.sites, cases.fbar))
 
-        msh = training_and_site_mesh(training, locs)
+        msh = training_and_site_mesh(training, table.stations, table.xy)
         means = []
         subset_ses = []
         for seed in (1, 2, 3):
             draws = memos.sample_posterior(
-                training, locs, n=100, seed=seed, mesh=msh,
+                training, table.stations, table.xy, n=100, seed=seed, mesh=msh,
                 config=memos.McmcConfig(burn_in=400, thin=3),
             )
             sample = memos.predictive_sample(draws, fbar, m=20)
@@ -545,9 +536,9 @@ def any_draws(draw):
 
 class TestDrawsCsvRoundtrip:
     def test_roundtrip(self, tmp_path, small_problem):
-        locs, msh, ops, training = small_problem
+        sites, msh, ops, training = small_problem
         draws = memos.sample_posterior(
-            training, locs, n=5, seed=3, mesh=msh,
+            training, *sites, n=5, seed=3, mesh=msh,
             config=memos.McmcConfig(burn_in=30, thin=1),
         )
         # a count the reader's default (0) cannot fake

@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from enspost import mesh
-from enspost.data import Location
 from oracles import projector_per_point, ruppert_reference, triangle_min_angle
 
 
 def locs(points):
-    return [Location(f"s{i}", float(x), float(y)) for i, (x, y) in enumerate(points)]
+    return np.array(points, dtype=float)
 
 
 def uniform_sites(seed, n):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import conditional_gaussian, to_coo_text
+from oracles import assemble_fem_per_triangle, conditional_gaussian, to_coo_text
 
 from enspost import mesh, spde
-from enspost.data import Location
 
 
 def unit_right_triangle():
@@ -20,8 +19,7 @@ def unit_right_triangle():
 def random_mesh(seed=3, n=12, scale=10.0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, scale, (n, 2))
-    locs = [Location(f"s{i}", x, y) for i, (x, y) in enumerate(pts)]
-    return mesh.build_mesh(locs, min_angle=20)
+    return mesh.build_mesh(pts, min_angle=20)
 
 
 class TestAssembleFem:
@@ -58,6 +56,27 @@ class TestAssembleFem:
             )
         with pytest.raises(ValueError, match="degenerate"):
             spde.assemble_fem(bad)
+
+    def test_degenerate_names_the_first_bad_triangle(self):
+        bad = mesh.Mesh(
+            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [np.nan, 0.0]]),
+            triangles=np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+        )
+        with pytest.raises(ValueError, match=r"^degenerate triangle \[0, 1, 3\] \(area 0\.0\)$"):
+            spde.assemble_fem(bad)
+
+    @pytest.mark.parametrize("seed, n, scale, offset", [
+        (3, 12, 10.0, 0.0), (4, 40, 10.0, 0.0), (5, 25, 0.01, 0.0), (6, 30, 300.0, -1e3)])
+    def test_bit_equal_to_the_per_triangle_loop(self, seed, n, scale, offset):
+        """The array assembly adds the same terms in the same order as one
+        triangle at a time, so C and G keep every bit."""
+        msh = random_mesh(seed=seed, n=n, scale=scale)
+        msh = mesh.Mesh(msh.vertices + offset, msh.triangles)
+        ops = spde.assemble_fem(msh)
+        c_diag, G = assemble_fem_per_triangle(msh)
+        assert ops.c_diag.tobytes() == c_diag.tobytes()
+        for part in ("indptr", "indices", "data"):
+            assert getattr(ops.G, part).tobytes() == getattr(G, part).tobytes()
 
 
 class TestPrecision:
